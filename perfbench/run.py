@@ -11,8 +11,9 @@ from the checker, and checks that every later round returned the same
 outputs.  The last line of standard output is one JSON object with the
 counts of operations attempted and failed and, with --trace 0, the
 end-to-end metrics, or with --trace 1 the per-layer metrics of a run
-whose calls into the checker are recorded as spans.  The result and,
-with --trace 1, the spans are also written under perfbench/out/.
+whose calls into the checker are recorded as spans.  Times are scaled to
+a host of fixed speed (see hostspeed.py).  The result and, with
+--trace 1, the spans are also written under perfbench/out/.
 """
 
 from __future__ import annotations
@@ -21,21 +22,23 @@ import argparse
 import json
 import resource
 import statistics
+import subprocess
 import sys
 import time
 import traceback
 from pathlib import Path
 
+import hostspeed
+
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
 OUT = HERE / "out"
-SETUP_REPEATS = 5
-WORKLOAD_NAMES = ("bool-programs", "arith-programs", "mbp-images")  # keys of workloads.WORKLOADS
+SETUP_REPEATS = 7
 
 
 def parse_args(argv):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", required=True, choices=WORKLOAD_NAMES)
+    ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", required=True, type=int)
     ap.add_argument("--seconds", required=True, type=float)
     ap.add_argument("--trace", required=True, type=int, choices=(0, 1))
@@ -53,10 +56,9 @@ class LayerCounts:
 
         self._size = formula_size
         self.stats = {"steps": 0, "sum": 0, "reach": 0, "query": 0}
-        self.events = self.added = self.facts = self.max_fact_nodes = self.unknown = 0
+        self.events = self.added = self.facts = self.max_fact_nodes = 0
 
     def add(self, verdict) -> None:
-        self.unknown += verdict.status == "UNKNOWN"
         for key in self.stats:
             self.stats[key] += verdict.stats.get(key, 0)
         for e in verdict.trace:
@@ -69,11 +71,39 @@ class LayerCounts:
             self.max_fact_nodes = max(self.max_fact_nodes, self._size(fact.formula))
 
 
+def time_setup(name: str, seed: int) -> float:
+    """Seconds to import the checker and the benchmark and build the
+    corpus, in a fresh interpreter (see measure_setup)."""
+    t0 = time.perf_counter()
+    sys.path[:0] = [str(SRC), str(HERE)]
+    import workloads as wl
+
+    wl.WORKLOADS[name].build(seed)
+    return time.perf_counter() - t0
+
+
+def measure_setup(name: str, seed: int) -> float:
+    """Median set-up time over SETUP_REPEATS fresh interpreters, so that
+    every repeat pays the imports as a run does, scaled by the host's
+    speed while they ran."""
+    code = f"import sys; sys.path.insert(0, {str(HERE)!r}); import run; print(run.time_setup({name!r}, {seed}))"
+    speed = hostspeed.HostSpeed()
+    times = []
+    for _ in range(SETUP_REPEATS):
+        for _ in range(5):
+            speed.sample(force=True)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True
+        )
+        times.append(float(proc.stdout.strip().splitlines()[-1]))
+    return statistics.median(times) * speed.scale()
+
+
 def metric(value, unit):
     return {"value": value, "unit": unit}
 
 
-def layer_metrics(tracer, counts, rounds, builds):
+def layer_metrics(tracer, counts, rounds):
     from tracer import SETUP_OP
 
     ops = tracer.totals(lambda op: op != SETUP_OP)
@@ -93,15 +123,14 @@ def layer_metrics(tracer, counts, rounds, builds):
     validate = ("driver.validate_proof", "driver.validate_cex")
     c, s = "count", "s"
     out = {
-        "parser.parse_calls": metric(total(setup, "calls", "parser.parse") / builds, c),
-        "parser.parse_s": metric(total(setup, "s", "parser.parse") / builds, s),
+        "parser.parse_calls": metric(total(setup, "calls", "parser.parse"), c),
+        "parser.parse_s": metric(total(setup, "s", "parser.parse"), s),
         "driver.check_inductive_calls": metric(per_round("calls", "driver.check_inductive"), c),
         "driver.check_inductive_s": metric(per_round("s", "driver.check_inductive"), s),
         "driver.build_cex_calls": metric(per_round("calls", "driver.build_cex"), c),
         "driver.build_cex_s": metric(per_round("s", "driver.build_cex"), s),
         "driver.validate_s": metric(per_round("s", *validate), s),
         "driver.self_s": metric(self_s("driver"), s),
-        "driver.unknown_verdicts": metric(counts.unknown / rounds, c),
         "engine.bounded_safety_calls": metric(per_round("calls", "engine.bounded_safety"), c),
         "engine.bounded_safety_s": metric(per_round("s", "engine.bounded_safety"), s),
         "engine.self_s": metric(self_s("engine"), s),
@@ -140,27 +169,24 @@ def main(argv=None) -> int:
         return 2
     sys.path.insert(0, str(SRC))
 
-    t0 = time.perf_counter()
     import checks
     import tracer as tracing
     import workloads as wl
 
-    import_s = time.perf_counter() - t0
-
-    workload = wl.WORKLOADS[args.workload]
-    tracer = None
+    workload = wl.WORKLOADS.get(args.workload)
+    if workload is None:
+        print(f"perfbench: no workload {args.workload!r}; one of {', '.join(wl.WORKLOADS)}", file=sys.stderr)
+        return 2
+    tracer = counts = speed = None
     if args.trace:
         tracer = tracing.Tracer()
         tracer.install(extra_sites=[wl])
+        counts = LayerCounts()
+    else:
+        speed = hostspeed.HostSpeed()
+        setup_s = measure_setup(args.workload, args.seed)
+    cases = workload.build(args.seed)
 
-    build_s = []
-    for _ in range(SETUP_REPEATS):
-        t = time.perf_counter()
-        cases = workload.build(args.seed)
-        build_s.append(time.perf_counter() - t)
-    setup_s = import_s + statistics.median(build_s)
-
-    counts = LayerCounts() if tracer else None
     first = [None] * len(cases)  # (output, fingerprint) of round 1
     latencies = []
     failed = rounds = 0
@@ -180,6 +206,8 @@ def main(argv=None) -> int:
             latencies.append(time.perf_counter() - t)
             if tracer:
                 tracer.op_id = tracing.SETUP_OP
+            else:
+                speed.sample()
             if error is not None:
                 failed += 1
                 if rounds == 0:
@@ -187,13 +215,8 @@ def main(argv=None) -> int:
                 elif first[i] is not None:
                     mismatched.append(case.label)
                 continue
-            if workload.failed(case, out):
-                failed += 1
-            if counts and workload.programs:
-                counts.add(out)
-            if workload.programs:
-                out.rho = out.sigma = None
-                out.trace = []
+            failed += workload.failed(case, out)
+            out = workload.settle(out, counts)
             fp = workload.fingerprint(out)
             if rounds == 0:
                 first[i] = (out, fp)
@@ -203,32 +226,34 @@ def main(argv=None) -> int:
         if time.perf_counter() >= deadline:
             break
     busy_s = sum(latencies)
+    attempted = len(latencies)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     problems = [f"{label}: output differs between rounds" for label in sorted(set(mismatched))]
     t_check = time.perf_counter()
     output_nodes = 0
     for case, entry in zip(cases, first):
-        if entry is None or workload.failed(case, entry[0]):
+        if entry is None:
             continue
-        output_nodes += workload.output_nodes(entry[0])
+        if not workload.failed(case, entry[0]):
+            output_nodes += workload.output_nodes(entry[0])
         try:
             workload.check(case, entry[0])
         except checks.CheckFailed as exc:
             problems.append(str(exc))
     check_s = time.perf_counter() - t_check
 
-    attempted = len(latencies)
     if tracer:
         tracer.uninstall()
-        metrics, ops = layer_metrics(tracer, counts, rounds, SETUP_REPEATS)
+        metrics, ops = layer_metrics(tracer, counts, rounds)
     else:
+        k = speed.scale()
         cuts = statistics.quantiles(latencies, n=100)
         metrics = {
             "setup_s": metric(setup_s, "s"),
-            "ops_per_s": metric(attempted / busy_s, "1/s"),
-            "op_p50_ms": metric(cuts[49] * 1000, "ms"),
-            "op_p95_ms": metric(cuts[94] * 1000, "ms"),
+            "ops_per_s": metric(attempted / (busy_s * k), "1/s"),
+            "op_p50_ms": metric(cuts[49] * 1000 * k, "ms"),
+            "op_p95_ms": metric(cuts[94] * 1000 * k, "ms"),
             "peak_rss_mb": metric(peak_rss_mb, "MB"),
             "output_nodes": metric(output_nodes, "nodes"),
         }
@@ -238,7 +263,6 @@ def main(argv=None) -> int:
     print(
         f"{args.workload} seed {args.seed}: {len(cases)} cases, {rounds} rounds, "
         f"{attempted} ops ({failed} failed) in {busy_s:.2f} s busy; "
-        f"import {import_s:.3f} s, build median {statistics.median(build_s):.3f} s, "
         f"checks {check_s:.2f} s",
         file=log,
     )
@@ -256,7 +280,12 @@ def main(argv=None) -> int:
             )
         tracer.write(OUT / f"{stem}.spans.tsv.gz")
     else:
-        print(f"  busy per round {busy_s / rounds:.4f} s", file=log)
+        print(
+            f"  busy per round {busy_s / rounds:.4f} s as measured; "
+            f"host block median {statistics.median(speed.times) * 1000:.2f} ms over "
+            f"{len(speed.times)} blocks, scale {k:.4f}",
+            file=log,
+        )
     (OUT / f"{stem}.json").write_text(json.dumps(result, indent=1) + "\n")
     print(json.dumps(result))
     return 0

@@ -81,6 +81,21 @@ def test_flipped_bool_verdict_is_rejected(status):
         checks.check_verdict(case, flipped, oracle)
 
 
+def test_unknown_bool_verdict_is_rejected():
+    case, verdict = bool_case("SAFE")
+    oracle = checks.bool_oracle(case.unit.program, case.unit.phi_safe)
+    unknown = replace(verdict, status="UNKNOWN", reason="bound exhausted", proof=None)
+    assert wl.ProgramWorkload.failed(case, unknown)
+    with pytest.raises(checks.CheckFailed):
+        checks.check_verdict(case, unknown, oracle)
+
+
+def test_unknown_arith_verdict_counts_as_failed():
+    case, verdict = solved(overview(), expected="SAFE")
+    assert not wl.ProgramWorkload.failed(case, verdict)
+    assert wl.ProgramWorkload.failed(case, replace(verdict, status="UNKNOWN", proof=None))
+
+
 def test_flipped_shipped_verdict_is_rejected():
     case, verdict = solved(overview(), expected="SAFE")
     checks.check_verdict(case, verdict)
@@ -187,7 +202,7 @@ def test_witness_search_is_exact_on_integers():
 def test_same_seed_gives_same_inputs_and_counts(name):
     workload = wl.WORKLOADS[name]
     first, second = workload.build(7), workload.build(7)
-    key = (lambda c: c.unit.text) if workload.programs else (lambda c: repr(c.formula))
+    key = (lambda c: c.unit.text) if hasattr(first[0], "unit") else (lambda c: repr(c.formula))
     assert [key(c) for c in first] == [key(c) for c in second]
     assert [key(c) for c in workload.build(8)] != [key(c) for c in first]
     sample = first[:20] + first[-3:]

@@ -49,24 +49,30 @@ from recmc.parser import SourceUnit
 from recmc.project import project
 from recmc.solver import check_sat, default_value
 
-# Each corpus joins a part drawn from --seed to a fixed part that is the
-# same for every seed.  Operation times on these generators are heavy-
-# tailed: one default-size random program in several hundred takes seconds
-# (multi-procedure Boolean programs, integer programs, integer images with
-# divisibility literals), so a seed that draws one would set the round's
-# time by itself.  The seeded parts therefore use the light-tailed shapes
-# (single-procedure programs, integer images without divisibility), and the
-# heavy-tailed shapes come from fixed seeds, so that every run pays the
-# same tail.  The seeded parts are also kept small: a few seeded programs
-# have proofs of 100 to 200 nodes against a median of 1, which would move
-# output_nodes from seed to seed.
+# Operation times on these generators are heavy-tailed: one default-size
+# random program in several hundred takes seconds (multi-procedure Boolean
+# programs, integer programs, integer images with divisibility literals),
+# so a seed that draws one would set the round's time by itself.  The
+# seeded parts therefore use the light-tailed shapes (single-procedure
+# Boolean programs, integer images without divisibility), and the heavy-
+# tailed shapes come from fixed seeds, so that every run pays the same
+# tail.  The seeded Boolean part is kept small: a few seeded programs have
+# proofs of 100 to 200 nodes against a median of 1, which would move
+# output_nodes from seed to seed.  The seeded image part is a sixth of the
+# round for the same reason: with 1000 of 1200 images seeded, the seeds
+# that drew smaller images also had a tenth lower latencies.
+#
+# An UNKNOWN verdict counts as a failed operation, and the failed share
+# must be the same for every seed.  Drawn arithmetic programs come back
+# UNKNOWN on some seeds and not on others (the 72nd one-procedure rational
+# program drawn from Random("305-rat") never gets inductive summaries), so
+# arith-programs draws nothing from the seed: its corpus is fixed, and the
+# seed only orders the round.
 
 # Stack bounds handed to check().  32 is the bound of the Boolean
-# differential acceptance test, 2 that of the termination acceptance test
-# whose corpora the fixed arithmetic part reuses.
+# differential acceptance test.
 BOOL_MAX_BOUND = 32
 ARITH_MAX_BOUND = 8
-ARITH_FIXED_MAX_BOUND = 2
 # gpdr_divergence returns UNKNOWN at every bound and its cost grows fast
 # with the bound (0.08 s at 2, 0.8 s at 4, 25 s at 8); at 4 its
 # inductiveness checks show in the trace without filling the round.
@@ -76,10 +82,10 @@ SEEDED_BOOL = 150
 FIXED_BOOL = (500, 400)  # generator seed and count; the acceptance corpus is the first 200
 BEBOP_SAFE = (4, 8, 12)
 BEBOP_UNSAFE = (4, 7, 11)
-SEEDED_ARITH = {"rat": 100, "int": 100}
 FIXED_ARITH = {"rat": (800, 150), "int": (801, 150)}  # the acceptance corpora are the first 100
 SEEDED_IMAGES = {"rat": 100, "int": 100}
-FIXED_INT_IMAGES = (103, 200)
+FIXED_IMAGES = {"rat": (104, 400), "int": (105, 400)}  # without divisibility literals
+FIXED_INT_IMAGES = (103, 200)  # with them
 # Criterion 03's enumeration limit; no image in the corpora comes near it.
 IMAGE_LIMIT = 400
 
@@ -130,21 +136,16 @@ def bool_corpus(seed: int) -> List[ProgramCase]:
 
 def arith_corpus(seed: int) -> List[ProgramCase]:
     cases = []
-    for mode, count in SEEDED_ARITH.items():
-        rng = random.Random(f"{seed}-{mode}")
-        cases += [
-            ProgramCase(f"seeded-{mode}-{i}", random_arith_program(rng, mode, max_procs=1), ARITH_MAX_BOUND)
-            for i in range(count)
-        ]
     for mode, (fixed_seed, count) in FIXED_ARITH.items():
         rng = random.Random(fixed_seed)
         cases += [
-            ProgramCase(f"fixed-{mode}-{i}", random_arith_program(rng, mode), ARITH_FIXED_MAX_BOUND)
+            ProgramCase(f"fixed-{mode}-{i}", random_arith_program(rng, mode), ARITH_MAX_BOUND)
             for i in range(count)
         ]
     cases.append(ProgramCase("overview", overview(), ARITH_MAX_BOUND, "SAFE"))
     cases.append(ProgramCase("overview_bad", overview_bad(), ARITH_MAX_BOUND, "UNSAFE"))
     cases.append(ProgramCase("gpdr_divergence", gen_gpdr_divergence(), GPDR_MAX_BOUND, "SAFE"))
+    random.Random(seed).shuffle(cases)
     return cases
 
 
@@ -192,14 +193,16 @@ def _images(rng, mode: Sort, count: int, divisibility: bool, prefix: str) -> Lis
 
 
 def image_corpus(seed: int) -> List[ImageCase]:
-    """Seeded LRA and LIA formulas, the LIA ones without divisibility
-    literals, and a fixed set of LIA formulas with them."""
+    """LRA and LIA formulas without divisibility literals, seeded and
+    fixed, and a fixed set of LIA formulas with them."""
     cases = []
     for mode in (Sort.RAT, Sort.INT):
         rng = random.Random(f"{seed}-{mode.value}")
         cases += _images(rng, mode, SEEDED_IMAGES[mode.value], False, "seeded")
+        fixed_seed, count = FIXED_IMAGES[mode.value]
+        cases += _images(random.Random(fixed_seed), mode, count, False, "fixed")
     fixed_seed, count = FIXED_INT_IMAGES
-    cases += _images(random.Random(fixed_seed), Sort.INT, count, True, "fixed")
+    cases += _images(random.Random(fixed_seed), Sort.INT, count, True, "fixed-div")
     return cases
 
 
@@ -230,8 +233,6 @@ def enumerate_image(case: ImageCase):
 
 
 class ProgramWorkload:
-    programs = True
-
     def __init__(self, build):
         self.build = build
 
@@ -239,10 +240,19 @@ class ProgramWorkload:
 
     @staticmethod
     def failed(case, verdict) -> bool:
-        """Only a shipped program has a documented answer to miss.  On a
-        random program UNKNOWN ("bound exhausted") is check()'s answer to
-        a bounded query; the checks test what it claims."""
-        return verdict.status == "UNKNOWN" and case.expected is not None
+        """UNKNOWN is a failed operation: check() proved nothing."""
+        return verdict.status == "UNKNOWN"
+
+    @staticmethod
+    def settle(verdict, counts=None):
+        """Add the verdict's per-layer figures to counts, when given, and
+        drop what no check reads, so that a run keeps one round of
+        outputs and not every round's summaries."""
+        if counts is not None:
+            counts.add(verdict)
+        verdict.rho = verdict.sigma = None
+        verdict.trace = []
+        return verdict
 
     @staticmethod
     def fingerprint(verdict):
@@ -269,7 +279,6 @@ class ProgramWorkload:
 
 
 class ImageWorkload:
-    programs = False
     build = staticmethod(image_corpus)
     run = staticmethod(enumerate_image)
     check = staticmethod(checks.check_image)
@@ -277,6 +286,10 @@ class ImageWorkload:
     @staticmethod
     def failed(case, image) -> bool:
         return False
+
+    @staticmethod
+    def settle(image, counts=None):
+        return image
 
     @staticmethod
     def fingerprint(image):
