@@ -16,7 +16,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .driver import CounterexampleTree, SafetyProof, Verdict, check
+from .driver import Verdict, check
 from .engine import EngineConfig
 from .errors import RecmcError, RplSyntaxError, ValidationError
 from .formula import Sort
@@ -122,6 +122,10 @@ def _configure_logging():
 
 
 def _cmd_check(args) -> int:
+    for flag, value in (("--max-bound", args.max_bound), ("--step-budget", args.step_budget)):
+        if value < 0:
+            print(f"recmc: {flag} must not be negative", file=sys.stderr)
+            return EXIT_ERROR
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()

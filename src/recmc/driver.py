@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from .engine import EngineConfig, bounded_safety, new_stats
 from .errors import ProvenanceGap, ResourceLimit, UnassignedVar
@@ -33,7 +32,6 @@ from .formula import (
     Var,
     eval_formula,
     f_and,
-    free_vars,
     mk_cmp,
     negate_nnf,
 )
@@ -46,7 +44,7 @@ from .program import (
     over_env,
     under_env,
 )
-from .solver import SolverConfig, check_sat, default_value, entails
+from .solver import SolverConfig, check_sat, entails, total_model
 
 
 @dataclass
@@ -202,15 +200,10 @@ def build_cex(
     res = check_sat(f_and([u_main, negate_nnf(phi_safe)]), program.mode, solver)
     if not res.is_sat:
         raise ProvenanceGap("unsafe verdict but no violating model")
-    model = _totalize(res.model, main.formals)
+    model = total_model(res.model, main.formals)
     fact = _fact_for(rho, main.name, n, model, program)
     root = _expand(rho, program, fact, {v: model[v] for v in main.formals}, solver)
     return CounterexampleTree(root, n)
-
-
-def _totalize(model, vars_):
-    extra = {v: default_value(v.sort) for v in vars_ if v not in model}
-    return model.extended(extra) if extra else model
 
 
 def _fact_for(rho, name, bound, model, program):
@@ -230,7 +223,7 @@ def _expand(rho, program, fact, pinned, solver) -> CexNode:
     res = check_sat(f_and([matrix, _pin(pinned)]), program.mode, solver)
     if not res.is_sat:
         raise ProvenanceGap(f"fact {fact.fact_id} does not replay")
-    model = _totalize(res.model, proc.all_vars)
+    model = total_model(res.model, proc.all_vars)
     children = []
     for call in path.calls:
         callee = program.proc(call.callee)

@@ -36,26 +36,20 @@ an outer loop can deepen the bound incrementally.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .errors import PreconditionFailed, ResourceLimit
 from .formula import (
     EQ,
-    FALSE,
-    TRUE,
     BoolLit,
-    Cmp,
     Formula,
     LinTerm,
     Lit,
     Sort,
-    Var,
     eval_formula,
     f_and,
     f_or,
-    free_vars,
     mk_cmp,
     negate_nnf,
     rename_vars,
@@ -73,7 +67,7 @@ from .program import (
     under_env,
 )
 from .project import project
-from .solver import DEFAULT_CONFIG, Model, SolverConfig, check_sat, default_value
+from .solver import DEFAULT_CONFIG, Model, SolverConfig, check_sat, total_model
 
 log = logging.getLogger("recmc")
 
@@ -180,13 +174,6 @@ class BndSafety:
             env = over_env(self.sigma, bound, self.program)
             self._env_cache[key] = env
         return env
-
-    def _total_model(self, model: Model, vars_) -> Model:
-        extra = {}
-        for v in vars_:
-            if v not in model:
-                extra[v] = default_value(v.sort)
-        return model.extended(extra) if extra else model
 
     def _push(self, query: BoundedQuery):
         self.queue.append(query)
@@ -301,7 +288,7 @@ class BndSafety:
         self, q: BoundedQuery, pidx: int, path, matrix: Formula, model: Model
     ) -> TraceEvent:
         proc = self.program.proc(q.proc)
-        model = self._total_model(model, proc.all_vars)
+        model = total_model(model, proc.all_vars)
         if self.config.proj == "mbp":
             psi = project(
                 proc.locals_, matrix, model, strategy="mbp", stats=self.stats
@@ -391,7 +378,7 @@ class BndSafety:
             keep = set(args)
             elim = [v for v in proc.all_vars if v not in keep]
             if self.config.proj == "mbp":
-                model = self._total_model(sat_model, proc.all_vars)
+                model = total_model(sat_model, proc.all_vars)
                 psi = project(elim, matrix, model, strategy="mbp", stats=self.stats)
             else:
                 psi = project(elim, matrix, None, strategy="qe")

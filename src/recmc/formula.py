@@ -17,10 +17,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .errors import (
-    ArityMismatch,
     NegatedCall,
     NotNormalized,
     PathExplosion,
@@ -32,10 +31,6 @@ class Sort(enum.Enum):
     BOOL = "bool"
     RAT = "rat"
     INT = "int"
-
-    @property
-    def is_arith(self) -> bool:
-        return self is not Sort.BOOL
 
 
 class Role(enum.Enum):
@@ -552,25 +547,6 @@ def subst_bool(f: Formula, mapping: Mapping[Var, bool]) -> Formula:
     if isinstance(f, Or):
         return f_or(subst_bool(a, mapping) for a in f.args)
     return f
-
-
-def subst_model_values(f: Formula, model: Mapping[Var, Value], vars_: Sequence[Var]) -> Formula:
-    """Replace the given variables by their model values."""
-    arith = {}
-    boolean = {}
-    for v in vars_:
-        if v not in model:
-            raise UnassignedVar(repr(v))
-        if v.sort is Sort.BOOL:
-            boolean[v] = bool(model[v])
-        else:
-            arith[v] = LinTerm.of_const(model[v])
-    out = f
-    if boolean:
-        out = subst_bool(out, boolean)
-    if arith:
-        out = subst_arith(out, arith)
-    return out
 
 
 # --------------------------------------------------------------------------

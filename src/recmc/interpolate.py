@@ -26,18 +26,15 @@ it is a bug guard, not an input error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Optional
 
 from .errors import InterpolationError, NotUnsat, PathExplosion, WrongMode
 from .formula import (
-    EQ,
-    FALSE,
     LE,
     LT,
     TRUE,
     BoolLit,
-    Cmp,
     DivLit,
     Formula,
     LinTerm,
@@ -48,6 +45,7 @@ from .formula import (
     f_or,
     free_vars,
     has_calls,
+    literal_vars,
     mk_cmp,
     mk_lit,
 )
@@ -104,12 +102,6 @@ def _strongest(a: Formula, shared: FrozenSet[Var]) -> Formula:
     return project(locals_, a, None, strategy="qe")
 
 
-def _path_project(path, shared) -> Formula:
-    f = path.formula()
-    locals_ = sorted(free_vars(f) - shared, key=lambda v: v.key())
-    return project(locals_, f, None, strategy="qe")
-
-
 def _farkas_itp(a, b, shared, mode, config) -> Formula:
     try:
         a_paths = dnf_paths(a)
@@ -129,11 +121,11 @@ def _farkas_itp(a, b, shared, mode, config) -> Formula:
             status, cert = refute_conjunction(valued, mode, config)
             if status != "unsat":
                 # unknown, or a solver gap: the exact projection still works
-                conjuncts = [_path_project(pa, shared)]
+                conjuncts = [_strongest(pa.formula(), shared)]
                 break
             conj = _conjunct_from_cert(cert, a_lits, shared)
             if conj is None:
-                conjuncts = [_path_project(pa, shared)]
+                conjuncts = [_strongest(pa.formula(), shared)]
                 break
             conjuncts.append(conj)
         parts.append(f_and(conjuncts))
@@ -159,7 +151,7 @@ def _conjunct_from_cert(cert, a_lits, shared) -> Optional[Formula]:
             restored = _restore(lit, val)
             if restored in a_lits:
                 picked.append(restored)
-        if any(v not in shared for l in picked for v in _lit_vars(l)):
+        if any(v not in shared for l in picked for v in literal_vars(l)):
             return None
         return f_and([mk_lit(l) for l in picked])
     return None
@@ -171,9 +163,3 @@ def _restore(atom, val):
     if isinstance(atom, DivLit):
         return DivLit(atom.divisor, atom.term, val)
     return atom
-
-
-def _lit_vars(lit):
-    if isinstance(lit, BoolLit):
-        return (lit.var,)
-    return lit.term.vars

@@ -24,8 +24,8 @@ captures.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from .errors import ArityMismatch, TooLarge, ValidationError
 from .formula import (
@@ -47,7 +47,6 @@ from .formula import (
     dnf_paths,
     f_and,
     f_or,
-    free_vars,
     rename_vars,
 )
 
@@ -170,7 +169,6 @@ class AssertionMap:
     def __init__(self):
         self._by_proc: Dict[str, Dict[int, List[Fact]]] = {}
         self._keys = set()
-        self._by_id: Dict[int, Fact] = {}
         self._next = itertools.count()
         self.version = 0
 
@@ -185,7 +183,6 @@ class AssertionMap:
         fact = Fact(next(self._next), proc, bound, formula, provenance)
         self._keys.add(key)
         self._by_proc.setdefault(proc, {}).setdefault(bound, []).append(fact)
-        self._by_id[fact.fact_id] = fact
         self.version += 1
         return fact, True
 
@@ -207,9 +204,6 @@ class AssertionMap:
                 out.extend(self._by_proc[proc][b])
         return out
 
-    def by_id(self, fact_id: int) -> Fact:
-        return self._by_id[fact_id]
-
     def bounds(self, proc: str):
         return sorted(self._by_proc.get(proc, {}))
 
@@ -220,7 +214,7 @@ class AssertionMap:
                     yield fact
 
     def __len__(self):
-        return len(self._by_id)
+        return len(self._keys)
 
 
 @dataclass

@@ -8,10 +8,16 @@ method after rescaling coefficients to +-1; divisibility literals give
 the period D over which the test points are repeated.  Boolean
 variables use Shannon expansion.
 
+One enumeration, cooper_cases, yields Cooper's disjuncts in a fixed
+order, each with a witness for x.  Exact elimination (cooper_qe) takes
+all of them; the solver's complete integer decision walks them depth
+first and keeps the first satisfiable one with its witness.
+
 Model-based projection picks, for a model M of the matrix, the single
-disjunct of the elimination that M witnesses; the image over all models
-is finite and covers the full elimination, while each output is an
-under-approximation satisfied by its own model.  Ties between equal
+disjunct of the elimination that M witnesses, computed from M's values
+of the bound terms rather than by enumeration; the image over all
+models is finite and covers the full elimination, while each output is
+an under-approximation satisfied by its own model.  Ties between equal
 bound terms are broken by a fixed syntactic term ordering, so identical
 inputs always produce identical outputs.
 
@@ -22,8 +28,8 @@ they exist only through the substitution tables below.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Dict, List, Mapping, Optional, Sequence
+from math import ceil, lcm
+from typing import Dict, List, Optional, Sequence
 
 from .errors import ModelMismatch, WrongMode
 from .formula import (
@@ -33,7 +39,6 @@ from .formula import (
     LT,
     TRUE,
     And,
-    BoolLit,
     Cmp,
     DivLit,
     Formula,
@@ -52,7 +57,6 @@ from .formula import (
     normalize_for,
     subst_arith,
     subst_bool,
-    to_nnf,
 )
 
 
@@ -200,20 +204,60 @@ def lra_proj(x: Var, matrix: Formula, model) -> Formula:
     return _subst_minus_inf(x, f)
 
 
+def _value(term: LinTerm, model) -> Fraction:
+    """term under model, reading variables the model leaves out as 0."""
+    total = term.const
+    for v, c in term.coeffs:
+        total += c * model.get(v, 0)
+    return total
+
+
+def cooper_cases(x: Var, g: Formula):
+    """Cooper's disjuncts of exists x. g (coefficients of x +-1), in order.
+
+    Yields (disjunct, witness) pairs: x := each equality term, x := l+1
+    .. l+D for each lower bound l, then x := minus infinity with residue
+    0 .. D-1, terms in _collect's order.  witness maps a model of the
+    disjunct (absent variables read as 0) to a value of x that satisfies
+    g.  When a literal conjunct of g is an equality or lower bound on x,
+    every minus-infinity disjunct is false and none is yielded.
+    """
+    eqs, lows, highs, period = _collect(x, g, Sort.INT)
+    for e in eqs:
+        yield subst_arith(g, {x: e}), lambda m, e=e: _value(e, m)
+    for l in lows:
+        for i in range(period):
+            t = l.add(LinTerm.of_const(1 + i))
+            yield subst_arith(g, {x: t}), lambda m, t=t: _value(t, m)
+    conjuncts = g.args if isinstance(g, And) else (g,)
+    if any(
+        isinstance(a, Lit) and normalize_for(x, a.lit, Sort.INT)[0] in ("eq", "lo")
+        for a in conjuncts
+    ):
+        return
+    bounds = eqs + lows + highs
+
+    def below(m, i):
+        # x = i (mod D), below every bound term so that each literal
+        # takes its minus-infinity value
+        v = Fraction(i)
+        if bounds:
+            ub = min(_value(t, m) for t in bounds)
+            if v >= ub:
+                v -= period * ceil((v - ub + 1) / period)
+        return v
+
+    for i in range(period):
+        yield _subst_minus_inf_int(x, g, i), lambda m, i=i: below(m, i)
+
+
 def cooper_qe(x: Var, matrix: Formula) -> Formula:
     """Cooper elimination of an integer variable (coefficients +-1)."""
     if x.sort is not Sort.INT:
         raise WrongMode(f"{x!r} is not integer")
     if x not in free_vars(matrix):
         return matrix
-    eqs, lows, _, period = _collect(x, matrix, Sort.INT)
-    parts = [subst_arith(matrix, {x: e}) for e in eqs]
-    for l in lows:
-        for i in range(period):
-            parts.append(subst_arith(matrix, {x: l.add(LinTerm.of_const(1 + i))}))
-    for i in range(period):
-        parts.append(_subst_minus_inf_int(x, matrix, i))
-    return f_or(parts)
+    return f_or(case for case, _ in cooper_cases(x, matrix))
 
 
 def lia_proj(x: Var, matrix: Formula, model) -> Formula:
@@ -240,12 +284,6 @@ def lia_proj(x: Var, matrix: Formula, model) -> Formula:
         return subst_arith(matrix, {x: best.add(LinTerm.of_const(1 + i))})
     i = int(xval % period)
     return _subst_minus_inf_int(x, matrix, i)
-
-
-def eliminate_int_var(x: Var, f: Formula) -> Formula:
-    """Full elimination of one integer variable: rescale, then Cooper."""
-    g, _, y = lia_normalize(x, f)
-    return cooper_qe(y, g)
 
 
 def project(
@@ -300,66 +338,3 @@ def _extend_model(model, var, value):
         out = dict(model)
         out[var] = value
         return out
-
-
-def cooper_witness(f: Formula, vars_: Sequence[Var]) -> Optional[Dict[Var, Fraction]]:
-    """Integer witness for a satisfiable call-free formula.
-
-    Eliminates the variables with Cooper's method and rebuilds concrete
-    values by scanning the finitely many candidate values that the
-    elimination justifies.  Returns None if the formula is ground-false.
-    """
-    order = [v for v in vars_]
-    stack = []
-    cur = f
-    for x in reversed(order):
-        if x not in free_vars(cur):
-            stack.append((x, None, 1, None))
-            continue
-        g, mult, y = lia_normalize(x, cur)
-        stack.append((x, y, mult, g))
-        cur = cooper_qe(y, g)
-    if not eval_formula(cur, {}):
-        return None
-    model: Dict[Var, Fraction] = {}
-    for x, y, mult, g in reversed(stack):
-        if y is None:
-            model[x] = Fraction(0)
-            continue
-        v = _witness_value(y, g, model)
-        assert v is not None, "elimination said sat but no candidate value fits"
-        assert v % mult == 0
-        model[y] = v
-        model[x] = v / mult
-    for y_aux in [s[1] for s in stack if s[1] is not None and s[1] is not s[0]]:
-        model.pop(y_aux, None)
-    return model
-
-
-def _witness_value(x: Var, g: Formula, model) -> Optional[Fraction]:
-    eqs, lows, highs, period = _collect(x, g, Sort.INT)
-    candidates: List[Fraction] = []
-    term_vals = []
-    for e in eqs:
-        v = e.evaluate(model)
-        candidates.append(v)
-        term_vals.append(v)
-    for l in lows:
-        v = l.evaluate(model)
-        term_vals.append(v)
-        for i in range(period):
-            candidates.append(v + 1 + i)
-    for u in highs:
-        term_vals.append(u.evaluate(model))
-    base = min(term_vals + [Fraction(0)]) - 1
-    base = Fraction(base.numerator // base.denominator)  # floor
-    for j in range(period):
-        candidates.append(base - j)
-    for c in candidates:
-        if c.denominator != 1:
-            continue
-        trial = dict(model.items()) if not isinstance(model, dict) else dict(model)
-        trial[x] = c
-        if eval_formula(g, trial):
-            return c
-    return None

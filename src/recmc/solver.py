@@ -16,28 +16,29 @@ whose coefficient gcd does not divide its constant; the residue check
 rejects divisibility literals on one linear form that no residue
 modulo the lcm of their divisors satisfies.  Branch-and-bound alone is
 not a decision procedure for integer arithmetic, so when the branch budget
-runs out we fall back to eliminating the variables of the offending
-conjunction with Cooper's method, which is complete, after first
-deciding its divisibility literals alone; only if that also exceeds its
-size guard does the solver report unknown.
+runs out we fall back to a complete decision of the offending
+conjunction, after first deciding its divisibility literals alone: a
+depth-first walk over the Cooper disjuncts that project.cooper_cases
+yields for one variable at a time, the same enumeration that exact
+elimination takes whole.  The first satisfiable disjunct gives the
+model, through the witness that comes with it.  Only if the walk
+exceeds its node budget does the solver report unknown.
 
 Everything is exact: Fractions all the way down, no floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd, lcm
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ResourceLimit, WrongMode
 from .formula import (
     EQ,
-    FALSE,
     LE,
     LT,
-    TRUE,
     And,
     BoolLit,
     Bottom,
@@ -59,13 +60,8 @@ from .formula import (
     lia_normalize,
     mk_lit,
     negate_nnf,
-    normalize_for,
-    subst_arith,
 )
-
-# Always re-evaluate models against the original formula.  Cheap at the
-# scale we run at, and it turns solver bugs into loud failures.
-VERIFY_MODELS = True
+from .project import cooper_cases
 
 
 @dataclass
@@ -105,9 +101,6 @@ class Model:
     def value(self, v):
         return self.assignment[v]
 
-    def restrict(self, vars_: Iterable[Var]) -> "Model":
-        return Model({v: self.assignment[v] for v in vars_ if v in self.assignment})
-
     def extended(self, extra: Dict[Var, object]) -> "Model":
         m = dict(self.assignment)
         m.update(extra)
@@ -120,6 +113,12 @@ class Model:
 
 def default_value(sort: Sort):
     return False if sort is Sort.BOOL else Fraction(0)
+
+
+def total_model(model: Model, vars_) -> Model:
+    """model with each variable of vars_ it leaves out at its default."""
+    extra = {v: default_value(v.sort) for v in vars_ if v not in model}
+    return model.extended(extra) if extra else model
 
 
 @dataclass(frozen=True)
@@ -236,7 +235,6 @@ class Simplex:
         self.var_ids: Dict[Var, int] = {}
         self.id_vars: List[Optional[Var]] = []
         self.slack_by_key: Dict[object, int] = {}
-        self.slack_def: Dict[int, LinTerm] = {}
         self.rows: Dict[int, Dict[int, Fraction]] = {}
         self.cols: Dict[int, set] = {}
         self.values: Dict[int, tuple] = {}
@@ -289,7 +287,6 @@ class Simplex:
             row = self._row_of_linear(norm)
             sid = self._new_id(None)
             self.slack_by_key[key] = sid
-            self.slack_def[sid] = norm
             self.rows[sid] = row
             for j in row:
                 self.cols[j].add(sid)
@@ -663,9 +660,6 @@ class _TheoryCheck:
                     lits.append(key)
         return ClausalCore(tuple(lits))
 
-    def _all_literal_core(self, asserted) -> ClausalCore:
-        return ClausalCore(tuple(asserted))
-
     def solve(self, asserted) -> Tuple[str, object]:
         """Returns ("sat", values) or ("unsat", cert) or ("unknown", reason)."""
         if self.conflict is not None:
@@ -767,7 +761,7 @@ class _TheoryCheck:
             return "unknown", "integer decision budget exhausted"
         if model is not None:
             return "sat", model
-        return "unsat", self._minimize_core(self._all_literal_core(asserted))
+        return "unsat", self._minimize_core(ClausalCore(tuple(asserted)))
 
     def _minimize_core(self, core: "ClausalCore") -> "ClausalCore":
         """Deletion-based shrinking; each trial is one Cooper decision."""
@@ -792,10 +786,11 @@ class _TheoryCheck:
 # --------------------------------------------------------------------------
 # Complete integer decision for conjunctions of literals.
 #
-# Depth-first Cooper: substituting a test term into a conjunction gives
-# another conjunction, so elimination never materializes the full
-# disjunction; branches that fold to false are pruned before recursing
-# and a satisfying branch returns immediately with a witness.
+# Depth-first Cooper over project.cooper_cases: substituting a test term
+# into a conjunction gives another conjunction, so elimination never
+# materializes the full disjunction; branches that fold to false are
+# pruned before recursing and the first satisfiable case returns
+# immediately with its witness.
 # --------------------------------------------------------------------------
 
 
@@ -847,70 +842,18 @@ def _icsat(f: Formula, counter) -> Optional[dict]:
     if counter[0] <= 0:
         raise _CooperBudget()
     counter[0] -= 1
-    lits = _conj_literals(f)
-    x = _pick_int_var(lits)
+    x = _pick_int_var(_conj_literals(f))
     g, mult, y = lia_normalize(x, f)
     if isinstance(g, Bottom):
         return None
-    eqs, lows, highs, divisors = {}, {}, [], []
-    tagged = [(lit, normalize_for(y, lit, Sort.INT)) for lit in _conj_literals(g)]
-    for lit, tag in tagged:
-        if tag[0] == "eq":
-            eqs.setdefault(tag[1].key(), tag[1])
-        elif tag[0] == "lo":
-            lows.setdefault(tag[1].key(), tag[1])
-        elif tag[0] == "hi":
-            highs.append(tag[1])
-        elif tag[0] == "div":
-            divisors.append(tag[1])
-    period = lcm(*divisors) if divisors else 1
-
-    def found(model, yval):
-        assert yval.denominator == 1 and yval % mult == 0
-        model = dict(model)
-        model[x] = yval / mult
-        return model
-
-    def val(term, model):
-        total = term.const
-        for v, c in term.coeffs:
-            total += c * model.get(v, Fraction(0))
-        return total
-
-    for key in sorted(eqs):
-        e = eqs[key]
-        m = _icsat(subst_arith(g, {y: e}), counter)
+    for case, witness in cooper_cases(y, g):
+        m = _icsat(case, counter)
         if m is not None:
-            return found(m, val(e, m))
-    if eqs or lows:
-        for key in sorted(lows):
-            low = lows[key]
-            for i in range(period):
-                t = low.add(LinTerm.of_const(1 + i))
-                m = _icsat(subst_arith(g, {y: t}), counter)
-                if m is not None:
-                    return found(m, val(t, m))
-        return None
-    # below every bound: upper bounds vanish, divisibility keeps residue i
-    for i in range(period):
-        parts = []
-        for lit, tag in tagged:
-            if tag[0] == "free":
-                parts.append(mk_lit(lit))
-            elif tag[0] == "div":
-                _, d, w, pos = tag
-                parts.append(mk_lit(DivLit(d, w.add(LinTerm.of_const(i)), pos)))
-            else:
-                assert tag[0] == "hi"
-        m = _icsat(f_and(parts), counter)
-        if m is not None:
-            ubs = [val(u, m) for u in highs]
-            yval = Fraction(i)
-            if ubs:
-                ub = min(ubs)
-                if yval >= ub:
-                    yval -= period * ceil((yval - ub + 1) / period)
-            return found(m, yval)
+            yval = witness(m)
+            assert yval.denominator == 1 and yval % mult == 0
+            m = dict(m)
+            m[x] = yval / mult
+            return m
     return None
 
 
@@ -962,13 +905,6 @@ class _Skeleton:
 
     def build(self, f: Formula) -> None:
         """Clausify an NNF formula (Plaisted-Greenbaum, positive side)."""
-        nvars = [0]
-
-        def count_obligations(g):
-            if isinstance(g, (And, Or)):
-                for a in g.args:
-                    count_obligations(a)
-
         def lit_of(g) -> int:
             if isinstance(g, Lit):
                 atom, sign = _atom_of(g.lit)
@@ -1253,13 +1189,9 @@ class _CDCL:
 # --------------------------------------------------------------------------
 
 
-def _check_mode(f: Formula, mode: Sort):
-    assert not isinstance(f, Not), "input must be in NNF"
-
-
 def check_sat(f: Formula, mode: Sort, config: SolverConfig = DEFAULT_CONFIG) -> SatResult:
     """Decide a call-free NNF formula; produce a model or certificates."""
-    _check_mode(f, mode)
+    assert not isinstance(f, Not), "input must be in NNF"
     if isinstance(f, Top):
         return SatResult("sat", Model({}))
     if isinstance(f, Bottom):
@@ -1329,8 +1261,8 @@ def check_sat(f: Formula, mode: Sort, config: SolverConfig = DEFAULT_CONFIG) -> 
             if mode is Sort.INT:
                 assert values[v].denominator == 1
     model = Model(values)
-    if VERIFY_MODELS:
-        assert eval_formula(f, model), f"model check failed for {f!r} -> {model!r}"
+    # a solver bug becomes a loud failure, not a wrong answer
+    assert eval_formula(f, model), f"model check failed for {f!r} -> {model!r}"
     return SatResult("sat", model, certs=tuple(certs))
 
 

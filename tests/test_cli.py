@@ -65,6 +65,14 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert code == 2 and out.startswith("UNKNOWN")
 
+    @pytest.mark.parametrize("flag", ["--max-bound", "--step-budget"])
+    def test_negative_bound_exits_three(self, overview_file, flag, capsys):
+        code = run_cli(["check", overview_file, flag, "-1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert f"{flag} must not be negative" in captured.err
+
     def test_parse_error_exits_three(self, tmp_path, capsys):
         src = tmp_path / "broken.rpl"
         src.write_text("(program (mode rat)")

@@ -6,8 +6,10 @@ import pytest
 from helpers import (
     exists_window_int,
     mk_vars,
+    random_conjunction,
     random_model,
     random_nnf,
+    window_sat_int,
 )
 from recmc.errors import ModelMismatch, NotNormalized, WrongMode
 from recmc.formula import (
@@ -16,6 +18,7 @@ from recmc.formula import (
     LE,
     LT,
     TRUE,
+    And,
     BoolLit,
     Cmp,
     DivLit,
@@ -32,15 +35,21 @@ from recmc.formula import (
 )
 from recmc.project import (
     cooper_qe,
-    cooper_witness,
-    eliminate_int_var,
     lia_proj,
     lra_proj,
     lw_qe,
     project,
     split_weak_bounds,
 )
-from recmc.solver import Model, check_sat, entails, enumerate_models, equivalent
+from recmc.solver import (
+    DEFAULT_CONFIG,
+    Model,
+    check_sat,
+    entails,
+    enumerate_models,
+    equivalent,
+    int_conjunction_sat,
+)
 
 x, y, z, e, l, u = mk_vars(["x", "y", "z", "e", "l", "u"], Sort.RAT)
 tx, ty, tz, te, tl, tu = (LinTerm.of_var(v) for v in (x, y, z, e, l, u))
@@ -180,8 +189,8 @@ class TestCooper:
         with pytest.raises(NotNormalized):
             cooper_qe(xi, mk_cmp(LT, txi.scale(2).sub(tyi)))
 
-    def test_eliminate_int_var_rescales(self):
-        g = eliminate_int_var(xi, mk_cmp(LT, txi.scale(2).sub(tyi)))
+    def test_project_qe_rescales(self):
+        g = project([xi], mk_cmp(LT, txi.scale(2).sub(tyi)), None, strategy="qe")
         assert xi not in free_vars(g)
         # exists x . 2x < y is true for every y
         assert equivalent(g, TRUE, Sort.INT)
@@ -190,7 +199,7 @@ class TestCooper:
         rng = random.Random(9)
         for _ in range(60):
             f = random_nnf(rng, [xi, yi], Sort.INT, rng.randint(1, 4))
-            g = eliminate_int_var(xi, f)
+            g = project([xi], f, None, strategy="qe")
             assert xi not in free_vars(g)
             for yval in range(-4, 5):
                 m = {yi: Fraction(yval)}
@@ -198,8 +207,9 @@ class TestCooper:
                 got = eval_formula(g, m) if yi in free_vars(g) or True else None
                 if want:
                     assert got
-                # the converse needs an unbounded witness; checked via
-                # cooper_witness below instead
+                # the converse needs an unbounded witness; the witnesses
+                # of the same Cooper cases are checked in
+                # TestIntConjunctionSat instead
 
 
 class TestLiaProj:
@@ -210,7 +220,7 @@ class TestLiaProj:
         want = mk_lit(DivLit(2, tli.add(LinTerm.of_const(1))))
         assert got == want
         assert eval_formula(got, m)
-        assert entails(got, eliminate_int_var(xi, f), Sort.INT)
+        assert entails(got, project([xi], f, None, strategy="qe"), Sort.INT)
 
     def test_minus_infinity_residue(self):
         f = mk_lit(DivLit(2, txi))
@@ -286,21 +296,27 @@ class TestProject:
             if not check_sat(f, Sort.INT).is_sat:
                 continue
             image = self._image_points(f, [xi], [yi], Sort.INT)
-            qe = eliminate_int_var(xi, f)
+            qe = project([xi], f, None, strategy="qe")
             assert equivalent(f_or(image), qe, Sort.INT)
 
 
-class TestCooperWitness:
-    def test_round_trip(self):
+class TestIntConjunctionSat:
+    def test_witnesses_on_divisibility_conjunctions(self):
         rng = random.Random(25)
-        hits = 0
-        for _ in range(60):
-            f = random_nnf(rng, [xi, yi], Sort.INT, rng.randint(1, 4))
-            vars_ = sorted(free_vars(f), key=lambda v: v.key())
-            m = cooper_witness(f, vars_)
+        vars_ = [xi, yi, li]
+        sat = unsat = 0
+        for _ in range(80):
+            f = random_conjunction(rng, vars_, Sort.INT, rng.randint(2, 5))
+            if not isinstance(f, (And, Lit)):
+                continue  # folded to a constant
+            lits = [a.lit for a in f.args] if isinstance(f, And) else [f.lit]
+            m = int_conjunction_sat(lits, DEFAULT_CONFIG.cooper_node_budget)
             if m is None:
+                unsat += 1
                 assert check_sat(f, Sort.INT).is_unsat
+                assert not window_sat_int(f, vars_, -6, 6)
             else:
-                hits += 1
-                assert eval_formula(f, m)
-        assert hits > 10
+                sat += 1
+                model = {v: m.get(v, Fraction(0)) for v in vars_}
+                assert eval_formula(f, model)
+        assert sat > 10 and unsat > 5
