@@ -7,7 +7,10 @@ level-b summaries implies it, as in IC3's push generalization); the run
 is inductive when every level-n fact survives the push, and then the
 conjunction of facts at levels >= n is a safety proof.  An unsafe round
 stops immediately: the recorded provenance of the reachability facts is
-replayed into a concrete counterexample tree.
+replayed into a concrete counterexample tree.  Replay is memoised per
+(fact, pinned formals): an equal subproblem is solved once and its node
+shared, so a chain whose unfolded call tree is exponential replays in
+time linear in its distinct nodes.
 
 Both witnesses are validated before being returned - the proof against
 a fresh solver, the tree literally, node by node - so a verdict is
@@ -55,6 +58,14 @@ class SafetyProof:
 
 @dataclass
 class CexNode:
+    """One call in a counterexample: the procedure, the path it took, the
+    values of its formals and locals, and one child per call on the path.
+
+    Equal subproblems share one node object, so the tree is held as a DAG;
+    nodes must not be mutated.  `==` and `emit_witness` see the unfolded
+    tree.
+    """
+
     proc: str
     path_index: int
     values: Dict[Var, object]  # formals and locals
@@ -63,6 +74,10 @@ class CexNode:
 
 @dataclass
 class CounterexampleTree:
+    """An execution of main within the stack bound that violates the
+    property.  Subtrees that replay the same (fact, pinned formals) are
+    one shared `CexNode`; equality and the witness format unfold them."""
+
     root: CexNode
     bound: int
 
@@ -132,12 +147,20 @@ def check_inductive(
     already visible when the higher levels are checked; pushes from
     levels below n populate level n without affecting the outcome
     directly.  sigma only ever grows.
+
+    A push at level b adds at b + 1 a formula already at level b, which
+    leaves the level-b conjunction unchanged, so the environment is built
+    once per level and each body instantiated once per level.
     """
     inductive = True
     for b in range(n + 1):
+        env = over_env(sigma, b, program)
         for name, proc in program.procedures.items():
-            for fact in sigma.at(name, b):
-                body = instantiate(proc.body, over_env(sigma, b, program), program)
+            facts = sigma.at(name, b)
+            if not facts:
+                continue
+            body = instantiate(proc.body, env, program)
+            for fact in facts:
                 if entails(body, fact.formula, program.mode, solver):
                     sigma.add(name, b + 1, fact.formula)
                 elif b == n:
@@ -194,6 +217,10 @@ def build_cex(
     parent requires; every fact is an under-approximation of real
     executions, so the solve cannot fail unless the bookkeeping is
     broken (hence ProvenanceGap, not a user-facing error).
+
+    A node depends only on its fact and pinned formals, so each distinct
+    pair is solved once and its node shared by every call that needs it;
+    the under-approximating environment is built once per bound.
     """
     main = program.proc(program.main)
     u_main = under_env(rho, n, program)[main.name]
@@ -202,7 +229,8 @@ def build_cex(
         raise ProvenanceGap("unsafe verdict but no violating model")
     model = total_model(res.model, main.formals)
     fact = _fact_for(rho, main.name, n, model, program)
-    root = _expand(rho, program, fact, {v: model[v] for v in main.formals}, solver)
+    pinned = {v: model[v] for v in main.formals}
+    root = _expand(rho, program, fact, pinned, solver, {}, {})
     return CounterexampleTree(root, n)
 
 
@@ -213,13 +241,21 @@ def _fact_for(rho, name, bound, model, program):
     raise ProvenanceGap(f"no reachability fact of {name} matches the model")
 
 
-def _expand(rho, program, fact, pinned, solver) -> CexNode:
+def _expand(rho, program, fact, pinned, solver, nodes, envs) -> CexNode:
+    """The node replaying fact with the formals pinned, memoised in nodes
+    by (fact, pinned values in formals order); envs caches under_env by
+    bound."""
+    key = (fact.fact_id, tuple(pinned.items()))
+    if key in nodes:
+        return nodes[key]
     proc = program.proc(fact.proc)
     if fact.provenance is None:
         raise ProvenanceGap(f"fact {fact.fact_id} has no provenance")
     path = proc.paths[fact.provenance.path_index]
-    env_u = under_env(rho, fact.bound - 1, program)
-    matrix = instantiate(path, env_u, program)
+    below = fact.bound - 1
+    if below not in envs:
+        envs[below] = under_env(rho, below, program)
+    matrix = instantiate(path, envs[below], program)
     res = check_sat(f_and([matrix, _pin(pinned)]), program.mode, solver)
     if not res.is_sat:
         raise ProvenanceGap(f"fact {fact.fact_id} does not replay")
@@ -231,15 +267,18 @@ def _expand(rho, program, fact, pinned, solver) -> CexNode:
             formal: model[arg] for formal, arg in zip(callee.formals, call.args)
         }
         child_fact = None
-        for cand in rho.up_to(call.callee, fact.bound - 1):
+        for cand in rho.up_to(call.callee, below):
             if eval_formula(cand.formula, renamed_model):
                 child_fact = cand
                 break
         if child_fact is None:
             raise ProvenanceGap(f"no callee fact matches call to {call.callee}")
-        children.append(_expand(rho, program, child_fact, renamed_model, solver))
+        children.append(
+            _expand(rho, program, child_fact, renamed_model, solver, nodes, envs)
+        )
     values = {v: model[v] for v in proc.all_vars}
-    return CexNode(proc.name, fact.provenance.path_index, values, tuple(children))
+    node = nodes[key] = CexNode(proc.name, fact.provenance.path_index, values, tuple(children))
+    return node
 
 
 def validate_cex(program: Program, tree: CounterexampleTree, phi_safe: Formula) -> bool:
@@ -249,10 +288,17 @@ def validate_cex(program: Program, tree: CounterexampleTree, phi_safe: Formula) 
     with the parent's argument values; leaves are call-free; the root
     violates the property.  In boolean mode the root valuation is also
     checked against the explicit bounded semantics.
+
+    A node shared by several calls is checked once: its result depends
+    only on the node and its subtree.  Argument agreement is checked on
+    every call edge.
     """
     main = program.proc(program.main)
+    checked = set()
 
     def walk(node: CexNode) -> bool:
+        if id(node) in checked:
+            return True
         proc = program.proc(node.proc)
         if node.path_index >= len(proc.paths):
             return False
@@ -274,6 +320,7 @@ def validate_cex(program: Program, tree: CounterexampleTree, phi_safe: Formula) 
                     return False
             if not walk(child):
                 return False
+        checked.add(id(node))
         return True
 
     root = tree.root

@@ -41,6 +41,17 @@ class TestCheckCommand:
         assert any(l.strip().startswith("node 0 proc M") for l in lines)
         assert lines[-1] == "end"
 
+    def test_unsafe_witness_unfolds_shared_subtrees(self, tmp_path, capsys):
+        src, witness = tmp_path / "b4.rpl", tmp_path / "w.txt"
+        assert run_cli(["gen", "bebop", "--n", "4", "--unsafe", "-o", str(src)]) == 0
+        assert run_cli(["check", str(src), "--witness", str(witness)]) == 1
+        ids = [
+            int(line.split()[1])
+            for line in witness.read_text().splitlines()
+            if line.strip().startswith("node ")
+        ]
+        assert ids == list(range(31))
+
     def test_safe_witness_has_proof_per_procedure(self, overview_file, tmp_path, capsys):
         witness = tmp_path / "w.txt"
         code = run_cli(["check", overview_file, "--witness", str(witness)])

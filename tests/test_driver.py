@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import recmc.driver
 from recmc.driver import (
     CexNode,
     CounterexampleTree,
@@ -26,10 +27,10 @@ from recmc.formula import (
     f_and,
     mk_cmp,
 )
-from recmc.generators import overview, overview_bad
+from recmc.generators import gen_bebop, overview, overview_bad
 from recmc.parser import parse
 from recmc.program import AssertionMap
-from recmc.solver import SolverConfig, entails
+from recmc.solver import SolverConfig, check_sat, entails
 
 
 def _var(program, proc, name):
@@ -109,6 +110,101 @@ class TestOverviewBad:
             verdict.cex.bound,
         )
         assert not validate_cex(unit.program, bad, unit.phi_safe)
+
+
+def _unfolded_size(node, sizes=None):
+    sizes = {} if sizes is None else sizes
+    if id(node) not in sizes:
+        sizes[id(node)] = 1 + sum(_unfolded_size(c, sizes) for c in node.children)
+    return sizes[id(node)]
+
+
+def _distinct(node, seen=None):
+    seen = set() if seen is None else seen
+    seen.add(id(node))
+    for child in node.children:
+        _distinct(child, seen)
+    return seen
+
+
+def _occurrences(node, where=()):
+    """(path of child indices, node) for every call of the unfolded tree."""
+    yield where, node
+    for i, child in enumerate(node.children):
+        yield from _occurrences(child, where + (i,))
+
+
+def _replace_at(node, where, new):
+    if not where:
+        return new
+    children = list(node.children)
+    children[where[0]] = _replace_at(children[where[0]], where[1:], new)
+    return CexNode(node.proc, node.path_index, node.values, tuple(children))
+
+
+class TestUnsafeChains:
+    """Unsafe bebop chains: the unfolded tree is exponential in n, its
+    distinct nodes and the replay's solver calls are linear."""
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_replay_is_linear(self, n, monkeypatch):
+        unit = gen_bebop(n, safe=False)
+        verdict = check(unit.program, unit.phi_safe, max_bound=2 * n + 4)
+        assert verdict.status == "UNSAFE" and verdict.bound == n
+        assert validate_cex(unit.program, verdict.cex, unit.phi_safe)
+        assert _unfolded_size(verdict.cex.root) == 2 ** (n + 1) - 1
+        assert len(_distinct(verdict.cex.root)) <= 2 * (n + 1)
+
+        calls = [0]
+
+        def counting_check_sat(*args, **kwargs):
+            calls[0] += 1
+            return check_sat(*args, **kwargs)
+
+        monkeypatch.setattr(recmc.driver, "check_sat", counting_check_sat)
+        tree = build_cex(verdict.rho, unit.program, unit.phi_safe, n, SolverConfig())
+        assert calls[0] <= 4 * (n + 1)
+        assert tree.root is not verdict.cex.root and tree == verdict.cex
+
+    @staticmethod
+    def _shared_inner_node(root):
+        """The last occurrence of a node that is reached by several calls
+        and has a local, with its position."""
+        counts = {}
+        for _, node in _occurrences(root):
+            counts[id(node)] = counts.get(id(node), 0) + 1
+        found = None
+        for where, node in _occurrences(root):
+            if counts[id(node)] > 1 and node.children:
+                found = where, node
+        assert found is not None
+        return found
+
+    @staticmethod
+    def _flip_local(node, program):
+        local = _var(program, node.proc, "t")
+        values = dict(node.values)
+        values[local] = not values[local]
+        return values
+
+    def test_corrupted_copy_of_shared_node_rejected(self):
+        unit = gen_bebop(4, safe=False)
+        verdict = check(unit.program, unit.phi_safe, max_bound=12)
+        root = verdict.cex.root
+        where, shared = self._shared_inner_node(root)
+        copy = CexNode(shared.proc, shared.path_index,
+                       self._flip_local(shared, unit.program), shared.children)
+        bad = CounterexampleTree(_replace_at(root, where, copy), verdict.cex.bound)
+        # the other occurrences still hold the valid shared node
+        assert any(node is shared for _, node in _occurrences(bad.root))
+        assert not validate_cex(unit.program, bad, unit.phi_safe)
+
+    def test_corrupted_shared_node_rejected(self):
+        unit = gen_bebop(4, safe=False)
+        verdict = check(unit.program, unit.phi_safe, max_bound=12)
+        _, shared = self._shared_inner_node(verdict.cex.root)
+        shared.values = self._flip_local(shared, unit.program)
+        assert not validate_cex(unit.program, verdict.cex, unit.phi_safe)
 
 
 class TestCheckInductive:
