@@ -8,15 +8,21 @@ negated comparisons are rewritten at construction time
 (not(a < b) becomes b <= a, not(a = b) becomes a < b or b < a).
 
 Everything here is an immutable value; no operation mutates its input.
+Nodes are slotted frozen dataclasses that hash once: the first hash of a
+node is stored in a slot of its own, which takes no part in construction,
+equality or repr.  The stored value is the field hash, hash((field1,
+field2, ...)), that the generated dataclass hash would return, so sets
+and dicts of nodes iterate in the same order as without the cache.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import (
@@ -40,7 +46,32 @@ class Role(enum.Enum):
     AUX = "aux"
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """Make cls a frozen, slotted dataclass that keeps its field hash in
+    an extra `_hash` slot, filled on first use.
+
+    Without it every f_and and f_or dedupe and every set or dict lookup
+    rehashes the whole subtree.
+    """
+    cls.__annotations__["_hash"] = "Optional[int]"
+    cls._hash = field(default=None, init=False, repr=False, compare=False)
+    cls = dataclass(frozen=True, slots=True)(cls)
+    names = tuple(f.name for f in fields(cls) if f.compare)
+    get = attrgetter(*names)
+    single = len(names) == 1
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((get(self),) if single else get(self))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
 class Var:
     name: str
     sort: Sort
@@ -65,7 +96,7 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
+@_node
 class LinTerm:
     """Linear combination of arithmetic variables plus a constant.
 
@@ -128,14 +159,23 @@ class LinTerm:
         )
 
     def subst(self, mapping: Mapping[Var, "LinTerm"]) -> "LinTerm":
-        acc = LinTerm.of_const(self.const)
+        """Replace each mapped variable by its term, in one pass.
+
+        Returns self when no variable of the term is in the mapping.
+        """
+        if not any(v in mapping for v, _ in self.coeffs):
+            return self
+        acc = {}
+        const = self.const
         for v, c in self.coeffs:
             rep = mapping.get(v)
             if rep is None:
-                acc = acc.add(LinTerm(((v, c),), Fraction(0)))
+                acc[v] = acc.get(v, 0) + c
             else:
-                acc = acc.add(rep.scale(c))
-        return acc
+                for w, d in rep.coeffs:
+                    acc[w] = acc.get(w, 0) + c * d
+                const += c * rep.const
+        return LinTerm.make(acc, const)
 
     def evaluate(self, model: Mapping[Var, Value]) -> Fraction:
         total = self.const
@@ -171,7 +211,7 @@ class LinTerm:
 LT, LE, EQ = "<", "<=", "="
 
 
-@dataclass(frozen=True)
+@_node
 class Cmp:
     op: str  # one of LT, LE, EQ
     term: LinTerm
@@ -183,7 +223,7 @@ class Cmp:
         return f"({self.term!r} {self.op} 0)"
 
 
-@dataclass(frozen=True)
+@_node
 class BoolLit:
     var: Var
     positive: bool = True
@@ -195,7 +235,7 @@ class BoolLit:
         return repr(self.var) if self.positive else f"!{self.var!r}"
 
 
-@dataclass(frozen=True)
+@_node
 class DivLit:
     divisor: int  # >= 1
     term: LinTerm
@@ -260,7 +300,7 @@ TRUE = Top()
 FALSE = Bottom()
 
 
-@dataclass(frozen=True)
+@_node
 class Lit(Formula):
     lit: Literal
 
@@ -268,7 +308,7 @@ class Lit(Formula):
         return repr(self.lit)
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     args: tuple
 
@@ -276,7 +316,7 @@ class And(Formula):
         return "(and " + " ".join(map(repr, self.args)) + ")"
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     args: tuple
 
@@ -284,7 +324,7 @@ class Or(Formula):
         return "(or " + " ".join(map(repr, self.args)) + ")"
 
 
-@dataclass(frozen=True)
+@_node
 class Call(Formula):
     callee: str
     args: tuple  # tuple[Var, ...]
@@ -556,7 +596,7 @@ def subst_bool(f: Formula, mapping: Mapping[Var, bool]) -> Formula:
 DEFAULT_PATH_LIMIT = 4096
 
 
-@dataclass(frozen=True)
+@_node
 class Path:
     literals: tuple  # tuple[Literal, ...]
     calls: tuple  # tuple[Call, ...] in body order

@@ -168,7 +168,7 @@ class AssertionMap:
 
     def __init__(self):
         self._by_proc: Dict[str, Dict[int, List[Fact]]] = {}
-        self._keys = set()
+        self._keys: Dict[tuple, Fact] = {}  # (proc, bound, canon_key) -> first fact
         self._next = itertools.count()
         self.version = 0
 
@@ -176,12 +176,11 @@ class AssertionMap:
         """Returns (fact, added); a canonically equal formula at the same
         (proc, bound) is not stored twice."""
         key = (proc, bound, canon_key(formula))
-        if key in self._keys:
-            for fact in self._by_proc[proc][bound]:
-                if canon_key(fact.formula) == key[2]:
-                    return fact, False
+        fact = self._keys.get(key)
+        if fact is not None:
+            return fact, False
         fact = Fact(next(self._next), proc, bound, formula, provenance)
-        self._keys.add(key)
+        self._keys[key] = fact
         self._by_proc.setdefault(proc, {}).setdefault(bound, []).append(fact)
         self.version += 1
         return fact, True

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -22,6 +23,8 @@ from recmc.formula import (
     Lit,
     Not,
     Or,
+    Path,
+    Role,
     Sort,
     Var,
     dnf_paths,
@@ -314,3 +317,126 @@ class TestDivCanonical:
             if isinstance(got, Lit):
                 assert mk_lit(got.lit) == got
                 assert abs(got.lit.term.coeff(self.yi)) == 1  # lia_normalize relies on this
+
+
+def _field_hash(node):
+    """What the generated dataclass hash returns: the hash of the tuple of
+    the compared fields."""
+    return hash(tuple(getattr(node, f.name) for f in dataclasses.fields(node) if f.compare))
+
+
+class TestNodeHash:
+    xi, yi = mk_vars(["x", "y"], Sort.INT)
+    txi, tyi = LinTerm.of_var(xi), LinTerm.of_var(yi)
+    cmp = Cmp(LT, txi.sub(tyi))
+    div = DivLit(3, txi.add(LinTerm.of_const(1)), False)
+
+    def nodes(self):
+        call = Call("F", (self.xi, self.yi))
+        return [
+            Var("v", Sort.RAT, Role.IN, "P"),
+            self.txi.add(self.tyi.scale(2)),
+            self.cmp,
+            BoolLit(p, False),
+            self.div,
+            Lit(self.cmp),
+            And((Lit(self.cmp), call)),
+            Or((Lit(self.div), lit(p))),
+            call,
+            Path((self.cmp, self.div), (call,)),
+        ]
+
+    def test_hash_is_field_hash(self):
+        for node in self.nodes():
+            assert hash(node) == _field_hash(node), type(node).__name__
+            assert hash(node) == _field_hash(node)  # read back from the slot
+
+    def test_equal_nodes_built_differently(self):
+        a = LinTerm.make({self.xi: 2, self.yi: -1}, 3)
+        b = LinTerm.make({self.yi: -1, self.xi: 2}, 3)
+        c = self.txi.scale(2).add(LinTerm.of_const(3)).add(self.tyi.scale(-1))
+        hash(a)  # cache one side only
+        assert a == b == c and hash(a) == hash(b) == hash(c)
+        # duplicates built differently are dropped, first occurrences kept in order
+        f1 = f_and([mk_cmp(LT, a), lit(p), lit(q)])
+        f2 = f_and([mk_cmp(LT, c), lit(p), mk_cmp(LT, b), lit(q), lit(p)])
+        assert f1 == f2 and hash(f1) == hash(f2)
+        assert f2.args == (mk_cmp(LT, a), lit(p), lit(q))
+
+    def test_frozen_and_slotted(self):
+        for node in self.nodes():
+            name = dataclasses.fields(node)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, None)
+            assert not hasattr(node, "__dict__"), type(node).__name__
+
+    def test_cache_outside_repr_and_eq(self):
+        for make in (
+            lambda: Var("v", Sort.INT),
+            lambda: LinTerm.make({self.xi: 1}, 2),
+            lambda: And((Lit(self.cmp), lit(q))),
+        ):
+            cached, fresh = make(), make()
+            hash(cached)
+            assert cached._hash is not None and fresh._hash is None
+            assert cached == fresh and repr(cached) == repr(fresh)
+        slot = {f.name: f for f in dataclasses.fields(Var)}["_hash"]
+        assert not (slot.init or slot.repr or slot.compare)
+
+
+def _subst_reference(term, mapping):
+    """LinTerm.subst as it was before the one-pass version: one add per
+    coefficient, kept as the reference."""
+    acc = LinTerm.of_const(term.const)
+    for v, c in term.coeffs:
+        rep = mapping.get(v)
+        if rep is None:
+            acc = acc.add(LinTerm(((v, c),), Fraction(0)))
+        else:
+            acc = acc.add(rep.scale(c))
+    return acc
+
+
+_pool = mk_vars(["a", "b", "c", "d"], Sort.RAT)
+_coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _terms(draw):
+    coeffs = draw(st.dictionaries(st.sampled_from(_pool), _coeff, max_size=4))
+    return LinTerm.make(coeffs, draw(_coeff))
+
+
+class TestSubst:
+    def test_unmapped_returns_self(self):
+        t = tx.scale(2).add(ty).add(LinTerm.of_const(1))
+        assert t.subst({}) is t
+        assert t.subst({u: tl}) is t
+        assert LinTerm.of_const(3).subst({x: ty}).const == 3
+
+    def test_self_reference_and_cancellation(self):
+        t = tx.scale(2).add(ty)
+        assert t.subst({x: tx.add(LinTerm.of_const(1))}) == t.add(LinTerm.of_const(2))
+        # y := -2x cancels x; {x := y, y := x - y} is simultaneous
+        assert t.subst({y: tx.scale(-2)}) == LinTerm.of_const(0)
+        assert t.subst({x: ty, y: tx.sub(ty)}) == tx.add(ty)
+
+    @given(_terms(), st.dictionaries(st.sampled_from(_pool), _terms(), max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_add_per_coefficient(self, t, mapping):
+        got, want = t.subst(mapping), _subst_reference(t, mapping)
+        assert got == want and repr(got) == repr(want)
+
+    @given(_terms(), st.sampled_from(_pool), _terms(), _coeff)
+    @settings(max_examples=200, deadline=None)
+    def test_cancelling_substitution(self, t, v, rest, k):
+        # v := rest - (t without v) / c cancels every other variable of t
+        c = t.coeff(v)
+        if c == 0:
+            return
+        others = t.sub(LinTerm(((v, c),), Fraction(0)))
+        mapping = {v: rest.sub(others.scale(Fraction(1) / c)).add(LinTerm.of_const(k))}
+        got = t.subst(mapping)
+        assert got == _subst_reference(t, mapping)
+        assert all(d != 0 for _, d in got.coeffs)
+        assert set(got.vars) <= set(rest.vars)

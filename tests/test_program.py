@@ -140,10 +140,13 @@ class TestAssertionMap:
         m = AssertionMap()
         f1 = f_and([mk_cmp(LT, d0), mk_cmp(LT, d)])
         f2 = f_and([mk_cmp(LT, d), mk_cmp(LT, d0)])  # same conjuncts, other order
-        _, added1 = m.add("D", 0, f1)
-        _, added2 = m.add("D", 0, f2)
+        fact1, added1 = m.add("D", 0, f1)
+        version = m.version
+        fact2, added2 = m.add("D", 0, f2)
         assert added1 and not added2
-        assert len(m.at("D", 0)) == 1
+        assert fact2 is fact1
+        assert m.version == version
+        assert len(m.at("D", 0)) == 1 and len(m) == 1
         # same formula at a different bound is a separate fact
         _, added3 = m.add("D", 1, f1)
         assert added3
