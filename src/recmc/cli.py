@@ -3,8 +3,19 @@
     recmc check FILE [flags]     run the checker on an .rpl program
     recmc gen NAME [flags]       print a built-in or random program
 
-Exit codes: 0 safe, 1 unsafe, 2 unknown, 3 usage or input error.
-RECMC_LOG=debug mirrors the rule trace to stderr as it happens.
+Exit codes:
+
+    0  SAFE (check), or success (gen)
+    1  UNSAFE
+    2  UNKNOWN
+    3  usage or input error, or a RecmcError raised by the checker,
+       such as a proof or counterexample that failed validation
+    4  internal error: any other exception, such as a RecursionError
+       on deeply nested input; reported on one line
+
+A crash thus never leaves with the code of a verdict.
+RECMC_LOG=debug mirrors the rule trace to stderr as it happens, and
+logs the traceback of an internal error.
 """
 
 from __future__ import annotations
@@ -19,7 +30,6 @@ from fractions import Fraction
 from .driver import Verdict, check
 from .engine import EngineConfig
 from .errors import RecmcError, RplSyntaxError, ValidationError
-from .formula import Sort
 from .generators import (
     gen_bebop,
     gen_gpdr_divergence,
@@ -31,7 +41,7 @@ from .generators import (
 from .parser import parse, print_formula, print_program
 from .solver import SolverConfig
 
-EXIT_SAFE, EXIT_UNSAFE, EXIT_UNKNOWN, EXIT_ERROR = 0, 1, 2, 3
+EXIT_SAFE, EXIT_UNSAFE, EXIT_UNKNOWN, EXIT_ERROR, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 WITNESS_HEADER = "recmc-witness 1"
 STATS_HEADER = "recmc-stats 1"
@@ -97,7 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--max-bound", type=int, default=64)
     chk.add_argument("--mode", choices=["auto", "bool", "rat", "int"], default="auto")
     chk.add_argument("--proj", choices=["mbp", "qe"], default="mbp")
-    chk.add_argument("--itp", choices=["auto", "strongest", "farkas"], default="auto")
     chk.add_argument("--witness", metavar="PATH")
     chk.add_argument("--trace", metavar="PATH")
     chk.add_argument("--stats", action="store_true")
@@ -143,12 +152,8 @@ def _cmd_check(args) -> int:
             file=sys.stderr,
         )
         return EXIT_ERROR
-    if args.itp == "farkas" and unit.mode is not Sort.RAT:
-        print("recmc: --itp farkas requires a rational program", file=sys.stderr)
-        return EXIT_ERROR
     config = EngineConfig(
         proj=args.proj,
-        itp=args.itp,
         step_budget=args.step_budget,
         solver=SolverConfig(),
     )
@@ -207,9 +212,13 @@ def run_cli(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code else EXIT_SAFE
-    if args.command == "check":
-        return _cmd_check(args)
-    return _cmd_gen(args)
+    command = _cmd_check if args.command == "check" else _cmd_gen
+    try:
+        return command(args)
+    except Exception as exc:  # a crash must not read as a verdict
+        logging.getLogger("recmc").debug("internal error", exc_info=True)
+        print(f"recmc: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

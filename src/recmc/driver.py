@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from .engine import EngineConfig, bounded_safety, new_stats
-from .errors import ProvenanceGap, ResourceLimit, UnassignedVar
+from .errors import ProvenanceGap, ResourceLimit, SelfCheckFailed, UnassignedVar
 from .formula import (
     EQ,
     BoolLit,
@@ -124,7 +124,8 @@ def _check_loop(program, phi_safe, max_bound, config, rho, sigma, stats, trace):
             return Verdict("UNKNOWN", n, reason=reason)
         if res == "UNSAFE":
             tree = build_cex(rho, program, phi_safe, n, config.solver)
-            assert validate_cex(program, tree, phi_safe), "counterexample failed validation"
+            if not validate_cex(program, tree, phi_safe):
+                raise SelfCheckFailed("counterexample failed validation")
             return Verdict("UNSAFE", n, cex=tree)
         try:
             inductive = check_inductive(program, sigma, n, config.solver)
@@ -133,7 +134,8 @@ def _check_loop(program, phi_safe, max_bound, config, rho, sigma, stats, trace):
         if inductive:
             env = over_env(sigma, n, program)
             proof = SafetyProof(dict(env.mapping), n)
-            assert validate_proof(program, proof, phi_safe), "proof failed validation"
+            if not validate_proof(program, proof, phi_safe):
+                raise SelfCheckFailed("proof failed validation")
             return Verdict("SAFE", n, proof=proof)
     return Verdict("UNKNOWN", max_bound, reason="bound exhausted")
 

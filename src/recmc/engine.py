@@ -75,15 +75,9 @@ log = logging.getLogger("recmc")
 @dataclass
 class EngineConfig:
     proj: str = "mbp"  # "mbp" | "qe"
-    itp: str = "auto"  # "auto" | "strongest" | "farkas"
     step_budget: int = 100_000
     solver: SolverConfig = field(default_factory=lambda: DEFAULT_CONFIG)
     check_level: int = 0  # 1: assert queue/progress invariants every step
-
-    def itp_strategy(self, mode: Sort) -> str:
-        if self.itp == "auto":
-            return "farkas" if mode is Sort.RAT else "strongest"
-        return self.itp
 
 
 @dataclass
@@ -253,12 +247,10 @@ class BndSafety:
 
     def apply_sum(self, q: BoundedQuery, body_over: Formula) -> TraceEvent:
         proc = self.program.proc(q.proc)
-        strategy = self.config.itp_strategy(self.program.mode)
         psi = itp(
             InterpolationQuery(
                 body_over, q.goal, frozenset(proc.formals), self.program.mode
             ),
-            strategy=strategy,
             config=self.config.solver,
         )
         fact, added = self.sigma.add(q.proc, q.bound, psi)

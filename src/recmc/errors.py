@@ -45,6 +45,10 @@ class InterpolationError(RecmcError):
     """An interpolant violated its contract (internal bug guard)."""
 
 
+class SelfCheckFailed(RecmcError):
+    """A model or witness failed its independent re-check (internal bug guard)."""
+
+
 class PreconditionFailed(RecmcError):
     """An engine rule was applied without its premise holding."""
 

@@ -562,6 +562,8 @@ def subst_arith(f: Formula, mapping: Mapping[Var, LinTerm]) -> Formula:
             assert lit.var not in mapping, "cannot substitute a term for a boolean"
             return f
         term = lit.term.subst(mapping)
+        if term is lit.term:
+            return f  # built by mk_lit, so already canonical
         if isinstance(lit, Cmp):
             return mk_cmp(lit.op, term)
         return mk_lit(DivLit(lit.divisor, term, lit.positive))

@@ -10,8 +10,10 @@ the engine sees went through the same front door:
   last procedure flips its bit.  The call tree is exponential in N
   while the summarizing engine stays polynomial.
 * gpdr divergence: a three-procedure integer program whose bounded
-  check defeats over-approximation-only engines; kept as a regression
-  input for termination at stack bound 2.
+  check defeats over-approximation-only engines.  Summaries that list
+  reachable points (y0 = k and y = k + 1) never become inductive;
+  Farkas interpolation generalizes them to y0 + 1 <= y, y <= x and
+  x0 + 1 <= x1, which prove it safe from stack bound 1.
 
 Random program generators keep everything small (procedures, paths,
 coefficients) but allow recursion and multiple calls per path; they are

@@ -2,22 +2,24 @@
 
 Given a and b with a ∧ b unsatisfiable and the shared vocabulary, an
 interpolant is a formula psi over the shared variables with a => psi
-and psi ∧ b unsatisfiable.
+and psi ∧ b unsatisfiable.  The mode alone picks the method:
 
-Two strategies:
+* Boolean: psi is the strongest interpolant, the existential projection
+  of a onto the shared variables, computed by quantifier elimination.
 
-* "strongest": psi is the existential projection of a onto the shared
-  variables, computed by quantifier elimination.  This is the strongest
-  formula implied by a over the shared vocabulary, works uniformly for
-  boolean, rational and integer matrices, and in integer mode can
-  contain divisibility literals (Cooper output).
-
-* "farkas" (rational only): per DNF path of a, combine the path's
-  literals with the Farkas multipliers of its conflict against each DNF
-  path of b.  The combination cancels the a-local variables, giving a
-  single inequality per conflict; this typically generalizes much
-  better than the exact projection.  Paths whose conflict is not a pure
-  arithmetic one fall back to the projection.
+* Rational and integer: per DNF path of a, combine the path's literals
+  with the Farkas multipliers of its conflict against each DNF path of
+  b.  The combination cancels the a-local variables, giving a single
+  inequality per conflict; this typically generalizes much better than
+  the exact projection.  A certificate is used only when it replays, so
+  the rational relaxation of the path pair is infeasible; the
+  combination is then implied by a over the rationals, hence over the
+  integers too.  In integer mode it is scaled by the lcm of its
+  denominators, so that the interpolant keeps integral coefficients.
+  A clausal conflict contributes the literals of a that it names.  A
+  path falls back to its strongest interpolant when the solver cannot
+  refute it, or when the combination or the named literals mention
+  a-local variables.
 
 The contract (a => psi, psi ∧ b unsat, vars ⊆ shared) is re-checked
 with the solver on every call and a violation raises InterpolationError;
@@ -27,9 +29,10 @@ it is a bug guard, not an input error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import FrozenSet, Optional
 
-from .errors import InterpolationError, NotUnsat, PathExplosion, WrongMode
+from .errors import InterpolationError, NotUnsat, PathExplosion
 from .formula import (
     LE,
     LT,
@@ -69,23 +72,17 @@ class InterpolationQuery:
     mode: Sort
 
 
-def itp(
-    query: InterpolationQuery,
-    strategy: str = "strongest",
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> Formula:
+def itp(query: InterpolationQuery, config: SolverConfig = DEFAULT_CONFIG) -> Formula:
     a, b, shared, mode = query.a, query.b, query.shared, query.mode
     assert not has_calls(a) and not has_calls(b)
     pre = check_sat(f_and([a, b]), mode, config)
     if pre.is_sat:
         raise NotUnsat("interpolation query is satisfiable")
 
-    if strategy == "farkas":
-        if mode is not Sort.RAT:
-            raise WrongMode("farkas interpolation requires rational mode")
-        psi = _farkas_itp(a, b, shared, mode, config)
-    else:
+    if mode is Sort.BOOL:
         psi = _strongest(a, shared)
+    else:
+        psi = _farkas_itp(a, b, shared, mode, config)
 
     # contract, always on
     if not free_vars(psi) <= shared:
@@ -123,7 +120,7 @@ def _farkas_itp(a, b, shared, mode, config) -> Formula:
                 # unknown, or a solver gap: the exact projection still works
                 conjuncts = [_strongest(pa.formula(), shared)]
                 break
-            conj = _conjunct_from_cert(cert, a_lits, shared)
+            conj = _conjunct_from_cert(cert, a_lits, shared, mode)
             if conj is None:
                 conjuncts = [_strongest(pa.formula(), shared)]
                 break
@@ -132,7 +129,7 @@ def _farkas_itp(a, b, shared, mode, config) -> Formula:
     return f_or(parts)
 
 
-def _conjunct_from_cert(cert, a_lits, shared) -> Optional[Formula]:
+def _conjunct_from_cert(cert, a_lits, shared, mode) -> Optional[Formula]:
     if isinstance(cert, FarkasCert):
         combo = LinTerm.of_const(0)
         strict = False
@@ -144,6 +141,10 @@ def _conjunct_from_cert(cert, a_lits, shared) -> Optional[Formula]:
                     strict = True
         if not all(v in shared for v in combo.vars):
             return None
+        if mode is Sort.INT:
+            combo = combo.scale(
+                lcm(combo.const.denominator, *(c.denominator for _, c in combo.coeffs))
+            )
         return mk_cmp(LT if strict else LE, combo)
     if isinstance(cert, ClausalCore):
         picked = []

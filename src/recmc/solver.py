@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import ResourceLimit, WrongMode
+from .errors import ResourceLimit, SelfCheckFailed, WrongMode
 from .formula import (
     EQ,
     LE,
@@ -1258,11 +1258,12 @@ def check_sat(f: Formula, mode: Sort, config: SolverConfig = DEFAULT_CONFIG) -> 
             values[v] = bool_vals.get(v, False)
         else:
             values[v] = arith_vals.get(v, Fraction(0))
-            if mode is Sort.INT:
-                assert values[v].denominator == 1
+            if mode is Sort.INT and values[v].denominator != 1:
+                raise SelfCheckFailed(f"non-integral value {values[v]} for {v!r}")
     model = Model(values)
     # a solver bug becomes a loud failure, not a wrong answer
-    assert eval_formula(f, model), f"model check failed for {f!r} -> {model!r}"
+    if not eval_formula(f, model):
+        raise SelfCheckFailed(f"model check failed for {f!r} -> {model!r}")
     return SatResult("sat", model, certs=tuple(certs))
 
 

@@ -4,8 +4,12 @@ import sys
 
 import pytest
 
-from recmc.cli import run_cli
+import recmc
+import recmc.cli
+from recmc.cli import EXIT_ERROR, EXIT_INTERNAL, EXIT_SAFE, EXIT_UNKNOWN, EXIT_UNSAFE, run_cli
 from recmc.generators import program_text
+
+SRC = os.path.dirname(os.path.dirname(recmc.__file__))
 
 
 @pytest.fixture()
@@ -95,19 +99,6 @@ class TestCheckCommand:
     def test_mode_mismatch_exits_three(self, overview_file, capsys):
         assert run_cli(["check", overview_file, "--mode", "int"]) == 3
 
-    def test_farkas_on_boolean_rejected(self, tmp_path, capsys):
-        src = tmp_path / "b.rpl"
-        src.write_text(
-            "(program (mode bool) (procedure P (in i) (out o) (body (= o i)))"
-            " (main P) (assert-safe true))"
-        )
-        # boolean mode has no comparisons; use a legal program instead
-        src.write_text(
-            "(program (mode bool) (procedure P (in i) (out o) (body o))"
-            " (main P) (assert-safe true))"
-        )
-        assert run_cli(["check", str(src), "--itp", "farkas"]) == 3
-
     def test_stats_block(self, overview_file, capsys):
         code = run_cli(["check", overview_file, "--stats"])
         out = capsys.readouterr().out
@@ -170,3 +161,51 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "SAFE"
+
+
+class TestErrorsNeverReadAsVerdicts:
+    def test_unexpected_exception_exits_internal(self, overview_file, monkeypatch, capsys):
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(recmc.cli, "check", crash)
+        assert run_cli(["check", overview_file]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "recmc: internal error: RuntimeError: boom\n"
+
+    def test_deep_nesting_is_not_a_verdict(self, tmp_path, capsys):
+        body = "o"
+        for _ in range(600):
+            body = f"(and i {body})"
+        src = tmp_path / "deep.rpl"
+        src.write_text(
+            f"(program (mode bool) (procedure P (in i) (out o) (body {body}))"
+            " (main P) (assert-safe true))"
+        )
+        code = run_cli(["check", str(src)])
+        assert code not in (EXIT_SAFE, EXIT_UNSAFE, EXIT_UNKNOWN)
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("recmc: ")
+
+    def test_corrupted_proof_rejected_under_optimize(self, overview_file):
+        # claiming inductiveness at bound 0 hands the driver a proof that
+        # fails validation; the check must hold with asserts compiled out
+        script = (
+            "import sys\n"
+            "import recmc.driver\n"
+            "from recmc.cli import run_cli\n"
+            "if not sys.flags.optimize:\n"
+            "    sys.exit('not optimized')\n"
+            "recmc.driver.check_inductive = lambda *args: True\n"
+            "sys.exit(run_cli(['check', sys.argv[1]]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, overview_file],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert proc.returncode == EXIT_ERROR, proc.stderr
+        assert "SAFE" not in proc.stdout
+        assert proc.stderr == "recmc: proof failed validation\n"

@@ -44,15 +44,21 @@ class TestBebop:
 
 
 class TestGpdrRegression:
-    def test_terminates_safe_at_two(self):
+    @staticmethod
+    def _check_safe(max_bound):
+        # Farkas summaries (y0 + 1 <= y, y <= x, x0 + 1 <= x1) close
+        # inductively; point-wise summaries never would
         unit = gen_gpdr_divergence()
-        verdict = check(unit.program, unit.phi_safe, max_bound=2)
-        # bounded rounds all conclude; the summaries may or may not close
-        # inductively within the bound, but no round may diverge
-        assert verdict.status in ("SAFE", "UNKNOWN")
-        if verdict.status == "UNKNOWN":
-            assert verdict.reason == "bound exhausted"
+        verdict = check(unit.program, unit.phi_safe, max_bound=max_bound)
+        assert verdict.status == "SAFE"
+        assert validate_proof(unit.program, verdict.proof, unit.phi_safe)
         assert verdict.stats["steps"] < 50_000
+
+    def test_terminates_safe_at_two(self):
+        self._check_safe(2)
+
+    def test_safe_at_one(self):
+        self._check_safe(1)
 
     def test_trivial_property_safe(self):
         unit = gen_gpdr_divergence()

@@ -2,27 +2,34 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import mk_vars, random_nnf, qe_all
-from recmc.errors import NotUnsat, WrongMode
+from recmc.errors import NotUnsat
 from recmc.formula import (
     EQ,
     FALSE,
     LE,
     LT,
     TRUE,
+    And,
     BoolLit,
+    Cmp,
+    DivLit,
     LinTerm,
     Lit,
+    Or,
     Sort,
     Var,
     f_and,
     f_or,
     free_vars,
     mk_cmp,
+    mk_lit,
     negate_nnf,
 )
-from recmc.interpolate import InterpolationQuery, itp
+from recmc.interpolate import InterpolationQuery, _strongest, itp
 from recmc.project import lw_qe
 from recmc.solver import check_sat, entails, equivalent
 
@@ -49,9 +56,8 @@ class TestExamples:
         # oracle first: the projection of a onto x is 1 < x
         proj = lw_qe(y, a)
         assert equivalent(proj, mk_cmp(LT, LinTerm.of_const(1).sub(tx)), Sort.RAT)
-        for strategy in ("strongest", "farkas"):
-            psi = itp(InterpolationQuery(a, b, frozenset([x]), Sort.RAT), strategy)
-            assert contract_ok(a, b, frozenset([x]), Sort.RAT, psi)
+        psi = itp(InterpolationQuery(a, b, frozenset([x]), Sort.RAT))
+        assert contract_ok(a, b, frozenset([x]), Sort.RAT, psi)
 
     def test_false_side(self):
         psi = itp(InterpolationQuery(FALSE, mk_cmp(LT, tx), frozenset([x]), Sort.RAT))
@@ -67,18 +73,12 @@ class TestExamples:
         with pytest.raises(NotUnsat):
             itp(InterpolationQuery(TRUE, TRUE, frozenset(), Sort.RAT))
 
-    def test_farkas_needs_rational(self):
-        with pytest.raises(WrongMode):
-            itp(
-                InterpolationQuery(Lit(BoolLit(p)), Lit(BoolLit(p, False)), frozenset([p]), Sort.BOOL),
-                strategy="farkas",
-            )
-
     def test_idempotent_on_shared_only(self):
         a = f_and([mk_cmp(LT, tx.sub(LinTerm.of_const(2))), mk_cmp(LT, LinTerm.of_const(0).sub(tx))])
         b = mk_cmp(LT, LinTerm.of_const(5).sub(tx))
+        assert equivalent(_strongest(a, frozenset([x])), a, Sort.RAT)
         psi = itp(InterpolationQuery(a, b, frozenset([x]), Sort.RAT))
-        assert equivalent(psi, a, Sort.RAT)
+        assert contract_ok(a, b, frozenset([x]), Sort.RAT, psi)
 
 
 def _unsat_pair(rng, mode, vars_shared, vars_a, vars_b):
@@ -100,11 +100,12 @@ class TestContractFuzz:
         ],
     )
     def test_strongest(self, mode, shared, alocal, blocal):
+        # the Boolean method, and the per-path fallback of the arithmetic one
         rng = random.Random(43)
         done = 0
         for _ in range(120):
             a, b = _unsat_pair(rng, mode, shared, alocal, blocal)
-            psi = itp(InterpolationQuery(a, b, frozenset(shared), mode), "strongest")
+            psi = _strongest(a, frozenset(shared))
             assert contract_ok(a, b, frozenset(shared), mode, psi)
             done += 1
         assert done == 120
@@ -113,5 +114,54 @@ class TestContractFuzz:
         rng = random.Random(47)
         for _ in range(120):
             a, b = _unsat_pair(rng, Sort.RAT, [s0, s1], [a0, a1], [b0])
-            psi = itp(InterpolationQuery(a, b, frozenset([s0, s1]), Sort.RAT), "farkas")
+            psi = itp(InterpolationQuery(a, b, frozenset([s0, s1]), Sort.RAT))
             assert contract_ok(a, b, frozenset([s0, s1]), Sort.RAT, psi)
+
+
+def _integral(psi):
+    """Every comparison of psi has integral coefficients and constant."""
+    if isinstance(psi, (And, Or)):
+        return all(_integral(g) for g in psi.args)
+    if isinstance(psi, Lit) and isinstance(psi.lit, Cmp):
+        return psi.lit.term.is_integral()
+    return True
+
+
+si0, si1, ai0, ai1, bi0 = mk_vars(["s0", "s1", "a0", "a1", "b0"], Sort.INT)
+
+
+class TestFarkasInteger:
+    def test_fractional_combination_is_scaled(self):
+        # Farkas combines the a-path (2*s1 - 3 < 0, a1 + 2*s1 - 3 < 0) into
+        # s1 - 3/2 < 0; unscaled, the contract re-check fed that
+        # non-integral literal to the integer solver and crashed.
+        def t(coeffs, const):
+            return LinTerm.make(coeffs, const)
+
+        a = f_or([
+            f_and([mk_cmp(EQ, t({ai1: 2, si1: 1}, -1)), mk_cmp(LE, t({si1: -1}, 0))]),
+            f_and([mk_cmp(LT, t({si1: 2}, -3)), mk_cmp(LT, t({ai1: 1, si1: 2}, -3))]),
+        ])
+        b = f_and([
+            f_or([
+                f_and([
+                    mk_cmp(LT, t({si1: 1}, 0)),
+                    f_or([mk_cmp(LE, t({si1: -2}, 3)), mk_cmp(LE, t({si1: -3}, 5))]),
+                ]),
+                mk_lit(DivLit(2, t({si1: 1}, 1), False)),
+            ]),
+            mk_cmp(LE, t({si1: -2}, 3)),
+        ])
+        shared = frozenset([si0, si1])
+        psi = itp(InterpolationQuery(a, b, shared, Sort.INT))
+        assert _integral(psi)
+        assert contract_ok(a, b, shared, Sort.INT, psi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_contract_on_random_pairs(self, seed):
+        a, b = _unsat_pair(random.Random(seed), Sort.INT, [si0, si1], [ai0, ai1], [bi0])
+        shared = frozenset([si0, si1])
+        psi = itp(InterpolationQuery(a, b, shared, Sort.INT))
+        assert _integral(psi)
+        assert contract_ok(a, b, shared, Sort.INT, psi)
