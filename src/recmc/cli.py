@@ -9,9 +9,10 @@ Exit codes:
     1  UNSAFE
     2  UNKNOWN
     3  usage or input error, or a RecmcError raised by the checker,
-       such as a proof or counterexample that failed validation
-    4  internal error: any other exception, such as a RecursionError
-       on deeply nested input; reported on one line
+       such as a proof or counterexample that failed validation;
+       parentheses nested deeper than parser.MAX_NESTING (256) are an
+       input error, reported with the line:col of the first '(' too deep
+    4  internal error: any other exception; reported on one line
 
 A crash thus never leaves with the code of a verdict.
 RECMC_LOG=debug mirrors the rule trace to stderr as it happens, and
@@ -39,7 +40,6 @@ from .generators import (
     random_bool_program,
 )
 from .parser import parse, print_formula, print_program
-from .solver import SolverConfig
 
 EXIT_SAFE, EXIT_UNSAFE, EXIT_UNKNOWN, EXIT_ERROR, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
@@ -152,11 +152,7 @@ def _cmd_check(args) -> int:
             file=sys.stderr,
         )
         return EXIT_ERROR
-    config = EngineConfig(
-        proj=args.proj,
-        step_budget=args.step_budget,
-        solver=SolverConfig(),
-    )
+    config = EngineConfig(proj=args.proj, step_budget=args.step_budget)
     try:
         verdict = check(unit.program, unit.phi_safe, args.max_bound, config)
     except RecmcError as exc:

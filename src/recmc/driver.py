@@ -47,7 +47,7 @@ from .program import (
     over_env,
     under_env,
 )
-from .solver import SolverConfig, check_sat, entails, total_model
+from .solver import check_sat, entails, total_model
 
 
 @dataclass
@@ -123,12 +123,12 @@ def _check_loop(program, phi_safe, max_bound, config, rho, sigma, stats, trace):
         if res == "UNKNOWN":
             return Verdict("UNKNOWN", n, reason=reason)
         if res == "UNSAFE":
-            tree = build_cex(rho, program, phi_safe, n, config.solver)
+            tree = build_cex(rho, program, phi_safe, n)
             if not validate_cex(program, tree, phi_safe):
                 raise SelfCheckFailed("counterexample failed validation")
             return Verdict("UNSAFE", n, cex=tree)
         try:
-            inductive = check_inductive(program, sigma, n, config.solver)
+            inductive = check_inductive(program, sigma, n)
         except ResourceLimit as exc:
             return Verdict("UNKNOWN", n, reason=f"solver resource limit: {exc}")
         if inductive:
@@ -140,9 +140,7 @@ def _check_loop(program, phi_safe, max_bound, config, rho, sigma, stats, trace):
     return Verdict("UNKNOWN", max_bound, reason="bound exhausted")
 
 
-def check_inductive(
-    program: Program, sigma: AssertionMap, n: int, solver: SolverConfig
-) -> bool:
+def check_inductive(program: Program, sigma: AssertionMap, n: int) -> bool:
     """Push summary facts upward; true when every level-n fact moves.
 
     Levels are swept bottom-up so that facts pushed from below are
@@ -163,28 +161,22 @@ def check_inductive(
                 continue
             body = instantiate(proc.body, env, program)
             for fact in facts:
-                if entails(body, fact.formula, program.mode, solver):
+                if entails(body, fact.formula, program.mode):
                     sigma.add(name, b + 1, fact.formula)
                 elif b == n:
                     inductive = False
     return inductive
 
 
-def validate_proof(
-    program: Program,
-    proof: SafetyProof,
-    phi_safe: Formula,
-    solver: Optional[SolverConfig] = None,
-) -> bool:
+def validate_proof(program: Program, proof: SafetyProof, phi_safe: Formula) -> bool:
     """Safe and inductive, re-checked from scratch."""
-    solver = solver or SolverConfig()
     env = Environment(dict(proof.env))
     try:
-        if not entails(env[program.main], phi_safe, program.mode, solver):
+        if not entails(env[program.main], phi_safe, program.mode):
             return False
         for name, proc in program.procedures.items():
             body = instantiate(proc.body, env, program)
-            if not entails(body, env[name], program.mode, solver):
+            if not entails(body, env[name], program.mode):
                 return False
     except ResourceLimit:
         return False
@@ -207,11 +199,7 @@ def _pin(values: Dict[Var, object]) -> Formula:
 
 
 def build_cex(
-    rho: AssertionMap,
-    program: Program,
-    phi_safe: Formula,
-    n: int,
-    solver: SolverConfig,
+    rho: AssertionMap, program: Program, phi_safe: Formula, n: int
 ) -> CounterexampleTree:
     """Replay reachability provenance into a concrete execution tree.
 
@@ -226,13 +214,13 @@ def build_cex(
     """
     main = program.proc(program.main)
     u_main = under_env(rho, n, program)[main.name]
-    res = check_sat(f_and([u_main, negate_nnf(phi_safe)]), program.mode, solver)
+    res = check_sat(f_and([u_main, negate_nnf(phi_safe)]), program.mode)
     if not res.is_sat:
         raise ProvenanceGap("unsafe verdict but no violating model")
     model = total_model(res.model, main.formals)
     fact = _fact_for(rho, main.name, n, model, program)
     pinned = {v: model[v] for v in main.formals}
-    root = _expand(rho, program, fact, pinned, solver, {}, {})
+    root = _expand(rho, program, fact, pinned, {}, {})
     return CounterexampleTree(root, n)
 
 
@@ -243,7 +231,7 @@ def _fact_for(rho, name, bound, model, program):
     raise ProvenanceGap(f"no reachability fact of {name} matches the model")
 
 
-def _expand(rho, program, fact, pinned, solver, nodes, envs) -> CexNode:
+def _expand(rho, program, fact, pinned, nodes, envs) -> CexNode:
     """The node replaying fact with the formals pinned, memoised in nodes
     by (fact, pinned values in formals order); envs caches under_env by
     bound."""
@@ -258,7 +246,7 @@ def _expand(rho, program, fact, pinned, solver, nodes, envs) -> CexNode:
     if below not in envs:
         envs[below] = under_env(rho, below, program)
     matrix = instantiate(path, envs[below], program)
-    res = check_sat(f_and([matrix, _pin(pinned)]), program.mode, solver)
+    res = check_sat(f_and([matrix, _pin(pinned)]), program.mode)
     if not res.is_sat:
         raise ProvenanceGap(f"fact {fact.fact_id} does not replay")
     model = total_model(res.model, proc.all_vars)
@@ -276,7 +264,7 @@ def _expand(rho, program, fact, pinned, solver, nodes, envs) -> CexNode:
         if child_fact is None:
             raise ProvenanceGap(f"no callee fact matches call to {call.callee}")
         children.append(
-            _expand(rho, program, child_fact, renamed_model, solver, nodes, envs)
+            _expand(rho, program, child_fact, renamed_model, nodes, envs)
         )
     values = {v: model[v] for v in proc.all_vars}
     node = nodes[key] = CexNode(proc.name, fact.provenance.path_index, values, tuple(children))

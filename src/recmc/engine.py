@@ -36,7 +36,7 @@ an outer loop can deepen the bound incrementally.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .errors import PreconditionFailed, ResourceLimit
@@ -67,7 +67,7 @@ from .program import (
     under_env,
 )
 from .project import project
-from .solver import DEFAULT_CONFIG, Model, SolverConfig, check_sat, total_model
+from .solver import Model, check_sat, total_model
 
 log = logging.getLogger("recmc")
 
@@ -76,7 +76,6 @@ log = logging.getLogger("recmc")
 class EngineConfig:
     proj: str = "mbp"  # "mbp" | "qe"
     step_budget: int = 100_000
-    solver: SolverConfig = field(default_factory=lambda: DEFAULT_CONFIG)
     check_level: int = 0  # 1: assert queue/progress invariants every step
 
 
@@ -145,7 +144,7 @@ class BndSafety:
 
     def _sat(self, f: Formula):
         self.stats["solver_calls"] += 1
-        res = check_sat(f, self.program.mode, self.config.solver)
+        res = check_sat(f, self.program.mode)
         if res.is_unknown:
             raise ResourceLimit(res.reason)
         return res
@@ -250,8 +249,7 @@ class BndSafety:
         psi = itp(
             InterpolationQuery(
                 body_over, q.goal, frozenset(proc.formals), self.program.mode
-            ),
-            config=self.config.solver,
+            )
         )
         fact, added = self.sigma.add(q.proc, q.bound, psi)
         # answered negatively: queued queries of this procedure now refuted

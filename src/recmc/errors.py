@@ -10,7 +10,7 @@ class NegatedCall(RecmcError):
 
 
 class PathExplosion(RecmcError):
-    """DNF expansion of a body exceeded the configured path limit."""
+    """DNF expansion of a body exceeded the fixed path limit."""
 
 
 class NotNormalized(RecmcError):

@@ -37,8 +37,6 @@ from .formula import (
     LE,
     LT,
     TRUE,
-    BoolLit,
-    DivLit,
     Formula,
     LinTerm,
     Sort,
@@ -54,12 +52,11 @@ from .formula import (
 )
 from .project import project
 from .solver import (
-    DEFAULT_CONFIG,
     ClausalCore,
     FarkasCert,
-    SolverConfig,
     check_sat,
     entails,
+    literal_of,
     refute_conjunction,
 )
 
@@ -72,24 +69,24 @@ class InterpolationQuery:
     mode: Sort
 
 
-def itp(query: InterpolationQuery, config: SolverConfig = DEFAULT_CONFIG) -> Formula:
+def itp(query: InterpolationQuery) -> Formula:
     a, b, shared, mode = query.a, query.b, query.shared, query.mode
     assert not has_calls(a) and not has_calls(b)
-    pre = check_sat(f_and([a, b]), mode, config)
+    pre = check_sat(f_and([a, b]), mode)
     if pre.is_sat:
         raise NotUnsat("interpolation query is satisfiable")
 
     if mode is Sort.BOOL:
         psi = _strongest(a, shared)
     else:
-        psi = _farkas_itp(a, b, shared, mode, config)
+        psi = _farkas_itp(a, b, shared, mode)
 
     # contract, always on
     if not free_vars(psi) <= shared:
         raise InterpolationError(f"interpolant leaks variables: {psi!r}")
-    if not entails(a, psi, mode, config):
+    if not entails(a, psi, mode):
         raise InterpolationError(f"a does not imply interpolant: {psi!r}")
-    if not check_sat(f_and([psi, b]), mode, config).is_unsat:
+    if not check_sat(f_and([psi, b]), mode).is_unsat:
         raise InterpolationError(f"interpolant consistent with b: {psi!r}")
     return psi
 
@@ -99,7 +96,7 @@ def _strongest(a: Formula, shared: FrozenSet[Var]) -> Formula:
     return project(locals_, a, None, strategy="qe")
 
 
-def _farkas_itp(a, b, shared, mode, config) -> Formula:
+def _farkas_itp(a, b, shared, mode) -> Formula:
     try:
         a_paths = dnf_paths(a)
         b_paths = dnf_paths(b)
@@ -115,7 +112,7 @@ def _farkas_itp(a, b, shared, mode, config) -> Formula:
         for pb in b_paths:
             assert not pb.calls
             valued = [(l, True) for l in pa.literals] + [(l, True) for l in pb.literals]
-            status, cert = refute_conjunction(valued, mode, config)
+            status, cert = refute_conjunction(valued, mode)
             if status != "unsat":
                 # unknown, or a solver gap: the exact projection still works
                 conjuncts = [_strongest(pa.formula(), shared)]
@@ -148,19 +145,11 @@ def _conjunct_from_cert(cert, a_lits, shared, mode) -> Optional[Formula]:
         return mk_cmp(LT if strict else LE, combo)
     if isinstance(cert, ClausalCore):
         picked = []
-        for lit, val in cert.literals:
-            restored = _restore(lit, val)
-            if restored in a_lits:
-                picked.append(restored)
+        for atom, val in cert.literals:
+            lit = literal_of(atom, val)
+            if lit in a_lits:
+                picked.append(lit)
         if any(v not in shared for l in picked for v in literal_vars(l)):
             return None
         return f_and([mk_lit(l) for l in picked])
     return None
-
-
-def _restore(atom, val):
-    if isinstance(atom, BoolLit):
-        return BoolLit(atom.var, val)
-    if isinstance(atom, DivLit):
-        return DivLit(atom.divisor, atom.term, val)
-    return atom

@@ -17,6 +17,13 @@ end of the line.
 Bodies are normalized to NNF on load and expanded into paths; a call
 under a negation or any scoping, arity, or sort violation is reported
 as a ValidationError, syntax problems as RplSyntaxError with position.
+
+Parentheses may nest at most MAX_NESTING = 256 deep, counting the
+(program ...) form itself; a deeper '(' is an RplSyntaxError at its
+position.  The checker walks formulas recursively, up to three Python
+frames per level for an alternating (and i (or i ...)) body, so at the
+limit the deepest walk takes about 770 frames: within Python's default
+recursion limit of 1000.
 """
 
 from __future__ import annotations
@@ -106,10 +113,13 @@ def _tokenize(text: str) -> List[_Tok]:
     return toks
 
 
+MAX_NESTING = 256
+
+
 def _read_sexprs(toks: List[_Tok]):
     pos = 0
 
-    def read():
+    def read(depth):
         nonlocal pos
         if pos >= len(toks):
             last = toks[-1] if toks else _Tok("", 1, 1)
@@ -117,6 +127,10 @@ def _read_sexprs(toks: List[_Tok]):
         tok = toks[pos]
         pos += 1
         if tok.text == "(":
+            if depth == MAX_NESTING:
+                raise RplSyntaxError(
+                    tok.line, tok.col, f"parentheses nested deeper than {MAX_NESTING}"
+                )
             items = []
             while True:
                 if pos >= len(toks):
@@ -124,14 +138,14 @@ def _read_sexprs(toks: List[_Tok]):
                 if toks[pos].text == ")":
                     pos += 1
                     return (tok, items)
-                items.append(read())
+                items.append(read(depth + 1))
         if tok.text == ")":
             raise RplSyntaxError(tok.line, tok.col, "unmatched ')'")
         return tok
 
     out = []
     while pos < len(toks):
-        out.append(read())
+        out.append(read(0))
     return out
 
 
@@ -295,7 +309,7 @@ def _parse_expr(node, scope: _Scope, program_procs) -> Formula:
 _MODES = {"bool": Sort.BOOL, "rat": Sort.RAT, "int": Sort.INT}
 
 
-def parse(text: str, path_limit: int = 4096) -> SourceUnit:
+def parse(text: str) -> SourceUnit:
     forms = _read_sexprs(_tokenize(text))
     if len(forms) != 1 or _head(forms[0]) != "program":
         tok = forms[0][0] if forms and _is_list(forms[0]) else _Tok("", 1, 1)
@@ -367,7 +381,7 @@ def parse(text: str, path_limit: int = 4096) -> SourceUnit:
             raise ValidationError(f"body of {name}: {exc}") from exc
         try:
             procedures[name] = make_procedure(
-                name, groups["in"], groups["out"], groups["local"], body, path_limit
+                name, groups["in"], groups["out"], groups["local"], body
             )
         except PathExplosion as exc:
             raise ValidationError(f"body of {name}: {exc}") from exc

@@ -69,8 +69,8 @@ class Procedure:
         return self.inputs + self.outputs + self.locals_
 
 
-def make_procedure(name, inputs, outputs, locals_, body, path_limit=4096) -> Procedure:
-    paths = tuple(dnf_paths(body, path_limit))
+def make_procedure(name, inputs, outputs, locals_, body) -> Procedure:
+    paths = tuple(dnf_paths(body))
     return Procedure(name, tuple(inputs), tuple(outputs), tuple(locals_), body, paths)
 
 
@@ -202,9 +202,6 @@ class AssertionMap:
             if b >= bound:
                 out.extend(self._by_proc[proc][b])
         return out
-
-    def bounds(self, proc: str):
-        return sorted(self._by_proc.get(proc, {}))
 
     def items(self):
         for proc, per_bound in self._by_proc.items():

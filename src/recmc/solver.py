@@ -4,8 +4,9 @@ Lazy SMT in the classic shape: a DPLL search over the boolean skeleton
 of the formula, with conjunctions of arithmetic literals checked by an
 exact simplex procedure in the style of Dutertre and de Moura (general
 simplex over delta-rationals, Bland's rule for termination).  Theory
-conflicts come back as blocking clauses; for rational conflicts we also
-extract Farkas multipliers so that interpolation can reuse them.
+conflicts come back as blocking clauses.  A rational conflict carries
+its Farkas multipliers; interpolation gets them by refuting the
+conjunction of a path pair directly with refute_conjunction.
 
 Integer mode solves the rational relaxation and branches on fractional
 variables.  Divisibility literals are compiled to fresh-variable
@@ -24,6 +25,9 @@ elimination takes whole.  The first satisfiable disjunct gives the
 model, through the witness that comes with it.  Only if the walk
 exceeds its node budget does the solver report unknown.
 
+The budgets are the module constants below.  They are read at call
+time, so a test can lower them with monkeypatch.
+
 Everything is exact: Fractions all the way down, no floats.
 """
 
@@ -32,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ResourceLimit, SelfCheckFailed, WrongMode
 from .formula import (
@@ -64,15 +68,17 @@ from .formula import (
 from .project import cooper_cases
 
 
-@dataclass
-class SolverConfig:
-    max_decisions: int = 500_000
-    max_theory_checks: int = 100_000
-    bb_node_budget: int = 40
-    cooper_node_budget: int = 30_000
-
-
-DEFAULT_CONFIG = SolverConfig()
+# Decisions of one check_sat search; past it the result is unknown.
+MAX_DECISIONS = 500_000
+# Full assignments theory-checked in one check_sat search; past it the
+# result is unknown.
+MAX_THEORY_CHECKS = 100_000
+# Branch-and-bound nodes of one integer theory check.  Exhausting it is
+# not unknown by itself: the check falls back to the Cooper decision.
+BB_NODE_BUDGET = 40
+# Cooper nodes of one complete integer decision.  Exhausting it in the
+# fallback gives unknown; in core minimization it keeps the literal.
+COOPER_NODE_BUDGET = 30_000
 
 
 class Model:
@@ -97,9 +103,6 @@ class Model:
 
     def keys(self):
         return self.assignment.keys()
-
-    def value(self, v):
-        return self.assignment[v]
 
     def extended(self, extra: Dict[Var, object]) -> "Model":
         m = dict(self.assignment)
@@ -131,6 +134,11 @@ class FarkasCert:
     """
 
     entries: tuple  # tuple[(Cmp, Fraction, bool), ...]
+
+    @property
+    def literals(self) -> tuple:
+        """The refuted conjunction as (literal, True) pairs, as in ClausalCore."""
+        return tuple((lit, True) for lit, _, _ in self.entries)
 
     def replay(self) -> bool:
         total = LinTerm.of_const(0)
@@ -363,16 +371,14 @@ class Simplex:
         return (dict(self.lo), dict(self.hi), dict(self.values), len(self.constraints))
 
     def restore(self, snap):
+        # values from the snapshot cover every variable only because none
+        # is created in between: branch-and-bound bounds registered
+        # integer variables alone.
         lo, hi, values, ncons = snap
         self.lo = dict(lo)
         self.hi = dict(hi)
         self.values = dict(values)
         del self.constraints[ncons:]
-        # values may miss slacks created after the snapshot; none are
-        # created during branch and bound, which only adds var bounds.
-        for vid in range(len(self.id_vars)):
-            if vid not in self.values:
-                self.values[vid] = DR_ZERO
 
     # -- pivoting ----------------------------------------------------------
 
@@ -579,36 +585,44 @@ def _residue_conflict(asserted) -> Optional[ClausalCore]:
 class _TheoryCheck:
     """One conjunction of valued literals, checked over LRA or LIA."""
 
-    def __init__(self, mode: Sort, config: SolverConfig):
+    def __init__(self, mode: Sort):
         self.mode = mode
-        self.config = config
         self.simplex = Simplex()
-        self.int_strict_shift = mode is Sort.INT
-        self.conflict = None  # certificate of the first assertion conflict
         self.n_div = 0
 
-    def _add(self, term: LinTerm, op: str, source) -> bool:
-        if self.int_strict_shift and op == LT:
+    def decide(self, asserted) -> Tuple[str, object]:
+        """Assert canonical (atom, value) pairs in order, then decide their
+        conjunction.  Returns ("sat", values), ("unsat", cert) for the
+        first conflict, or ("unknown", reason)."""
+        for atom, value in asserted:
+            conflict = self._assert_literal(atom, value)
+            if conflict is not None:
+                return "unsat", conflict
+        rows = self.simplex.check()
+        if rows is not None:
+            return "unsat", self._cert_from(rows)
+        if self.mode is not Sort.INT:
+            return "sat", self.simplex.concrete_values()
+        return self._solve_int(asserted)
+
+    def _add(self, term: LinTerm, op: str, source):
+        """Assert term op 0; a certificate on conflict, else None."""
+        if self.mode is Sort.INT and op == LT:
             # t < 0 over the integers is t <= -1
             term = term.add(LinTerm.of_const(1))
             op = LE
         if self.mode is Sort.INT and op == EQ and not _gcd_feasible(term):
             # no integer lies on the hyperplane, which branch-and-bound
             # cannot show when the hyperplane is unbounded
-            self.conflict = ClausalCore(((source[1], source[2]),))
-            return False
-        conflict = self.simplex.add_constraint(term, op, source)
-        if conflict is not None:
-            self.conflict = self._cert_from(conflict)
-            return False
-        return True
+            return ClausalCore(((source[1], source[2]),))
+        rows = self.simplex.add_constraint(term, op, source)
+        return None if rows is None else self._cert_from(rows)
 
-    def assert_literal(self, lit: Literal, value: bool) -> bool:
+    def _assert_literal(self, lit: Literal, value: bool):
         if isinstance(lit, Cmp):
             if not value:
-                # comparison atoms only occur positively in NNF; a false
-                # assignment carries no obligation (see check_sat)
-                return True
+                # comparison atoms only occur positively in NNF
+                raise AssertionError("negated comparison literal in conjunction")
             return self._add(lit.term, lit.op, ("lit", lit, True))
         if isinstance(lit, DivLit):
             if self.mode is not Sort.INT:
@@ -627,8 +641,8 @@ class _TheoryCheck:
             t = lit.term.sub(kterm.scale(lit.divisor)).sub(rterm)
             return (
                 self._add(t, EQ, src)
-                and self._add(LinTerm.of_const(1).sub(rterm), LE, src)
-                and self._add(rterm.sub(LinTerm.of_const(lit.divisor - 1)), LE, src)
+                or self._add(LinTerm.of_const(1).sub(rterm), LE, src)
+                or self._add(rterm.sub(LinTerm.of_const(lit.divisor - 1)), LE, src)
             )
         raise TypeError(f"not a theory literal: {lit!r}")
 
@@ -660,22 +674,11 @@ class _TheoryCheck:
                     lits.append(key)
         return ClausalCore(tuple(lits))
 
-    def solve(self, asserted) -> Tuple[str, object]:
-        """Returns ("sat", values) or ("unsat", cert) or ("unknown", reason)."""
-        if self.conflict is not None:
-            return "unsat", self.conflict
-        conflict = self.simplex.check()
-        if conflict is not None:
-            return "unsat", self._cert_from(conflict)
-        if self.mode is not Sort.INT:
-            return "sat", self.simplex.concrete_values()
-        return self._solve_int(asserted)
-
     def _solve_int(self, asserted):
         core = _residue_conflict(asserted)
         if core is not None:
             return "unsat", core
-        budget = [self.config.bb_node_budget]
+        budget = [BB_NODE_BUDGET]
         status, payload = self._branch_and_bound(budget)
         if status == "unsat" and isinstance(payload, ClausalCore):
             payload = self._minimize_core(payload)
@@ -728,19 +731,8 @@ class _TheoryCheck:
                 certs.append(self._cert_from(conflict))
             self.simplex.restore(snap)
         # both branches refuted: merge input-literal parts
-        lits = []
-        seen = set()
-        for cert in certs:
-            pairs = (
-                cert.literals
-                if isinstance(cert, ClausalCore)
-                else tuple((l, True) for l, _, _ in cert.entries)
-            )
-            for key in pairs:
-                if key not in seen:
-                    seen.add(key)
-                    lits.append(key)
-        return "unsat", ClausalCore(tuple(lits))
+        merged = dict.fromkeys(pair for cert in certs for pair in cert.literals)
+        return "unsat", ClausalCore(tuple(merged))
 
     def _cooper_fallback(self, asserted):
         # Divisibility literals on different linear forms can clash, as
@@ -748,15 +740,12 @@ class _TheoryCheck:
         # need no bounds, and a core among them is cheap to minimize.
         divs = tuple((lit, val) for lit, val in asserted if isinstance(lit, DivLit))
         try:
-            if divs and int_conjunction_sat(
-                _valued_to_literals(divs), self.config.cooper_node_budget
-            ) is None:
+            if divs and int_conjunction_sat(_literals(divs)) is None:
                 return "unsat", self._minimize_core(ClausalCore(divs))
         except _CooperBudget:
             pass  # decide the whole conjunction below
-        lits = _valued_to_literals(asserted)
         try:
-            model = int_conjunction_sat(lits, self.config.cooper_node_budget)
+            model = int_conjunction_sat(_literals(asserted))
         except _CooperBudget:
             return "unknown", "integer decision budget exhausted"
         if model is not None:
@@ -768,12 +757,11 @@ class _TheoryCheck:
         pairs = list(core.literals)
         if len(pairs) <= 2:
             return core
-        budget = self.config.cooper_node_budget
         i = 0
         while i < len(pairs):
             trial = pairs[:i] + pairs[i + 1 :]
             try:
-                model = int_conjunction_sat(_valued_to_literals(trial), budget)
+                model = int_conjunction_sat(_literals(trial))
             except _CooperBudget:
                 model = object()  # treat as satisfiable: keep the literal
             if model is None:
@@ -798,15 +786,8 @@ class _CooperBudget(Exception):
     pass
 
 
-def _valued_to_literals(pairs):
-    out = []
-    for lit, val in pairs:
-        if isinstance(lit, DivLit):
-            out.append(lit if val else DivLit(lit.divisor, lit.term, not lit.positive))
-        else:
-            assert val and isinstance(lit, Cmp), "unexpected valued literal"
-            out.append(lit)
-    return out
+def _literals(pairs):
+    return [literal_of(atom, value) for atom, value in pairs]
 
 
 def _conj_literals(f: Formula):
@@ -857,14 +838,14 @@ def _icsat(f: Formula, counter) -> Optional[dict]:
     return None
 
 
-def int_conjunction_sat(lits, node_budget: int) -> Optional[dict]:
+def int_conjunction_sat(lits) -> Optional[dict]:
     """Witness for a conjunction of integer literals, or None.
 
-    Complete (Cooper's method underneath); raises _CooperBudget past the
-    node budget.
+    Complete (Cooper's method underneath); raises _CooperBudget past
+    COOPER_NODE_BUDGET nodes.
     """
     f = f_and([mk_lit(l) for l in lits])
-    model = _icsat(f, [node_budget])
+    model = _icsat(f, [COOPER_NODE_BUDGET])
     if model is None:
         return None
     out = {}
@@ -886,6 +867,16 @@ def _atom_of(lit: Literal) -> Tuple[Literal, bool]:
     if isinstance(lit, DivLit):
         return DivLit(lit.divisor, lit.term, True), lit.positive
     return lit, True
+
+
+def literal_of(atom: Literal, value: bool) -> Literal:
+    """The literal saying that the canonical atom takes value; the inverse
+    of _atom_of.  Comparison atoms are only ever true."""
+    if isinstance(atom, BoolLit):
+        return BoolLit(atom.var, value)
+    if isinstance(atom, DivLit):
+        return DivLit(atom.divisor, atom.term, value)
+    return atom
 
 
 class _Skeleton:
@@ -956,9 +947,8 @@ class _CDCL:
     learned clauses.
     """
 
-    def __init__(self, nvars: int, clauses: List[List[int]], config: SolverConfig):
+    def __init__(self, nvars: int, clauses: List[List[int]]):
         self.nvars = nvars
-        self.config = config
         self.clauses: List[List[int]] = []
         self.watches: Dict[int, List[int]] = {}
         self.assign: Dict[int, bool] = {}
@@ -1178,7 +1168,7 @@ class _CDCL:
                         return "unsat", None
                 continue
             self.decisions += 1
-            if self.decisions > self.config.max_decisions:
+            if self.decisions > MAX_DECISIONS:
                 return "unknown", None
             self.trail_lim.append(len(self.trail))
             self._assign(-var, None)  # false first
@@ -1189,7 +1179,7 @@ class _CDCL:
 # --------------------------------------------------------------------------
 
 
-def check_sat(f: Formula, mode: Sort, config: SolverConfig = DEFAULT_CONFIG) -> SatResult:
+def check_sat(f: Formula, mode: Sort) -> SatResult:
     """Decide a call-free NNF formula; produce a model or certificates."""
     assert not isinstance(f, Not), "input must be in NNF"
     if isinstance(f, Top):
@@ -1205,26 +1195,19 @@ def check_sat(f: Formula, mode: Sort, config: SolverConfig = DEFAULT_CONFIG) -> 
 
     def on_full(assign: Dict[int, bool]):
         theory_checks[0] += 1
-        if theory_checks[0] > config.max_theory_checks:
+        if theory_checks[0] > MAX_THEORY_CHECKS:
             return "budget"
-        check = _TheoryCheck(mode, config)
         asserted = []
         bool_vals = {}
-        ok = True
         for aid, atom in enumerate(skel.atoms):
             val = assign[aid + 1]
             if isinstance(atom, BoolLit):
                 bool_vals[atom.var] = val
-                continue
-            if isinstance(atom, Cmp) and not val:
-                continue
-            asserted.append((atom, val))
-            if ok:
-                ok = check.assert_literal(atom, val)
-        if ok:
-            status, payload = check.solve(asserted)
-        else:
-            status, payload = "unsat", check.conflict
+            elif val or not isinstance(atom, Cmp):
+                # a false comparison atom carries no obligation: comparisons
+                # occur only positively in NNF
+                asserted.append((atom, val))
+        status, payload = _TheoryCheck(mode).decide(asserted)
         if status == "sat":
             on_full.result = (payload, bool_vals)
             return None
@@ -1233,19 +1216,15 @@ def check_sat(f: Formula, mode: Sort, config: SolverConfig = DEFAULT_CONFIG) -> 
             return "budget"
         certs.append(payload)
         # blocking clause: negate the conjunction that was refuted
-        if isinstance(payload, FarkasCert):
-            refuted = [(lit, True) for lit, _, _ in payload.entries]
-        else:
-            refuted = list(payload.literals)
         clause = []
-        for lit, val in refuted:
+        for lit, val in payload.literals:
             aid = skel.atom_ids[lit] + 1
             clause.append(-aid if val else aid)
         return clause
 
     on_full.result = None
     on_full.unknown = None
-    status, payload = _CDCL(nvars, skel.clauses, config).search(on_full)
+    status, payload = _CDCL(nvars, skel.clauses).search(on_full)
     if status == "unsat":
         return SatResult("unsat", certs=tuple(certs))
     if status == "unknown":
@@ -1267,67 +1246,39 @@ def check_sat(f: Formula, mode: Sort, config: SolverConfig = DEFAULT_CONFIG) -> 
     return SatResult("sat", model, certs=tuple(certs))
 
 
-def refute_conjunction(
-    literals: Sequence[Tuple[Literal, bool]], mode: Sort, config: SolverConfig = DEFAULT_CONFIG
-):
+def refute_conjunction(literals: Sequence[Tuple[Literal, bool]], mode: Sort):
     """Theory-check a conjunction of valued literals directly.
 
     Returns ("sat", values) | ("unsat", cert) | ("unknown", reason).
-    Boolean literals participate only through complementary pairs.
+    Boolean literals participate only through complementary pairs, which
+    are refuted before any theory literal is asserted.
     """
     seen_bool = {}
-    check = _TheoryCheck(mode, config)
     asserted = []
     for lit, val in literals:
-        if isinstance(lit, BoolLit):
-            atom, sign = _atom_of(lit)
-            eff = val == sign
-            prev = seen_bool.get(atom.var)
-            if prev is not None and prev != eff:
-                return "unsat", ClausalCore(((BoolLit(atom.var, True), prev), (BoolLit(atom.var, True), eff)))
-            seen_bool[atom.var] = eff
-            continue
         atom, sign = _atom_of(lit)
         eff = val == sign
-        if isinstance(atom, Cmp) and not eff:
-            # negated comparisons should have been rewritten upstream
-            raise AssertionError("negated comparison literal in conjunction")
-        asserted.append((atom, eff))
-        if not check.assert_literal(atom, eff):
-            return "unsat", check.conflict
-    status, payload = check.solve(asserted)
+        if isinstance(atom, BoolLit):
+            prev = seen_bool.get(atom.var)
+            if prev is not None and prev != eff:
+                return "unsat", ClausalCore(((atom, prev), (atom, eff)))
+            seen_bool[atom.var] = eff
+        else:
+            asserted.append((atom, eff))
+    status, payload = _TheoryCheck(mode).decide(asserted)
     if status == "sat":
         payload = dict(payload)
         payload.update(seen_bool)
     return status, payload
 
 
-def entails(a: Formula, b: Formula, mode: Sort, config: SolverConfig = DEFAULT_CONFIG) -> bool:
+def entails(a: Formula, b: Formula, mode: Sort) -> bool:
     """Valid implication a => b, decided as unsatisfiability of a and not b."""
-    res = check_sat(f_and([a, negate_nnf(b)]), mode, config)
+    res = check_sat(f_and([a, negate_nnf(b)]), mode)
     if res.is_unknown:
         raise ResourceLimit(res.reason)
     return res.is_unsat
 
 
-def equivalent(a: Formula, b: Formula, mode: Sort, config: SolverConfig = DEFAULT_CONFIG) -> bool:
-    return entails(a, b, mode, config) and entails(b, a, mode, config)
-
-
-def enumerate_models(
-    f: Formula,
-    mode: Sort,
-    blocking: Callable[[Model], Formula],
-    limit: int = 1_000,
-    config: SolverConfig = DEFAULT_CONFIG,
-):
-    """Yield models, blocking blocking(model) after each one."""
-    cur = f
-    for _ in range(limit):
-        res = check_sat(cur, mode, config)
-        if res.is_unsat:
-            return
-        if res.is_unknown:
-            raise ResourceLimit(res.reason)
-        yield res.model
-        cur = f_and([cur, negate_nnf(blocking(res.model))])
+def equivalent(a: Formula, b: Formula, mode: Sort) -> bool:
+    return entails(a, b, mode) and entails(b, a, mode)

@@ -6,10 +6,23 @@ import pytest
 
 import recmc
 import recmc.cli
-from recmc.cli import EXIT_ERROR, EXIT_INTERNAL, EXIT_SAFE, EXIT_UNKNOWN, EXIT_UNSAFE, run_cli
+from recmc.cli import EXIT_ERROR, EXIT_INTERNAL, EXIT_SAFE, run_cli
 from recmc.generators import program_text
+from recmc.parser import MAX_NESTING
 
 SRC = os.path.dirname(os.path.dirname(recmc.__file__))
+
+
+def nested_program(depth):
+    """A Boolean program whose parentheses nest depth deep, through an
+    alternating (and i (or i ...)) body: the deepest recursion per level."""
+    body = "o"
+    for k in range(depth - 3):  # (program (procedure (body ...
+        body = f"(and i {body})" if k % 2 == 0 else f"(or i {body})"
+    return (
+        f"(program (mode bool) (procedure P (in i) (out o) (body {body}))"
+        " (main P) (assert-safe true))"
+    )
 
 
 @pytest.fixture()
@@ -184,9 +197,42 @@ class TestErrorsNeverReadAsVerdicts:
             " (main P) (assert-safe true))"
         )
         code = run_cli(["check", str(src)])
-        assert code not in (EXIT_SAFE, EXIT_UNSAFE, EXIT_UNKNOWN)
+        assert code == EXIT_ERROR
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("recmc: ")
+
+    def test_nesting_at_the_limit_reaches_a_verdict(self, tmp_path):
+        # a fresh interpreter, so that the stack is the command's own
+        src = tmp_path / "limit.rpl"
+        src.write_text(nested_program(MAX_NESTING))
+        witness, trace = tmp_path / "w.txt", tmp_path / "t.txt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "recmc.cli", "check", str(src),
+             "--witness", str(witness), "--trace", str(trace)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert proc.returncode == EXIT_SAFE, proc.stderr
+        assert proc.stdout.splitlines()[0] == "SAFE"
+        assert witness.read_text().splitlines()[:2] == ["recmc-witness 1", "verdict SAFE"]
+        assert trace.read_text().splitlines()
+
+    def test_nesting_past_the_limit_is_a_syntax_error(self, tmp_path, capsys):
+        text = nested_program(MAX_NESTING + 1)
+        src = tmp_path / "past.rpl"
+        src.write_text(text)
+        depth = 0
+        for col, c in enumerate(text, start=1):
+            depth += {"(": 1, ")": -1}.get(c, 0)
+            if depth > MAX_NESTING:
+                break
+        assert run_cli(["check", str(src)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"recmc: {src}: 1:{col}: parentheses nested deeper than {MAX_NESTING}\n"
+        )
 
     def test_corrupted_proof_rejected_under_optimize(self, overview_file):
         # claiming inductiveness at bound 0 hands the driver a proof that

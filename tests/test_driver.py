@@ -30,7 +30,7 @@ from recmc.formula import (
 from recmc.generators import gen_bebop, overview, overview_bad
 from recmc.parser import parse
 from recmc.program import AssertionMap
-from recmc.solver import SolverConfig, check_sat, entails
+from recmc.solver import check_sat, entails
 
 
 def _var(program, proc, name):
@@ -162,7 +162,7 @@ class TestUnsafeChains:
             return check_sat(*args, **kwargs)
 
         monkeypatch.setattr(recmc.driver, "check_sat", counting_check_sat)
-        tree = build_cex(verdict.rho, unit.program, unit.phi_safe, n, SolverConfig())
+        tree = build_cex(verdict.rho, unit.program, unit.phi_safe, n)
         assert calls[0] <= 4 * (n + 1)
         assert tree.root is not verdict.cex.root and tree == verdict.cex
 
@@ -220,7 +220,7 @@ class TestCheckInductive:
         sigma.add("M", 1, mk_cmp(LE, m.scale(2).add(LinTerm.of_const(4)).sub(m0)))
         sigma.add("T", 0, mk_cmp(LE, t.scale(2).sub(t0)))
         sigma.add("D", 0, mk_cmp(LE, d.sub(d0).add(LinTerm.of_const(1))))
-        assert check_inductive(program, sigma, 1, SolverConfig())
+        assert check_inductive(program, sigma, 1)
         # pushed copies landed one level up
         assert sigma.at("T", 1) and sigma.at("D", 1) and sigma.at("M", 2)
 
@@ -234,7 +234,7 @@ class TestCheckInductive:
         bad = mk_cmp(EQ, t0)  # "t0 = 0" is not preserved by T's body
         sigma.add("D", 0, good)
         sigma.add("T", 0, bad)
-        assert not check_inductive(program, sigma, 0, SolverConfig())
+        assert not check_inductive(program, sigma, 0)
         assert [f.formula for f in sigma.at("D", 1)] == [good]
         assert not sigma.at("T", 1)
 

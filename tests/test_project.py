@@ -42,11 +42,9 @@ from recmc.project import (
     split_weak_bounds,
 )
 from recmc.solver import (
-    DEFAULT_CONFIG,
     Model,
     check_sat,
     entails,
-    enumerate_models,
     equivalent,
     int_conjunction_sat,
 )
@@ -310,7 +308,7 @@ class TestIntConjunctionSat:
             if not isinstance(f, (And, Lit)):
                 continue  # folded to a constant
             lits = [a.lit for a in f.args] if isinstance(f, And) else [f.lit]
-            m = int_conjunction_sat(lits, DEFAULT_CONFIG.cooper_node_budget)
+            m = int_conjunction_sat(lits)
             if m is None:
                 unsat += 1
                 assert check_sat(f, Sort.INT).is_unsat

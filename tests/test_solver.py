@@ -19,6 +19,7 @@ from recmc.formula import (
     LE,
     LT,
     TRUE,
+    And,
     BoolLit,
     Cmp,
     DivLit,
@@ -33,15 +34,15 @@ from recmc.formula import (
     mk_cmp,
     mk_lit,
 )
+from recmc import solver
 from recmc.solver import (
     ClausalCore,
     FarkasCert,
     Model,
-    SolverConfig,
     check_sat,
     entails,
-    enumerate_models,
     equivalent,
+    literal_of,
     refute_conjunction,
 )
 
@@ -109,29 +110,33 @@ class TestIntegerPreChecks:
     equalities or the residue check on divisibility literals.
     """
 
-    no_search = SolverConfig(bb_node_budget=0, cooper_node_budget=0)
     zi = Var("z", Sort.INT)
     tzi = LinTerm.of_var(zi)
 
-    def test_gcd_refutes_equality(self):
+    @pytest.fixture()
+    def no_search(self, monkeypatch):
+        monkeypatch.setattr(solver, "BB_NODE_BUDGET", 0)
+        monkeypatch.setattr(solver, "COOPER_NODE_BUDGET", 0)
+
+    def test_gcd_refutes_equality(self, no_search):
         eq = mk_cmp(EQ, txi.scale(2).add(tyi.scale(2)).add(LinTerm.of_const(3)))
-        res = check_sat(eq, Sort.INT, self.no_search)
+        res = check_sat(eq, Sort.INT)
         assert res.is_unsat
         assert res.certs == (ClausalCore(((eq.lit, True),)),)
 
-    def test_residues_refute_negated_divisibility(self):
+    def test_residues_refute_negated_divisibility(self, no_search):
         f = f_and(
             [
                 mk_lit(DivLit(2, self.tzi, False)),
                 mk_lit(DivLit(2, self.tzi.add(LinTerm.of_const(1)), False)),
             ]
         )
-        res = check_sat(f, Sort.INT, self.no_search)
+        res = check_sat(f, Sort.INT)
         assert res.is_unsat
         (core,) = res.certs
         assert isinstance(core, ClausalCore) and len(core.literals) == 2
 
-    def test_residues_over_mixed_divisors(self):
+    def test_residues_over_mixed_divisors(self, monkeypatch):
         # 3 | x + y and 3 | x + y + 1 clash; 2 | x + y shares their linear form
         s = txi.add(tyi)
         f = f_and(
@@ -141,7 +146,10 @@ class TestIntegerPreChecks:
                 mk_lit(DivLit(3, s.add(LinTerm.of_const(1)))),
             ]
         )
-        assert check_sat(f, Sort.INT, self.no_search).is_unsat
+        with monkeypatch.context() as no_search:
+            no_search.setattr(solver, "BB_NODE_BUDGET", 0)
+            no_search.setattr(solver, "COOPER_NODE_BUDGET", 0)
+            assert check_sat(f, Sort.INT).is_unsat
         # 2 | x + y, 3 | x + y + 1 and not 4 | x + y hold at x + y = 2
         f = f_and(
             [
@@ -152,7 +160,7 @@ class TestIntegerPreChecks:
         )
         assert check_sat(f, Sort.INT).is_sat
 
-    def test_fallback_core_across_linear_forms(self):
+    def test_fallback_core_across_linear_forms(self, monkeypatch):
         # 4 | 2y - z + 3 makes z odd, which is asserted false; the residue
         # check does not see this since the two literals have different
         # linear forms, so the Cooper fallback must find the core
@@ -160,7 +168,8 @@ class TestIntegerPreChecks:
         z_odd = DivLit(2, self.tzi.add(LinTerm.of_const(1)))
         bound = mk_cmp(LE, txi.sub(LinTerm.of_const(5)))
         f = f_and([mk_lit(div4), mk_lit(DivLit(2, z_odd.term, False)), bound])
-        res = check_sat(f, Sort.INT, SolverConfig(bb_node_budget=0))
+        monkeypatch.setattr(solver, "BB_NODE_BUDGET", 0)
+        res = check_sat(f, Sort.INT)
         assert res.is_unsat
         (core,) = res.certs
         assert set(core.literals) == {(div4, True), (z_odd, False)}
@@ -172,40 +181,18 @@ class TestEntailment:
         assert not entails(mk_cmp(LT, tx.scale(-1)), mk_cmp(EQ, tx.sub(LinTerm.of_const(1))), Sort.RAT)
         assert entails(FALSE, mk_cmp(LT, tx), Sort.RAT)
 
-    def test_unknown_propagates(self):
-        tight = SolverConfig(max_decisions=1, max_theory_checks=1, bb_node_budget=0, cooper_node_budget=0)
+    def test_unknown_propagates(self, monkeypatch):
+        for name in ("MAX_DECISIONS", "MAX_THEORY_CHECKS"):
+            monkeypatch.setattr(solver, name, 1)
+        for name in ("BB_NODE_BUDGET", "COOPER_NODE_BUDGET"):
+            monkeypatch.setattr(solver, name, 0)
         vars_ = mk_vars([f"v{i}" for i in range(8)], Sort.INT)
         big = f_and(
             [mk_lit(DivLit(3, LinTerm.of_var(v).add(LinTerm.of_var(w))))
              for v in vars_ for w in vars_ if v.key() < w.key()]
         )
         with pytest.raises(ResourceLimit):
-            entails(big, FALSE, Sort.INT, tight)
-
-
-class TestEnumerate:
-    def test_boolean_truth_table(self):
-        f = f_or([Lit(BoolLit(p)), Lit(BoolLit(q))])
-
-        def block(m):
-            return f_and(
-                [Lit(BoolLit(v, bool(m[v]))) for v in (p, q)]
-            )
-
-        models = list(enumerate_models(f, Sort.BOOL, block))
-        assert len(models) == 3
-
-    def test_empty(self):
-        assert list(enumerate_models(FALSE, Sort.RAT, lambda m: TRUE)) == []
-
-    def test_integer_interval(self):
-        f = f_and([mk_cmp(LT, txi.scale(-1)), mk_cmp(LT, txi.sub(LinTerm.of_const(3)))])
-
-        def block(m):
-            return mk_cmp(EQ, txi.sub(LinTerm.of_const(m[xi])))
-
-        vals = sorted(m[xi] for m in enumerate_models(f, Sort.INT, block))
-        assert vals == [1, 2]
+            entails(big, FALSE, Sort.INT)
 
 
 class TestDifferential:
@@ -288,21 +275,38 @@ class TestCertificates:
             res = check_sat(f, Sort.INT)
             for cert in res.certs:
                 if isinstance(cert, ClausalCore) and cert.literals:
-                    lits = []
-                    for atom, val in cert.literals:
-                        if isinstance(atom, (BoolLit, DivLit)):
-                            flipped = (
-                                BoolLit(atom.var, val)
-                                if isinstance(atom, BoolLit)
-                                else DivLit(atom.divisor, atom.term, val)
-                            )
-                            lits.append(Lit(flipped))
-                        else:
-                            assert val
-                            lits.append(Lit(atom))
+                    lits = [Lit(literal_of(atom, val)) for atom, val in cert.literals]
                     assert check_sat(f_and(lits), Sort.INT).is_unsat
                     checked += 1
         assert checked > 10
+
+    @pytest.mark.parametrize("mode, vars_", [(Sort.RAT, [x, y, z]), (Sort.INT, [xi, yi])])
+    def test_refute_conjunction_agrees_with_check_sat(self, mode, vars_):
+        # both decide through _TheoryCheck.decide, from different callers
+        rng = random.Random(43)
+        statuses = set()
+        for _ in range(200):
+            f = random_conjunction(rng, vars_, mode, rng.randint(1, 5))
+            if not isinstance(f, (And, Lit)):
+                continue  # folded to a constant
+            lits = [a.lit for a in f.args] if isinstance(f, And) else [f.lit]
+            status, payload = refute_conjunction([(l, True) for l in lits], mode)
+            res = check_sat(f, mode)
+            assert status == res.status, f
+            statuses.add(status)
+            if status == "sat":
+                for values in (payload, res.model):
+                    model = {v: values.get(v, Fraction(0)) for v in vars_}
+                    assert eval_formula(f, model)
+                    if mode is Sort.INT:
+                        assert all(val.denominator == 1 for val in model.values())
+            for cert in ((payload,) if status == "unsat" else ()) + res.certs:
+                if isinstance(cert, FarkasCert):
+                    assert cert.replay()
+                else:
+                    core = f_and([Lit(literal_of(atom, val)) for atom, val in cert.literals])
+                    assert check_sat(core, mode).is_unsat
+        assert statuses == {"sat", "unsat"}
 
     def test_refute_conjunction_direct(self):
         status, cert = refute_conjunction(
