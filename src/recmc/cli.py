@@ -15,6 +15,23 @@ Exit codes:
     4  internal error: any other exception; reported on one line
 
 A crash thus never leaves with the code of a verdict.
+
+`check --stats` prints a `recmc-stats 1` block, one `name value` line
+per field, over all bounds of the run:
+
+    steps         engine rule applications (sum + reach + query)
+    sum           sum rule applications (new or duplicate summary facts)
+    reach         reach rule applications (new or duplicate reachability facts)
+    query         query rule applications (new child queries)
+    mbp_calls     single-variable MBP eliminations made by the engine's
+                  reach and query rules; not calls to project.project,
+                  and none under --proj qe
+    solver_calls  the engine's own check_sat calls; not those made by
+                  interpolation, the inductiveness check, counterexample
+                  replay or witness validation
+    wall_ms       wall-clock milliseconds of the whole check, including
+                  inductiveness, replay and validation
+
 RECMC_LOG=debug mirrors the rule trace to stderr as it happens, and
 logs the traceback of an internal error.
 """

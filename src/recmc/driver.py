@@ -6,11 +6,15 @@ bounded-safe round the summary facts are pushed upward level by level
 level-b summaries implies it, as in IC3's push generalization); the run
 is inductive when every level-n fact survives the push, and then the
 conjunction of facts at levels >= n is a safety proof.  An unsafe round
-stops immediately: the recorded provenance of the reachability facts is
-replayed into a concrete counterexample tree.  Replay is memoised per
-(fact, pinned formals): an equal subproblem is solved once and its node
-shared, so a chain whose unfolded call tree is exponential replays in
-time linear in its distinct nodes.
+stops immediately and the reachability facts are replayed into a
+concrete counterexample tree.  Each reachability fact records only the
+index of the body path it was projected from: replay re-solves that
+path, instantiated with the callee facts one bound below and with the
+formals pinned, and picks each call's fact again from the model it
+gets.  Replay is memoised per (fact, pinned formals): an equal
+subproblem is solved once and its node shared, so a chain whose
+unfolded call tree is exponential replays in time linear in its
+distinct nodes.
 
 Both witnesses are validated before being returned - the proof against
 a fresh solver, the tree literally, node by node - so a verdict is
@@ -40,7 +44,6 @@ from .formula import (
 )
 from .program import (
     AssertionMap,
-    Environment,
     Program,
     bool_bounded_semantics,
     instantiate,
@@ -132,8 +135,7 @@ def _check_loop(program, phi_safe, max_bound, config, rho, sigma, stats, trace):
         except ResourceLimit as exc:
             return Verdict("UNKNOWN", n, reason=f"solver resource limit: {exc}")
         if inductive:
-            env = over_env(sigma, n, program)
-            proof = SafetyProof(dict(env.mapping), n)
+            proof = SafetyProof(over_env(sigma, n, program), n)
             if not validate_proof(program, proof, phi_safe):
                 raise SelfCheckFailed("proof failed validation")
             return Verdict("SAFE", n, proof=proof)
@@ -170,7 +172,7 @@ def check_inductive(program: Program, sigma: AssertionMap, n: int) -> bool:
 
 def validate_proof(program: Program, proof: SafetyProof, phi_safe: Formula) -> bool:
     """Safe and inductive, re-checked from scratch."""
-    env = Environment(dict(proof.env))
+    env = proof.env
     try:
         if not entails(env[program.main], phi_safe, program.mode):
             return False
@@ -201,7 +203,7 @@ def _pin(values: Dict[Var, object]) -> Formula:
 def build_cex(
     rho: AssertionMap, program: Program, phi_safe: Formula, n: int
 ) -> CounterexampleTree:
-    """Replay reachability provenance into a concrete execution tree.
+    """Replay reachability facts into a concrete execution tree.
 
     Node models are re-solved with the formals pinned to the values the
     parent requires; every fact is an under-approximation of real
@@ -239,9 +241,9 @@ def _expand(rho, program, fact, pinned, nodes, envs) -> CexNode:
     if key in nodes:
         return nodes[key]
     proc = program.proc(fact.proc)
-    if fact.provenance is None:
-        raise ProvenanceGap(f"fact {fact.fact_id} has no provenance")
-    path = proc.paths[fact.provenance.path_index]
+    if fact.path_index is None:
+        raise ProvenanceGap(f"fact {fact.fact_id} has no path index")
+    path = proc.paths[fact.path_index]
     below = fact.bound - 1
     if below not in envs:
         envs[below] = under_env(rho, below, program)
@@ -267,7 +269,7 @@ def _expand(rho, program, fact, pinned, nodes, envs) -> CexNode:
             _expand(rho, program, child_fact, renamed_model, nodes, envs)
         )
     values = {v: model[v] for v in proc.all_vars}
-    node = nodes[key] = CexNode(proc.name, fact.provenance.path_index, values, tuple(children))
+    node = nodes[key] = CexNode(proc.name, fact.path_index, values, tuple(children))
     return node
 
 

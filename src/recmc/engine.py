@@ -16,8 +16,8 @@ set empties, always on a query of minimal bound (FIFO among ties):
          bound-1 is consistent with the goal; projecting the locals out
          of the path instantiation (exact projection, or the disjunct
          picked by the satisfying model) becomes a new reachability
-         fact, answering the query and any other queued query of the
-         procedure it meets.
+         fact, stored with the index of the path, answering the query
+         and any other queued query of the procedure it meets.
 
 * query: neither applies.  Walking the satisfiable path's calls from the
          right, replace under-approximations by over-approximations
@@ -47,20 +47,16 @@ from .formula import (
     LinTerm,
     Lit,
     Sort,
-    eval_formula,
     f_and,
     f_or,
     mk_cmp,
     negate_nnf,
     rename_vars,
 )
-from .interpolate import InterpolationQuery, itp
+from .interpolate import itp
 from .program import (
     AssertionMap,
-    CallChoice,
-    Environment,
     Program,
-    Provenance,
     instantiate,
     instantiate_path_mixed,
     over_env,
@@ -85,7 +81,6 @@ class BoundedQuery:
     proc: str
     goal: Formula  # over the procedure's formals, call-free
     bound: int
-    parent: Optional[tuple] = None  # (parent qid, path index, call index)
 
 
 @dataclass
@@ -97,7 +92,6 @@ class TraceEvent:
     bound: int
     outcome: str
     formula: Optional[Formula] = None
-    removed: tuple = ()
 
     def line(self) -> str:
         return f"{self.rule} q{self.qid} {self.proc} {self.bound} {self.outcome}"
@@ -138,7 +132,7 @@ class BndSafety:
         self.trace = trace if trace is not None else []
         self.queue: List[BoundedQuery] = []
         self._next_qid = 0
-        self._env_cache: Dict[tuple, Environment] = {}
+        self._env_cache: Dict[tuple, Dict[str, Formula]] = {}
 
     # -- helpers -------------------------------------------------------
 
@@ -152,7 +146,7 @@ class BndSafety:
     def _entails(self, a: Formula, b: Formula) -> bool:
         return self._sat(f_and([a, negate_nnf(b)])).is_unsat
 
-    def _uenv(self, bound: int) -> Environment:
+    def _uenv(self, bound: int) -> Dict[str, Formula]:
         key = ("u", bound, self.rho.version)
         env = self._env_cache.get(key)
         if env is None:
@@ -160,7 +154,7 @@ class BndSafety:
             self._env_cache[key] = env
         return env
 
-    def _oenv(self, bound: int) -> Environment:
+    def _oenv(self, bound: int) -> Dict[str, Formula]:
         key = ("o", bound, self.sigma.version)
         env = self._env_cache.get(key)
         if env is None:
@@ -168,11 +162,19 @@ class BndSafety:
             self._env_cache[key] = env
         return env
 
+    def _project(self, elim, matrix: Formula, model: Model, proc) -> Formula:
+        """Eliminate elim from matrix: exactly (qe), or the disjunct that
+        model, completed over the procedure's variables, picks (mbp)."""
+        if self.config.proj == "qe":
+            return project(elim, matrix, None, strategy="qe")
+        model = total_model(model, proc.all_vars)
+        return project(elim, matrix, model, strategy="mbp", stats=self.stats)
+
     def _push(self, query: BoundedQuery):
         self.queue.append(query)
 
-    def _new_query(self, proc, goal, bound, parent) -> BoundedQuery:
-        q = BoundedQuery(self._next_qid, proc, goal, bound, parent)
+    def _new_query(self, proc, goal, bound) -> BoundedQuery:
+        q = BoundedQuery(self._next_qid, proc, goal, bound)
         self._next_qid += 1
         return q
 
@@ -190,7 +192,7 @@ class BndSafety:
         """Returns (verdict, reason); verdict SAFE | UNSAFE | UNKNOWN."""
         main = self.program.proc(self.program.main)
         init_goal = negate_nnf(self.phi_safe)
-        self._push(self._new_query(main.name, init_goal, self.bound, None))
+        self._push(self._new_query(main.name, init_goal, self.bound))
         try:
             while self.queue:
                 if self.stats["steps"] >= self.config.step_budget:
@@ -223,7 +225,7 @@ class BndSafety:
                 matrix = instantiate(path, env_u, self.program)
                 res = self._sat(f_and([matrix, q.goal]))
                 if res.is_sat:
-                    reach_hit = (pidx, path, matrix, res.model)
+                    reach_hit = (pidx, matrix, res.model)
                     break
         if self.config.check_level >= 1:
             assert not (sum_ok and reach_hit), "sum and reach both applicable"
@@ -246,12 +248,8 @@ class BndSafety:
 
     def apply_sum(self, q: BoundedQuery, body_over: Formula) -> TraceEvent:
         proc = self.program.proc(q.proc)
-        psi = itp(
-            InterpolationQuery(
-                body_over, q.goal, frozenset(proc.formals), self.program.mode
-            )
-        )
-        fact, added = self.sigma.add(q.proc, q.bound, psi)
+        psi = itp(body_over, q.goal, frozenset(proc.formals), self.program.mode)
+        _, added = self.sigma.add(q.proc, q.bound, psi)
         # answered negatively: queued queries of this procedure now refuted
         removed = []
         for q2 in list(self.queue):
@@ -271,22 +269,14 @@ class BndSafety:
             q.bound,
             "fact-added" if added else "fact-duplicate",
             psi,
-            tuple(r.qid for r in removed),
         )
 
     def apply_reach(
-        self, q: BoundedQuery, pidx: int, path, matrix: Formula, model: Model
+        self, q: BoundedQuery, pidx: int, matrix: Formula, model: Model
     ) -> TraceEvent:
         proc = self.program.proc(q.proc)
-        model = total_model(model, proc.all_vars)
-        if self.config.proj == "mbp":
-            psi = project(
-                proc.locals_, matrix, model, strategy="mbp", stats=self.stats
-            )
-        else:
-            psi = project(proc.locals_, matrix, None, strategy="qe")
-        provenance = self._provenance(q, pidx, path, model)
-        fact, added = self.rho.add(q.proc, q.bound, psi, provenance)
+        psi = self._project(proc.locals_, matrix, model, proc)
+        _, added = self.rho.add(q.proc, q.bound, psi, pidx)
         removed = []
         for q2 in list(self.queue):
             if q2.proc != q.proc or q2.bound < q.bound:
@@ -304,31 +294,13 @@ class BndSafety:
             q.bound,
             "fact-added" if added else "fact-duplicate",
             psi,
-            tuple(r.qid for r in removed),
         )
 
-    def _provenance(self, q, pidx, path, model: Model) -> Provenance:
-        choices = []
-        for call in path.calls:
-            callee = self.program.proc(call.callee)
-            chosen = None
-            for fact in self.rho.up_to(call.callee, q.bound - 1):
-                renamed = rename_vars(
-                    fact.formula, dict(zip(callee.formals, call.args))
-                )
-                if eval_formula(renamed, model):
-                    chosen = fact
-                    break
-            assert chosen is not None, "model satisfies no callee fact"
-            choices.append(CallChoice(call.callee, chosen.fact_id, chosen.bound))
-        witness = tuple(sorted(model.items(), key=lambda it: it[0].key()))
-        return Provenance(pidx, tuple(choices), witness)
-
     def apply_query(
-        self, q: BoundedQuery, env_o: Environment, env_u: Environment
+        self, q: BoundedQuery, env_o: Dict[str, Formula], env_u: Dict[str, Formula]
     ) -> TraceEvent:
         proc = self.program.proc(q.proc)
-        for pidx, path in enumerate(proc.paths):
+        for path in proc.paths:
             full_over = instantiate_path_mixed(
                 path, len(path.calls), env_o, env_u, q.goal, self.program
             )
@@ -367,16 +339,12 @@ class BndSafety:
             args = list(call.args)
             keep = set(args)
             elim = [v for v in proc.all_vars if v not in keep]
-            if self.config.proj == "mbp":
-                model = total_model(sat_model, proc.all_vars)
-                psi = project(elim, matrix, model, strategy="mbp", stats=self.stats)
-            else:
-                psi = project(elim, matrix, None, strategy="qe")
+            psi = self._project(elim, matrix, sat_model, proc)
             child_goal = self._rename_to_formals(psi, args, callee.formals)
             assert not any(q2.bound == q.bound - 1 for q2 in self.queue), (
                 "new query would overlap an existing bound level"
             )
-            child = self._new_query(call.callee, child_goal, q.bound - 1, (q.qid, pidx, split))
+            child = self._new_query(call.callee, child_goal, q.bound - 1)
             self._push(child)
             self.stats["query"] += 1
             return TraceEvent(

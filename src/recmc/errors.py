@@ -29,10 +29,6 @@ class UnassignedVar(RecmcError):
     """Evaluation hit a variable the model does not assign."""
 
 
-class ArityMismatch(RecmcError):
-    """A call atom's argument count differs from the callee's formals."""
-
-
 class ResourceLimit(RecmcError):
     """A solver or engine budget was exhausted; result is unknown."""
 
@@ -73,3 +69,7 @@ class RplSyntaxError(RecmcError):
 
 class ValidationError(RecmcError):
     """A parsed program violated a well-formedness rule."""
+
+
+class ArityMismatch(ValidationError):
+    """A call atom's argument count differs from the callee's formals."""

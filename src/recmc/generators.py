@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import random
 from importlib import resources
-from typing import List, Optional
+from typing import List
 
-from .formula import Sort
 from .parser import SourceUnit, parse
 
 

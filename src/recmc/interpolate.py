@@ -28,7 +28,6 @@ it is a bug guard, not an input error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from typing import FrozenSet, Optional
 
@@ -61,16 +60,7 @@ from .solver import (
 )
 
 
-@dataclass(frozen=True)
-class InterpolationQuery:
-    a: Formula
-    b: Formula
-    shared: FrozenSet[Var]
-    mode: Sort
-
-
-def itp(query: InterpolationQuery) -> Formula:
-    a, b, shared, mode = query.a, query.b, query.shared, query.mode
+def itp(a: Formula, b: Formula, shared: FrozenSet[Var], mode: Sort) -> Formula:
     assert not has_calls(a) and not has_calls(b)
     pre = check_sat(f_and([a, b]), mode)
     if pre.is_sat:

@@ -15,8 +15,9 @@ accepted as sugar for the flipped forms.  Comments run from ';' to the
 end of the line.
 
 Bodies are normalized to NNF on load and expanded into paths; a call
-under a negation or any scoping, arity, or sort violation is reported
-as a ValidationError, syntax problems as RplSyntaxError with position.
+under a negation, a call in assert-safe, or any scoping, arity, or sort
+violation is reported as a ValidationError, syntax problems as
+RplSyntaxError with position.
 
 Parentheses may nest at most MAX_NESTING = 256 deep, counting the
 (program ...) form itself; a deeper '(' is an RplSyntaxError at its
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .errors import PathExplosion, RplSyntaxError, ValidationError
 from .formula import (
@@ -54,9 +55,8 @@ from .formula import (
     Sort,
     Top,
     Var,
-    f_and,
-    f_or,
     free_vars,
+    has_calls,
     mk_cmp,
     mk_lit,
     to_nnf,
@@ -252,7 +252,7 @@ def _parse_const(node, scope) -> Fraction:
 _CMP_OPS = {"<": LT, "<=": LE, "=": EQ, ">": LT, ">=": LE}
 
 
-def _parse_expr(node, scope: _Scope, program_procs) -> Formula:
+def _parse_expr(node, scope: _Scope) -> Formula:
     if isinstance(node, _Tok):
         if node.text == "true":
             return TRUE
@@ -265,14 +265,14 @@ def _parse_expr(node, scope: _Scope, program_procs) -> Formula:
     head = _head(node)
     items = node[1]
     if head in ("and", "or"):
-        args = [_parse_expr(a, scope, program_procs) for a in items[1:]]
+        args = [_parse_expr(a, scope) for a in items[1:]]
         return (And if head == "and" else Or)(tuple(args)) if args else (
             TRUE if head == "and" else FALSE
         )
     if head == "not":
         if len(items) != 2:
             raise _err(node, "'not' takes one argument")
-        return Not(_parse_expr(items[1], scope, program_procs))
+        return Not(_parse_expr(items[1], scope))
     if head in _CMP_OPS:
         if len(items) != 3:
             raise _err(node, f"'{head}' takes two arguments")
@@ -350,7 +350,6 @@ def parse(text: str) -> SourceUnit:
     if safe_form is None:
         raise RplSyntaxError(1, 1, "missing (assert-safe ...)")
 
-    var_sort = Sort.BOOL if mode is Sort.BOOL else mode
     headers = {}
     for pf in proc_forms:
         name, sections = _proc_header(pf)
@@ -369,12 +368,12 @@ def parse(text: str) -> SourceUnit:
                     raise RplSyntaxError(
                         tok.line, tok.col, f"duplicate variable '{tok.text}' in {name}"
                     )
-                v = Var(tok.text, var_sort, role, name)
+                v = Var(tok.text, mode, role, name)
                 declared[tok.text] = v
                 vs.append(v)
             groups[role_name] = tuple(vs)
         scope = _Scope(mode, declared)
-        body_raw = _parse_expr(sections["body"], scope, headers)
+        body_raw = _parse_expr(sections["body"], scope)
         try:
             body = to_nnf(body_raw)
         except Exception as exc:
@@ -390,8 +389,10 @@ def parse(text: str) -> SourceUnit:
     program.validate()
 
     main = program.proc(main_name)
-    main_scope = _Scope(mode, {v.name: v for v in main.formals})
-    phi_raw = _parse_expr(safe_form, main_scope, headers)
+    main_scope = _Scope(mode, {v.name: v for v in main.all_vars})
+    phi_raw = _parse_expr(safe_form, main_scope)
+    if has_calls(phi_raw):
+        raise ValidationError("assert-safe must not call procedures")
     phi_safe = to_nnf(phi_raw)
     if not free_vars(phi_safe) <= set(main.formals):
         raise ValidationError("assert-safe mentions non-formal variables")

@@ -8,8 +8,10 @@ are its DNF disjuncts, computed once.
 Assertion maps store facts per (procedure, stack bound).  Two instances
 drive the engine: the reachability map (under-approximations, each
 model of a fact is a real execution within the bound) and the summary
-map (over-approximations).  From a map and a bound we build the two
-instantiation environments:
+map (over-approximations).  A reachability fact also records the index
+of the body path it was projected from, which is all that counterexample
+replay needs.  From a map and a bound we build the two instantiation
+environments, plain dicts from procedure name to formula:
 
     under(m, b):  Sigma_P  ->  OR  of facts at bounds <= b   (empty: false)
     over(m, b):   Sigma_P  ->  AND of facts at bounds >= b   (empty: true)
@@ -42,7 +44,6 @@ from .formula import (
     Or,
     Path,
     Sort,
-    Var,
     canon_key,
     dnf_paths,
     f_and,
@@ -91,9 +92,8 @@ class Program:
             if len(names) != len(set(names)):
                 raise ValidationError(f"duplicate variable name in {p.name}")
             scope = set(p.all_vars)
-            var_sort = Sort.BOOL if self.mode is Sort.BOOL else self.mode
             for v in p.all_vars:
-                if v.sort is not var_sort:
+                if v.sort is not self.mode:
                     raise ValidationError(
                         f"{v!r} has sort {v.sort.value}; program mode is {self.mode.value}"
                     )
@@ -141,26 +141,12 @@ class Program:
 
 
 @dataclass(frozen=True)
-class CallChoice:
-    callee: str
-    fact_id: int
-    bound: int
-
-
-@dataclass(frozen=True)
-class Provenance:
-    path_index: int
-    calls: tuple  # tuple[CallChoice, ...] in path order
-    witness: tuple  # tuple[(Var, value), ...] from the discovering model
-
-
-@dataclass(frozen=True)
 class Fact:
     fact_id: int
     proc: str
     bound: int
     formula: Formula
-    provenance: Optional[Provenance] = None
+    path_index: Optional[int] = None  # reachability facts: the body path that produced it
 
 
 class AssertionMap:
@@ -172,14 +158,14 @@ class AssertionMap:
         self._next = itertools.count()
         self.version = 0
 
-    def add(self, proc: str, bound: int, formula: Formula, provenance=None):
+    def add(self, proc: str, bound: int, formula: Formula, path_index=None):
         """Returns (fact, added); a canonically equal formula at the same
         (proc, bound) is not stored twice."""
         key = (proc, bound, canon_key(formula))
         fact = self._keys.get(key)
         if fact is not None:
             return fact, False
-        fact = Fact(next(self._next), proc, bound, formula, provenance)
+        fact = Fact(next(self._next), proc, bound, formula, path_index)
         self._keys[key] = fact
         self._by_proc.setdefault(proc, {}).setdefault(bound, []).append(fact)
         self.version += 1
@@ -213,39 +199,25 @@ class AssertionMap:
         return len(self._keys)
 
 
-@dataclass
-class Environment:
-    """Total map from procedure name to a formula over its formals."""
-
-    mapping: Dict[str, Formula]
-
-    def __getitem__(self, name: str) -> Formula:
-        return self.mapping[name]
-
-
-def under_env(rho: AssertionMap, bound: int, program: Program) -> Environment:
+def under_env(rho: AssertionMap, bound: int, program: Program) -> Dict[str, Formula]:
     if bound < 0:
-        return Environment({name: FALSE for name in program.procedures})
-    return Environment(
-        {
-            name: f_or([f.formula for f in rho.up_to(name, bound)])
-            for name in program.procedures
-        }
-    )
+        return {name: FALSE for name in program.procedures}
+    return {
+        name: f_or([f.formula for f in rho.up_to(name, bound)])
+        for name in program.procedures
+    }
 
 
-def over_env(sigma: AssertionMap, bound: int, program: Program) -> Environment:
+def over_env(sigma: AssertionMap, bound: int, program: Program) -> Dict[str, Formula]:
     if bound < 0:
-        return Environment({name: FALSE for name in program.procedures})
-    return Environment(
-        {
-            name: f_and([f.formula for f in sigma.at_least(name, bound)])
-            for name in program.procedures
-        }
-    )
+        return {name: FALSE for name in program.procedures}
+    return {
+        name: f_and([f.formula for f in sigma.at_least(name, bound)])
+        for name in program.procedures
+    }
 
 
-def instantiate(f, env: Environment, program: Program) -> Formula:
+def instantiate(f, env: Dict[str, Formula], program: Program) -> Formula:
     """Replace every call atom by the environment formula of its callee,
     with the callee's formals renamed to the call's arguments."""
     if isinstance(f, Path):
@@ -266,8 +238,8 @@ def instantiate(f, env: Environment, program: Program) -> Formula:
 def instantiate_path_mixed(
     path: Path,
     flip: int,
-    env_over: Environment,
-    env_under: Environment,
+    env_over: Dict[str, Formula],
+    env_under: Dict[str, Formula],
     extra: Formula,
     program: Program,
 ) -> Formula:

@@ -324,17 +324,8 @@ def project(
             g, mult, y = lia_normalize(x, cur)
             if strategy == "mbp":
                 if y is not x:
-                    work = _extend_model(work, y, Fraction(mult) * Fraction(work[x]))
+                    work = {**work, y: Fraction(mult) * Fraction(work[x])}
                 cur = lia_proj(y, g, work)
             else:
                 cur = cooper_qe(y, g)
     return cur
-
-
-def _extend_model(model, var, value):
-    try:
-        return model.extended({var: value})
-    except AttributeError:
-        out = dict(model)
-        out[var] = value
-        return out

@@ -81,36 +81,16 @@ BB_NODE_BUDGET = 40
 COOPER_NODE_BUDGET = 30_000
 
 
-class Model:
+class Model(dict):
     """Total assignment for the free variables of a query."""
 
-    __slots__ = ("assignment",)
-
-    def __init__(self, assignment: Dict[Var, object]):
-        self.assignment = dict(assignment)
-
-    def __contains__(self, v):
-        return v in self.assignment
-
-    def __getitem__(self, v):
-        return self.assignment[v]
-
-    def get(self, v, default=None):
-        return self.assignment.get(v, default)
-
-    def items(self):
-        return self.assignment.items()
-
-    def keys(self):
-        return self.assignment.keys()
+    __slots__ = ()
 
     def extended(self, extra: Dict[Var, object]) -> "Model":
-        m = dict(self.assignment)
-        m.update(extra)
-        return Model(m)
+        return Model({**self, **extra})
 
     def __repr__(self):
-        inner = ", ".join(f"{v!r}={x}" for v, x in sorted(self.assignment.items(), key=lambda it: it[0].key()))
+        inner = ", ".join(f"{v!r}={x}" for v, x in sorted(self.items(), key=lambda it: it[0].key()))
         return "{" + inner + "}"
 
 

@@ -41,7 +41,7 @@ from recmc.generators import (
     random_arith_program,
     random_bool_program,
 )
-from recmc.interpolate import InterpolationQuery, _strongest, itp
+from recmc.interpolate import _strongest, itp
 from recmc.parser import parse
 from recmc.program import AssertionMap, bool_bounded_semantics, bool_unbounded_semantics
 from recmc.project import _collect, lw_qe, project, split_weak_bounds
@@ -307,7 +307,7 @@ def _unsat_pairs(rng, mode, shared, alocal, blocal, count):
 
 
 def _interpolant(a, b, shared, mode):
-    return itp(InterpolationQuery(a, b, shared, mode))
+    return itp(a, b, shared, mode)
 
 
 def _strongest_interpolant(a, b, shared, mode):

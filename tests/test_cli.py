@@ -112,6 +112,28 @@ class TestCheckCommand:
     def test_mode_mismatch_exits_three(self, overview_file, capsys):
         assert run_cli(["check", overview_file, "--mode", "int"]) == 3
 
+    @pytest.mark.parametrize(
+        "main, prop, message",
+        [
+            ("(procedure P (in a) (out b) (body (call Q a))) (main P)",
+             "true", "call to Q in P: 1 args, 2 formals"),
+            ("(main Q)", "(not (call Q a b))", "assert-safe must not call procedures"),
+            ("(main Q)", "(call Q a b)", "assert-safe must not call procedures"),
+        ],
+        ids=["arity", "negated-call-in-property", "call-in-property"],
+    )
+    def test_input_error_exits_three(self, main, prop, message, tmp_path, capsys):
+        src = tmp_path / "bad.rpl"
+        src.write_text(
+            "(program (mode bool)"
+            " (procedure Q (in a) (out b) (body (or (and a b) (and (not a) (not b)))))"
+            f" {main} (assert-safe {prop}))"
+        )
+        assert run_cli(["check", str(src)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"recmc: {src}: {message}\n"
+
     def test_stats_block(self, overview_file, capsys):
         code = run_cli(["check", overview_file, "--stats"])
         out = capsys.readouterr().out

@@ -29,7 +29,7 @@ from recmc.formula import (
     mk_lit,
     negate_nnf,
 )
-from recmc.interpolate import InterpolationQuery, _strongest, itp
+from recmc.interpolate import _strongest, itp
 from recmc.project import lw_qe
 from recmc.solver import check_sat, entails, equivalent
 
@@ -56,28 +56,28 @@ class TestExamples:
         # oracle first: the projection of a onto x is 1 < x
         proj = lw_qe(y, a)
         assert equivalent(proj, mk_cmp(LT, LinTerm.of_const(1).sub(tx)), Sort.RAT)
-        psi = itp(InterpolationQuery(a, b, frozenset([x]), Sort.RAT))
+        psi = itp(a, b, frozenset([x]), Sort.RAT)
         assert contract_ok(a, b, frozenset([x]), Sort.RAT, psi)
 
     def test_false_side(self):
-        psi = itp(InterpolationQuery(FALSE, mk_cmp(LT, tx), frozenset([x]), Sort.RAT))
+        psi = itp(FALSE, mk_cmp(LT, tx), frozenset([x]), Sort.RAT)
         assert psi == FALSE
 
     def test_boolean_literal_projection(self):
         a = f_and([Lit(BoolLit(p)), Lit(BoolLit(r))])
         b = Lit(BoolLit(p, False))
-        psi = itp(InterpolationQuery(a, b, frozenset([p]), Sort.BOOL))
+        psi = itp(a, b, frozenset([p]), Sort.BOOL)
         assert equivalent(psi, Lit(BoolLit(p)), Sort.BOOL)
 
     def test_not_unsat_rejected(self):
         with pytest.raises(NotUnsat):
-            itp(InterpolationQuery(TRUE, TRUE, frozenset(), Sort.RAT))
+            itp(TRUE, TRUE, frozenset(), Sort.RAT)
 
     def test_idempotent_on_shared_only(self):
         a = f_and([mk_cmp(LT, tx.sub(LinTerm.of_const(2))), mk_cmp(LT, LinTerm.of_const(0).sub(tx))])
         b = mk_cmp(LT, LinTerm.of_const(5).sub(tx))
         assert equivalent(_strongest(a, frozenset([x])), a, Sort.RAT)
-        psi = itp(InterpolationQuery(a, b, frozenset([x]), Sort.RAT))
+        psi = itp(a, b, frozenset([x]), Sort.RAT)
         assert contract_ok(a, b, frozenset([x]), Sort.RAT, psi)
 
 
@@ -114,7 +114,7 @@ class TestContractFuzz:
         rng = random.Random(47)
         for _ in range(120):
             a, b = _unsat_pair(rng, Sort.RAT, [s0, s1], [a0, a1], [b0])
-            psi = itp(InterpolationQuery(a, b, frozenset([s0, s1]), Sort.RAT))
+            psi = itp(a, b, frozenset([s0, s1]), Sort.RAT)
             assert contract_ok(a, b, frozenset([s0, s1]), Sort.RAT, psi)
 
 
@@ -153,7 +153,7 @@ class TestFarkasInteger:
             mk_cmp(LE, t({si1: -2}, 3)),
         ])
         shared = frozenset([si0, si1])
-        psi = itp(InterpolationQuery(a, b, shared, Sort.INT))
+        psi = itp(a, b, shared, Sort.INT)
         assert _integral(psi)
         assert contract_ok(a, b, shared, Sort.INT, psi)
 
@@ -162,6 +162,6 @@ class TestFarkasInteger:
     def test_contract_on_random_pairs(self, seed):
         a, b = _unsat_pair(random.Random(seed), Sort.INT, [si0, si1], [ai0, ai1], [bi0])
         shared = frozenset([si0, si1])
-        psi = itp(InterpolationQuery(a, b, shared, Sort.INT))
+        psi = itp(a, b, shared, Sort.INT)
         assert _integral(psi)
         assert contract_ok(a, b, shared, Sort.INT, psi)

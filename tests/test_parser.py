@@ -61,7 +61,7 @@ class TestParse:
             )
 
     def test_arity_checked(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ValidationError):
             parse(
                 """
                 (program (mode rat)
@@ -72,7 +72,7 @@ class TestParse:
             )
 
     def test_property_over_formals_only(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ValidationError):
             parse(
                 """
                 (program (mode rat)

@@ -26,7 +26,6 @@ from recmc.formula import (
 from recmc.generators import overview
 from recmc.program import (
     AssertionMap,
-    Environment,
     Program,
     bool_bounded_semantics,
     bool_unbounded_semantics,
@@ -100,9 +99,7 @@ class TestInstantiate:
         program = unit.program
         d0, d = _linterm(program, "D", "d0"), _linterm(program, "D", "d")
         l0, l1 = _v(program, "M", "l0"), _v(program, "M", "l1")
-        env = Environment(
-            {"D": mk_cmp(EQ, d.sub(d0).add(LinTerm.of_const(1))), "T": TRUE, "M": TRUE}
-        )
+        env = {"D": mk_cmp(EQ, d.sub(d0).add(LinTerm.of_const(1))), "T": TRUE, "M": TRUE}
         got = instantiate(Call("D", (l0, l1)), env, program)
         want = mk_cmp(
             EQ, LinTerm.of_var(l1).sub(LinTerm.of_var(l0)).add(LinTerm.of_const(1))
@@ -112,20 +109,20 @@ class TestInstantiate:
     def test_top_summary_gives_top(self, unit):
         program = unit.program
         m0, l0 = _v(program, "M", "m0"), _v(program, "M", "l0")
-        env = Environment({name: TRUE for name in program.procedures})
+        env = {name: TRUE for name in program.procedures}
         assert instantiate(Call("T", (m0, l0)), env, program) == TRUE
 
     def test_call_free_unchanged(self, unit):
         program = unit.program
         f = mk_cmp(LT, _linterm(program, "M", "m0"))
-        env = Environment({name: FALSE for name in program.procedures})
+        env = {name: FALSE for name in program.procedures}
         assert instantiate(f, env, program) is f
 
     def test_homomorphic(self, unit):
         program = unit.program
         m0 = _v(program, "M", "m0")
         l0, l1 = _v(program, "M", "l0"), _v(program, "M", "l1")
-        env = Environment({name: TRUE for name in program.procedures})
+        env = {name: TRUE for name in program.procedures}
         lit = mk_cmp(LT, LinTerm.of_var(m0))
         f = f_or([f_and([lit, Call("D", (l0, l1))]), Call("T", (m0, l0))])
         assert instantiate(f, env, program) == f_or([lit, TRUE]) or instantiate(
