@@ -28,7 +28,9 @@ per field, over all bounds of the run:
                   and none under --proj qe
     solver_calls  the engine's own check_sat calls; not those made by
                   interpolation, the inductiveness check, counterexample
-                  replay or witness validation
+                  replay or witness validation.  No such call sits in an
+                  assert statement, so the count is the same under
+                  python -O
     wall_ms       wall-clock milliseconds of the whole check, including
                   inductiveness, replay and validation
 

@@ -220,13 +220,14 @@ def build_cex(
     if not res.is_sat:
         raise ProvenanceGap("unsafe verdict but no violating model")
     model = total_model(res.model, main.formals)
-    fact = _fact_for(rho, main.name, n, model, program)
+    fact = _fact_for(rho, main.name, n, model)
     pinned = {v: model[v] for v in main.formals}
     root = _expand(rho, program, fact, pinned, {}, {})
     return CounterexampleTree(root, n)
 
 
-def _fact_for(rho, name, bound, model, program):
+def _fact_for(rho, name, bound, model):
+    """The first reachability fact of name up to bound that model satisfies."""
     for fact in rho.up_to(name, bound):
         if eval_formula(fact.formula, model):
             return fact
@@ -258,13 +259,7 @@ def _expand(rho, program, fact, pinned, nodes, envs) -> CexNode:
         renamed_model = {
             formal: model[arg] for formal, arg in zip(callee.formals, call.args)
         }
-        child_fact = None
-        for cand in rho.up_to(call.callee, below):
-            if eval_formula(cand.formula, renamed_model):
-                child_fact = cand
-                break
-        if child_fact is None:
-            raise ProvenanceGap(f"no callee fact matches call to {call.callee}")
+        child_fact = _fact_for(rho, call.callee, below, renamed_model)
         children.append(
             _expand(rho, program, child_fact, renamed_model, nodes, envs)
         )

@@ -46,6 +46,7 @@ from .formula import (
     Formula,
     LinTerm,
     Lit,
+    Path,
     Sort,
     f_and,
     f_or,
@@ -146,20 +147,14 @@ class BndSafety:
     def _entails(self, a: Formula, b: Formula) -> bool:
         return self._sat(f_and([a, negate_nnf(b)])).is_unsat
 
-    def _uenv(self, bound: int) -> Dict[str, Formula]:
-        key = ("u", bound, self.rho.version)
+    def _env(self, kind: str, bound: int) -> Dict[str, Formula]:
+        """The under- ("u", from rho) or over-approximating ("o", from
+        sigma) environment at bound, cached per map version."""
+        amap, build = (self.rho, under_env) if kind == "u" else (self.sigma, over_env)
+        key = (kind, bound, amap.version)
         env = self._env_cache.get(key)
         if env is None:
-            env = under_env(self.rho, bound, self.program)
-            self._env_cache[key] = env
-        return env
-
-    def _oenv(self, bound: int) -> Dict[str, Formula]:
-        key = ("o", bound, self.sigma.version)
-        env = self._env_cache.get(key)
-        if env is None:
-            env = over_env(self.sigma, bound, self.program)
-            self._env_cache[key] = env
+            env = self._env_cache[key] = build(amap, bound, self.program)
         return env
 
     def _project(self, elim, matrix: Formula, model: Model, proc) -> Formula:
@@ -200,20 +195,19 @@ class BndSafety:
                 self.step()
         except ResourceLimit as exc:
             return "UNKNOWN", f"solver resource limit: {exc}"
-        u_main = self._uenv(self.bound)[main.name]
+        u_main = self._env("u", self.bound)[main.name]
         if self._sat(f_and([u_main, init_goal])).is_sat:
             return "UNSAFE", ""
-        o_main = self._oenv(self.bound)[main.name]
-        assert self._entails(o_main, self.phi_safe), (
-            "empty work set but neither verdict premise holds"
-        )
+        o_main = self._env("o", self.bound)[main.name]
+        if not self._entails(o_main, self.phi_safe):
+            raise PreconditionFailed("empty work set but neither verdict premise holds")
         return "SAFE", ""
 
     def step(self) -> TraceEvent:
         q = self.pick_next()
         proc = self.program.proc(q.proc)
-        env_o = self._oenv(q.bound - 1)
-        env_u = self._uenv(q.bound - 1)
+        env_o = self._env("o", q.bound - 1)
+        env_u = self._env("u", q.bound - 1)
         neg_goal = negate_nnf(q.goal)
 
         body_over = instantiate(proc.body, env_o, self.program)
@@ -227,8 +221,8 @@ class BndSafety:
                 if res.is_sat:
                     reach_hit = (pidx, matrix, res.model)
                     break
-        if self.config.check_level >= 1:
-            assert not (sum_ok and reach_hit), "sum and reach both applicable"
+        if self.config.check_level >= 1 and sum_ok and reach_hit:
+            raise PreconditionFailed("sum and reach both applicable")
 
         self.stats["steps"] += 1
         if sum_ok:
@@ -241,7 +235,7 @@ class BndSafety:
         if log.isEnabledFor(logging.DEBUG):
             log.debug("%s", event.line())
         if self.config.check_level >= 1:
-            self._assert_pending_invariant()
+            self._check_pending_invariant()
         return event
 
     # -- rules -----------------------------------------------------------
@@ -250,26 +244,13 @@ class BndSafety:
         proc = self.program.proc(q.proc)
         psi = itp(body_over, q.goal, frozenset(proc.formals), self.program.mode)
         _, added = self.sigma.add(q.proc, q.bound, psi)
-        # answered negatively: queued queries of this procedure now refuted
-        removed = []
-        for q2 in list(self.queue):
-            if q2.proc != q.proc or q2.bound > q.bound:
-                continue
-            o_formula = self._oenv(q2.bound)[q.proc]
-            if self._entails(o_formula, negate_nnf(q2.goal)):
-                removed.append(q2)
-        assert any(q2.qid == q.qid for q2 in removed), "sum did not answer its query"
-        self.queue = [q2 for q2 in self.queue if q2 not in removed]
-        self.stats["sum"] += 1
-        return TraceEvent(
-            self.stats["steps"],
-            "sum",
-            q.qid,
-            q.proc,
-            q.bound,
-            "fact-added" if added else "fact-duplicate",
-            psi,
-        )
+
+        def refuted(q2):  # answered negatively by the summaries
+            return q2.bound <= q.bound and self._entails(
+                self._env("o", q2.bound)[q.proc], negate_nnf(q2.goal)
+            )
+
+        return self._answer(q, "sum", refuted, added, psi)
 
     def apply_reach(
         self, q: BoundedQuery, pidx: int, matrix: Formula, model: Model
@@ -277,18 +258,22 @@ class BndSafety:
         proc = self.program.proc(q.proc)
         psi = self._project(proc.locals_, matrix, model, proc)
         _, added = self.rho.add(q.proc, q.bound, psi, pidx)
-        removed = []
-        for q2 in list(self.queue):
-            if q2.proc != q.proc or q2.bound < q.bound:
-                continue
-            if self._sat(f_and([psi, q2.goal])).is_sat:
-                removed.append(q2)
-        assert any(q2.qid == q.qid for q2 in removed), "reach did not answer its query"
+
+        def reached(q2):  # answered positively by the new fact
+            return q2.bound >= q.bound and self._sat(f_and([psi, q2.goal])).is_sat
+
+        return self._answer(q, "reach", reached, added, psi)
+
+    def _answer(self, q, rule, answered, added, psi) -> TraceEvent:
+        """Drop every queued query of q's procedure that answered accepts,
+        asked in queue order; q itself must be among them."""
+        removed = [q2 for q2 in self.queue if q2.proc == q.proc and answered(q2)]
+        assert any(q2.qid == q.qid for q2 in removed), f"{rule} did not answer its query"
         self.queue = [q2 for q2 in self.queue if q2 not in removed]
-        self.stats["reach"] += 1
+        self.stats[rule] += 1
         return TraceEvent(
             self.stats["steps"],
-            "reach",
+            rule,
             q.qid,
             q.proc,
             q.bound,
@@ -328,14 +313,8 @@ class BndSafety:
                 raise PreconditionFailed("no unsat flip point on candidate path")
             call = path.calls[split]
             callee = self.program.proc(call.callee)
-            parts = [Lit(l) for l in path.literals]
-            for i, other in enumerate(path.calls):
-                if i == split:
-                    continue
-                env = env_o if i < split else env_u
-                parts.append(instantiate(other, env, self.program))
-            parts.append(q.goal)
-            matrix = f_and(parts)
+            others = Path(path.literals, path.calls[:split] + path.calls[split + 1 :])
+            matrix = instantiate_path_mixed(others, split, env_o, env_u, q.goal, self.program)
             args = list(call.args)
             keep = set(args)
             elim = [v for v in proc.all_vars if v not in keep]
@@ -396,18 +375,18 @@ class BndSafety:
 
     # -- debug invariants -------------------------------------------------
 
-    def _assert_pending_invariant(self):
+    def _check_pending_invariant(self):
         """Every queued query can neither be refuted by summaries nor
         witnessed by reachability facts."""
         for q in self.queue:
-            o_formula = self._oenv(q.bound)[q.proc]
-            u_formula = self._uenv(q.bound)[q.proc]
-            assert not self._entails(o_formula, negate_nnf(q.goal)), (
-                f"queued query q{q.qid} already refuted by summaries"
-            )
-            assert self._entails(u_formula, negate_nnf(q.goal)), (
-                f"queued query q{q.qid} already witnessed by reachability facts"
-            )
+            o_formula = self._env("o", q.bound)[q.proc]
+            u_formula = self._env("u", q.bound)[q.proc]
+            if self._entails(o_formula, negate_nnf(q.goal)):
+                raise PreconditionFailed(f"queued query q{q.qid} already refuted by summaries")
+            if not self._entails(u_formula, negate_nnf(q.goal)):
+                raise PreconditionFailed(
+                    f"queued query q{q.qid} already witnessed by reachability facts"
+                )
 
 
 def bounded_safety(

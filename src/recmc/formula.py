@@ -595,7 +595,7 @@ def subst_bool(f: Formula, mapping: Mapping[Var, bool]) -> Formula:
 # Paths: DNF disjuncts of a procedure body.
 # --------------------------------------------------------------------------
 
-DEFAULT_PATH_LIMIT = 4096
+PATH_LIMIT = 4096  # read at call time, so a test can lower it
 
 
 @_node
@@ -610,13 +610,13 @@ class Path:
         return repr(self.formula())
 
 
-def dnf_paths(body: Formula, limit: int = DEFAULT_PATH_LIMIT):
+def dnf_paths(body: Formula):
     """Expand an NNF body into its DNF disjuncts.
 
     Each returned path is a conjunction of literals and calls; their
     disjunction is equivalent to the body.  Raises PathExplosion past
-    the limit rather than truncating, since truncation would silently
-    break that equivalence.
+    PATH_LIMIT paths rather than truncating, since truncation would
+    silently break that equivalence.
     """
 
     def expand(f):
@@ -632,8 +632,8 @@ def dnf_paths(body: Formula, limit: int = DEFAULT_PATH_LIMIT):
             out = []
             for a in f.args:
                 out.extend(expand(a))
-                if len(out) > limit:
-                    raise PathExplosion(f"more than {limit} paths")
+                if len(out) > PATH_LIMIT:
+                    raise PathExplosion(f"more than {PATH_LIMIT} paths")
             return out
         if isinstance(f, And):
             acc = [((), ())]
@@ -643,8 +643,8 @@ def dnf_paths(body: Formula, limit: int = DEFAULT_PATH_LIMIT):
                 for lits1, calls1 in acc:
                     for lits2, calls2 in sub:
                         nxt.append((lits1 + lits2, calls1 + calls2))
-                        if len(nxt) > limit:
-                            raise PathExplosion(f"more than {limit} paths")
+                        if len(nxt) > PATH_LIMIT:
+                            raise PathExplosion(f"more than {PATH_LIMIT} paths")
                 acc = nxt
             return acc
         raise TypeError(f"body not in NNF: {f!r}")

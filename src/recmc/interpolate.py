@@ -37,7 +37,6 @@ from .formula import (
     LT,
     TRUE,
     Formula,
-    LinTerm,
     Sort,
     Var,
     dnf_paths,
@@ -55,6 +54,7 @@ from .solver import (
     FarkasCert,
     check_sat,
     entails,
+    farkas_sum,
     literal_of,
     refute_conjunction,
 )
@@ -118,14 +118,7 @@ def _farkas_itp(a, b, shared, mode) -> Formula:
 
 def _conjunct_from_cert(cert, a_lits, shared, mode) -> Optional[Formula]:
     if isinstance(cert, FarkasCert):
-        combo = LinTerm.of_const(0)
-        strict = False
-        for lit, mu, negated in cert.entries:
-            if lit in a_lits:
-                term = lit.term.scale(-1) if negated else lit.term
-                combo = combo.add(term.scale(mu))
-                if lit.op == LT and mu > 0:
-                    strict = True
+        combo, strict = farkas_sum(e for e in cert.entries if e[0] in a_lits)
         if not all(v in shared for v in combo.vars):
             return None
         if mode is Sort.INT:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .errors import PathExplosion, RplSyntaxError, ValidationError
 from .formula import (
@@ -442,17 +442,24 @@ def _term_side(parts: List[str]) -> str:
     return "(+ " + " ".join(parts) + ")"
 
 
-def print_cmp(lit: Cmp) -> str:
-    # term op 0, rendered with the negative part moved to the right
+def _summands(term: LinTerm) -> Tuple[List[str], List[str]]:
+    """The positive summands of term and the magnitudes of its negative
+    ones, each in term order with the constant last."""
     pos, neg = [], []
-    for v, c in lit.term.coeffs:
+    for v, c in term.coeffs:
         side, mag = (pos, c) if c > 0 else (neg, -c)
         side.append(v.name if mag == 1 else f"(* {_num_str(mag)} {v.name})")
-    c = lit.term.const
+    c = term.const
     if c > 0:
         pos.append(_num_str(c))
     elif c < 0:
         neg.append(_num_str(-c))
+    return pos, neg
+
+
+def print_cmp(lit: Cmp) -> str:
+    # term op 0, rendered with the negative part moved to the right
+    pos, neg = _summands(lit.term)
     return f"({lit.op} {_term_side(pos)} {_term_side(neg)})"
 
 
@@ -466,16 +473,7 @@ def print_formula(f: Formula) -> str:
         if isinstance(lit, BoolLit):
             return lit.var.name if lit.positive else f"(not {lit.var.name})"
         if isinstance(lit, DivLit):
-            pos, neg = [], []
-            for v, c in lit.term.coeffs:
-                (pos if c > 0 else neg).append(
-                    v.name if abs(c) == 1 else f"(* {_num_str(abs(c))} {v.name})"
-                )
-            const = lit.term.const
-            if const > 0:
-                pos.append(_num_str(const))
-            elif const < 0:
-                neg.append(_num_str(-const))
+            pos, neg = _summands(lit.term)
             inner = _term_side(pos)
             if neg:
                 inner = f"(- {inner} {_term_side(neg)})"

@@ -299,7 +299,8 @@ def project(
     per-variable disjuncts using the model, which must satisfy the
     matrix.  With "mbp" the model keeps satisfying every intermediate
     result, so the output is satisfied by the model and implies the QE
-    result.
+    result.  stats, passed only with "mbp", counts the eliminations in
+    stats["mbp_calls"].
     """
     assert strategy in ("mbp", "qe")
     cur = matrix
@@ -310,9 +311,7 @@ def project(
         if x not in free_vars(cur):
             continue
         if stats is not None:
-            stats["mbp_calls" if strategy == "mbp" else "qe_calls"] = (
-                stats.get("mbp_calls" if strategy == "mbp" else "qe_calls", 0) + 1
-            )
+            stats["mbp_calls"] = stats.get("mbp_calls", 0) + 1
         if x.sort is Sort.BOOL:
             if strategy == "mbp":
                 cur = subst_bool(cur, {x: bool(work[x])})

@@ -121,20 +121,29 @@ class FarkasCert:
         return tuple((lit, True) for lit, _, _ in self.entries)
 
     def replay(self) -> bool:
-        total = LinTerm.of_const(0)
-        strict = False
         for lit, mu, negated in self.entries:
             if mu < 0 or not isinstance(lit, Cmp):
                 return False
             if negated and lit.op != EQ:
                 return False
-            term = lit.term.scale(-1) if negated else lit.term
-            total = total.add(term.scale(mu))
-            if lit.op == LT and mu > 0:
-                strict = True
+        total, strict = farkas_sum(self.entries)
         if not total.is_const():
             return False
         return total.const > 0 or (total.const == 0 and strict)
+
+
+def farkas_sum(entries) -> Tuple[LinTerm, bool]:
+    """The sum of multiplier times term over (literal, multiplier, negated)
+    entries, a negated equality counting with its term negated, and
+    whether it is strict: some strict literal has a positive multiplier."""
+    total = LinTerm.of_const(0)
+    strict = False
+    for lit, mu, negated in entries:
+        term = lit.term.scale(-1) if negated else lit.term
+        total = total.add(term.scale(mu))
+        if lit.op == LT and mu > 0:
+            strict = True
+    return total, strict
 
 
 @dataclass(frozen=True)
@@ -212,11 +221,25 @@ class _Constraint:
         self.source = source  # ("lit", literal, value) or ("branch",)
 
 
+def _beyond(kind, a, b) -> bool:
+    """a lies past b on side kind: above it for "hi", below it for "lo"."""
+    return a > b if kind == "hi" else a < b
+
+
+def _toward(kind, a) -> str:
+    """The side a nonbasic variable with row coefficient a moves to when
+    its basic variable is pulled back inside its violated kind bound."""
+    return "hi" if (a > 0) == (kind == "lo") else "lo"
+
+
 class Simplex:
     """General simplex with upper/lower bounds on variables.
 
     Multi-variable constraint terms get a slack variable defined by a
     tableau row; asserting a constraint then just tightens a bound.
+    Asserting a bound, repairing a violated one and explaining a conflict
+    are one routine each for both sides ("lo" and "hi"), as in Dutertre
+    and de Moura.
     """
 
     def __init__(self):
@@ -323,28 +346,21 @@ class Simplex:
         bound = dr(bound_q, -1 if op == LT else 0)
         return self._assert(sid, "hi", bound, cid, lead, False)
 
+    def _side(self, kind) -> Dict[int, _Bound]:
+        return self.lo if kind == "lo" else self.hi
+
     def _assert(self, vid, kind, val, cid, scale, negated) -> Optional[list]:
+        own, other = self._side(kind), self._side("hi" if kind == "lo" else "lo")
+        cur = own.get(vid)
+        if cur is not None and not _beyond(kind, cur.val, val):
+            return None
         inv = Fraction(1) / scale
-        if kind == "hi":
-            cur = self.hi.get(vid)
-            if cur is not None and cur.val <= val:
-                return None
-            other = self.lo.get(vid)
-            if other is not None and val < other.val:
-                return [(cid, inv, negated), (other.cid, other.inv_scale, other.negated)]
-            self.hi[vid] = _Bound(val, cid, inv, negated)
-            if vid not in self.rows and self.values[vid] > val:
-                self._update(vid, val)
-        else:
-            cur = self.lo.get(vid)
-            if cur is not None and cur.val >= val:
-                return None
-            other = self.hi.get(vid)
-            if other is not None and val > other.val:
-                return [(cid, inv, negated), (other.cid, other.inv_scale, other.negated)]
-            self.lo[vid] = _Bound(val, cid, inv, negated)
-            if vid not in self.rows and self.values[vid] < val:
-                self._update(vid, val)
+        opp = other.get(vid)
+        if opp is not None and _beyond(kind, opp.val, val):
+            return [(cid, inv, negated), (opp.cid, opp.inv_scale, opp.negated)]
+        own[vid] = _Bound(val, cid, inv, negated)
+        if vid not in self.rows and _beyond(kind, self.values[vid], val):
+            self._update(vid, val)
         return None
 
     def snapshot(self):
@@ -433,65 +449,25 @@ class Simplex:
                 return None
             vid, kind = broken
             row = self.rows[vid]
-            if kind == "lo":
-                target = self.lo[vid].val
-                pivot = None
-                for j in sorted(row):
-                    a = row[j]
-                    if a > 0:
-                        h = self.hi.get(j)
-                        if h is None or self.values[j] < h.val:
-                            pivot = j
-                            break
-                    else:
-                        l = self.lo.get(j)
-                        if l is None or self.values[j] > l.val:
-                            pivot = j
-                            break
-                if pivot is None:
-                    return self._conflict(vid, "lo")
-                self._pivot_and_update(vid, pivot, target)
-            else:
-                target = self.hi[vid].val
-                pivot = None
-                for j in sorted(row):
-                    a = row[j]
-                    if a < 0:
-                        h = self.hi.get(j)
-                        if h is None or self.values[j] < h.val:
-                            pivot = j
-                            break
-                    else:
-                        l = self.lo.get(j)
-                        if l is None or self.values[j] > l.val:
-                            pivot = j
-                            break
-                if pivot is None:
-                    return self._conflict(vid, "hi")
-                self._pivot_and_update(vid, pivot, target)
+            pivot = None
+            for j in sorted(row):
+                side = _toward(kind, row[j])
+                b = self._side(side).get(j)
+                if b is None or _beyond(side, b.val, self.values[j]):
+                    pivot = j
+                    break
+            if pivot is None:
+                return self._conflict(vid, kind)
+            self._pivot_and_update(vid, pivot, self._side(kind)[vid].val)
 
     def _conflict(self, vid, kind) -> list:
-        row = self.rows[vid]
-        if kind == "lo":
-            b = self.lo[vid]
-            cert = [(b.cid, b.inv_scale, b.negated)]
-            for j, a in row.items():
-                if a > 0:
-                    h = self.hi[j]
-                    cert.append((h.cid, a * h.inv_scale, h.negated))
-                else:
-                    l = self.lo[j]
-                    cert.append((l.cid, -a * l.inv_scale, l.negated))
-        else:
-            b = self.hi[vid]
-            cert = [(b.cid, b.inv_scale, b.negated)]
-            for j, a in row.items():
-                if a > 0:
-                    l = self.lo[j]
-                    cert.append((l.cid, a * l.inv_scale, l.negated))
-                else:
-                    h = self.hi[j]
-                    cert.append((h.cid, -a * h.inv_scale, h.negated))
+        """The violated bound of vid and, for each nonbasic variable of its
+        row, the bound that stops it from moving toward repair."""
+        b = self._side(kind)[vid]
+        cert = [(b.cid, b.inv_scale, b.negated)]
+        for j, a in self.rows[vid].items():
+            bj = self._side(_toward(kind, a))[j]
+            cert.append((bj.cid, abs(a) * bj.inv_scale, bj.negated))
         return cert
 
     # -- models ------------------------------------------------------------
@@ -976,11 +952,17 @@ class _CDCL:
                 self.ok = False
                 return False
             return True
+        self._store(clause)
+        return True
+
+    def _store(self, clause: List[int]) -> int:
+        """Store a clause of two or more literals, watching its first two;
+        returns its index."""
         ci = len(self.clauses)
         self.clauses.append(clause)
         self.watches.setdefault(clause[0], []).append(ci)
         self.watches.setdefault(clause[1], []).append(ci)
-        return True
+        return ci
 
     def _backjump(self, target_level: int):
         if len(self.trail_lim) <= target_level:
@@ -1078,10 +1060,7 @@ class _CDCL:
         self._backjump(back)
         if len(learned) == 1:
             return self._attach(learned)
-        ci = len(self.clauses)
-        self.clauses.append(learned)
-        self.watches.setdefault(learned[0], []).append(ci)
-        self.watches.setdefault(learned[1], []).append(ci)
+        ci = self._store(learned)
         if self._value(learned[0]) is None:
             self._assign(learned[0], ci)
         return True
@@ -1100,10 +1079,7 @@ class _CDCL:
             return self._attach(clause)
         clause.sort(key=lambda l: -self.level.get(abs(l), 0))
         back = self.level.get(abs(clause[1]), 0)
-        ci = len(self.clauses)
-        self.clauses.append(clause)
-        self.watches.setdefault(clause[0], []).append(ci)
-        self.watches.setdefault(clause[1], []).append(ci)
+        ci = self._store(clause)
         self._backjump(back)
         if self._value(clause[0]) is False:
             return ci  # conflicts at the backjump level; analyze there

@@ -1,7 +1,6 @@
 """Shared test utilities: random formulas, models, and brute-force oracles."""
 
 import itertools
-import random
 from fractions import Fraction
 
 from recmc.formula import (
@@ -9,7 +8,6 @@ from recmc.formula import (
     LE,
     LT,
     BoolLit,
-    Cmp,
     DivLit,
     LinTerm,
     Lit,
@@ -19,7 +17,6 @@ from recmc.formula import (
     eval_formula,
     f_and,
     f_or,
-    free_vars,
     mk_cmp,
     mk_lit,
 )

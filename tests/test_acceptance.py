@@ -9,8 +9,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from helpers import fact_valuations, mk_vars, random_nnf
 from recmc.driver import SafetyProof, check, validate_cex, validate_proof
 from recmc.engine import EngineConfig, bounded_safety, new_stats
@@ -24,7 +22,6 @@ from recmc.formula import (
     LinTerm,
     Lit,
     Sort,
-    Var,
     eval_formula,
     f_and,
     f_or,
@@ -37,7 +34,6 @@ from recmc.generators import (
     gen_bebop,
     gen_gpdr_divergence,
     overview,
-    overview_bad,
     random_arith_program,
     random_bool_program,
 )

@@ -6,7 +6,7 @@ import pytest
 
 import recmc
 import recmc.cli
-from recmc.cli import EXIT_ERROR, EXIT_INTERNAL, EXIT_SAFE, run_cli
+from recmc.cli import EXIT_ERROR, EXIT_INTERNAL, EXIT_SAFE, STATS_HEADER, run_cli
 from recmc.generators import program_text
 from recmc.parser import MAX_NESTING
 
@@ -145,6 +145,21 @@ class TestCheckCommand:
         )
         total = int(fields["sum"]) + int(fields["reach"]) + int(fields["query"])
         assert total == int(fields["steps"])
+
+    def test_stats_equal_under_optimize(self, overview_file):
+        # a solver call inside an assert statement would be skipped under -O
+        blocks = []
+        for flags in ([], ["-O"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "recmc.cli", "check", overview_file, "--stats"],
+                capture_output=True,
+                text=True,
+                env=dict(os.environ, PYTHONPATH=SRC),
+            )
+            assert proc.returncode == EXIT_SAFE, proc.stderr
+            block = proc.stdout[proc.stdout.index(STATS_HEADER):].splitlines()
+            blocks.append([line for line in block if not line.startswith("wall_ms ")])
+        assert blocks[0] == blocks[1]
 
     def test_trace_file(self, overview_file, tmp_path, capsys):
         trace = tmp_path / "t.txt"

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -18,11 +17,9 @@ from recmc.engine import EngineConfig
 from recmc.formula import (
     EQ,
     LE,
-    LT,
     TRUE,
     And,
     LinTerm,
-    Lit,
     Sort,
     f_and,
     mk_cmp,

@@ -1,22 +1,15 @@
 import random
-from fractions import Fraction
 
 import pytest
 
-from helpers import fact_valuations, mk_vars
-from recmc.engine import BndSafety, EngineConfig, bounded_safety, new_stats
+from helpers import fact_valuations
+from recmc.engine import EngineConfig, bounded_safety, new_stats
 from recmc.formula import (
     EQ,
-    LE,
     LT,
-    BoolLit,
     LinTerm,
-    Lit,
     Sort,
-    canon_key,
-    f_and,
     mk_cmp,
-    negate_nnf,
 )
 from recmc.generators import gen_bebop, overview, random_bool_program
 from recmc.parser import parse

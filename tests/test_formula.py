@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mk_vars, random_model, random_nnf, window_sat_int
+from helpers import mk_vars, random_model, random_nnf
+from recmc import formula
 from recmc.errors import NegatedCall, PathExplosion, UnassignedVar
 from recmc.formula import (
     EQ,
@@ -32,7 +33,6 @@ from recmc.formula import (
     eval_literal,
     f_and,
     f_or,
-    free_vars,
     lia_normalize,
     mk_cmp,
     mk_lit,
@@ -100,11 +100,12 @@ class TestDnfPaths:
         assert [c.callee for c in path.calls] == ["T", "D", "D"]
         assert [c.args for c in path.calls] == [(x,), (y,), (u,)]
 
-    def test_explosion_is_an_error(self):
+    def test_explosion_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(formula, "PATH_LIMIT", 100)
         f = f_and([f_or([lit(v) for v in mk_vars([f"b{i}_{j}" for j in range(2)], Sort.BOOL)])
                    for i in range(8)])
         with pytest.raises(PathExplosion):
-            dnf_paths(f, limit=100)
+            dnf_paths(f)
 
     def test_disjunction_equivalent_to_body(self):
         from recmc.solver import equivalent, entails

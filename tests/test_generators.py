@@ -8,8 +8,6 @@ from recmc.engine import EngineConfig
 from recmc.generators import (
     gen_bebop,
     gen_gpdr_divergence,
-    overview,
-    overview_bad,
     random_arith_program,
     random_bool_program,
 )

@@ -1,4 +1,4 @@
-"""Every name a checker module imports is used in that module.
+"""Every name a checker or test module imports is used in that module.
 
 The package's __init__ re-exports the names in its __all__; those count
 as used there.  `from __future__ import annotations` binds nothing.
@@ -10,6 +10,7 @@ from pathlib import Path
 import recmc
 
 PACKAGE = Path(recmc.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def _imported(tree):
@@ -31,15 +32,22 @@ def unused_imports(path: Path):
     return [(name, line) for name, line in _imported(tree) if name not in used]
 
 
-def test_no_unused_imports():
-    modules = sorted(PACKAGE.rglob("*.py"))
+def _assert_no_unused(root: Path, modules):
     assert modules
     unused = [
-        f"{path.relative_to(PACKAGE)}:{line}: {name}"
+        f"{path.relative_to(root)}:{line}: {name}"
         for path in modules
         for name, line in unused_imports(path)
     ]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_no_unused_imports():
+    _assert_no_unused(PACKAGE, sorted(PACKAGE.rglob("*.py")))
+
+
+def test_no_unused_imports_in_tests():
+    _assert_no_unused(TESTS, sorted(TESTS.glob("*.py")))
 
 
 def test_detects_an_unused_import(tmp_path):

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +20,6 @@ from recmc.formula import (
     Lit,
     Or,
     Sort,
-    Var,
     f_and,
     f_or,
     free_vars,

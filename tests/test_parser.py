@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from helpers import mk_vars
 from recmc.errors import RplSyntaxError, ValidationError
-from recmc.formula import Sort
+from recmc.formula import EQ, LE, LT, Cmp, DivLit, LinTerm, Lit, Sort, mk_lit
 from recmc.generators import (
     gen_bebop,
     gen_gpdr_divergence,
@@ -11,7 +13,7 @@ from recmc.generators import (
     random_arith_program,
     random_bool_program,
 )
-from recmc.parser import parse, print_program
+from recmc.parser import parse, print_formula, print_program
 
 
 class TestParse:
@@ -113,6 +115,47 @@ class TestRoundTrip:
             self._assert_round_trip(random_bool_program(rng))
             self._assert_round_trip(random_arith_program(rng, "rat"))
             self._assert_round_trip(random_arith_program(rng, "int"))
+
+
+class TestPrintFormula:
+    """Exact text: the negative summands of a term move to the right of
+    a comparison, and behind a minus inside a divisibility literal."""
+
+    def test_divides_with_negative_parts(self):
+        x, y, z = mk_vars(["x", "y", "z"], Sort.INT)
+        term = (
+            LinTerm.of_var(x)
+            .add(LinTerm.of_var(y).scale(-3))
+            .add(LinTerm.of_var(z).scale(-1))
+            .add(LinTerm.of_const(-5))
+        )
+        assert print_formula(Lit(DivLit(4, term))) == "(divides 4 (- x (+ (* 3 y) z 5)))"
+        assert print_formula(Lit(DivLit(4, term, False))) == (
+            "(not (divides 4 (- x (+ (* 3 y) z 5))))"
+        )
+        only_neg = LinTerm.of_var(x).scale(-2).add(LinTerm.of_const(-7))
+        assert print_formula(Lit(DivLit(6, only_neg))) == "(divides 6 (- 0 (+ (* 2 x) 7)))"
+        neg_const = LinTerm.of_var(x).scale(2).add(LinTerm.of_const(-1))
+        assert print_formula(Lit(DivLit(3, neg_const))) == "(divides 3 (- (* 2 x) 1))"
+        # the canonical form keeps a negative coefficient after the first
+        assert print_formula(mk_lit(DivLit(4, term))) == "(divides 4 (- (+ x y 3) z))"
+        assert print_formula(mk_lit(DivLit(4, term, False))) == (
+            "(not (divides 4 (- (+ x y 3) z)))"
+        )
+
+    def test_comparison_with_summands_on_both_sides(self):
+        a, b, c = mk_vars(["a", "b", "c"], Sort.RAT)
+        term = (
+            LinTerm.of_var(a)
+            .add(LinTerm.of_var(b).scale(-2))
+            .add(LinTerm.of_var(c).scale(Fraction(1, 2)))
+            .add(LinTerm.of_const(-3))
+        )
+        assert print_formula(Lit(Cmp(LE, term))) == "(<= (+ a (* 1/2 c)) (+ (* 2 b) 3))"
+        assert print_formula(Lit(Cmp(LT, term.scale(-1)))) == (
+            "(< (+ (* 2 b) 3) (+ a (* 1/2 c)))"
+        )
+        assert print_formula(Lit(Cmp(EQ, term))) == "(= (+ a (* 1/2 c)) (+ (* 2 b) 3))"
 
 
 class TestGenerators:

@@ -1,9 +1,8 @@
 import random
-from fractions import Fraction
 
 import pytest
 
-from helpers import fact_valuations, mk_vars
+from helpers import mk_vars
 from recmc.errors import TooLarge, ValidationError
 from recmc.formula import (
     EQ,
@@ -11,7 +10,6 @@ from recmc.formula import (
     LE,
     LT,
     TRUE,
-    And,
     BoolLit,
     Call,
     LinTerm,
@@ -34,7 +32,7 @@ from recmc.program import (
     over_env,
     under_env,
 )
-from recmc.solver import entails, equivalent
+from recmc.solver import entails
 
 
 @pytest.fixture(scope="module")

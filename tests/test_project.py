@@ -20,7 +20,6 @@ from recmc.formula import (
     TRUE,
     And,
     BoolLit,
-    Cmp,
     DivLit,
     LinTerm,
     Lit,

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +6,6 @@ import pytest
 from helpers import (
     mk_vars,
     random_conjunction,
-    random_model,
     random_nnf,
     truth_table_sat,
     window_sat_int,
@@ -30,7 +28,6 @@ from recmc.formula import (
     eval_formula,
     f_and,
     f_or,
-    free_vars,
     mk_cmp,
     mk_lit,
 )
@@ -38,10 +35,8 @@ from recmc import solver
 from recmc.solver import (
     ClausalCore,
     FarkasCert,
-    Model,
     check_sat,
     entails,
-    equivalent,
     literal_of,
     refute_conjunction,
 )
