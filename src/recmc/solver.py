@@ -28,7 +28,11 @@ exceeds its node budget does the solver report unknown.
 The budgets are the module constants below.  They are read at call
 time, so a test can lower them with monkeypatch.
 
-Everything is exact: Fractions all the way down, no floats.
+Everything is exact, with no floats.  Inside the simplex a number is a
+Python int when it is integral and a Fraction only when it is not, so
+the common small-integer tableau costs no gcd or allocation per
+operation; the simplex hands out Fractions (values, bound scales and
+certificate multipliers).
 """
 
 from __future__ import annotations
@@ -174,28 +178,44 @@ class SatResult:
 
 
 # --------------------------------------------------------------------------
+# Simplex numbers: an int when integral, else a Fraction.
+# --------------------------------------------------------------------------
+
+
+def _num(x):
+    """x as an int when it is integral, else as it is (a Fraction)."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _div(a, b):
+    """The exact quotient a / b, as an int when it is integral.  Two ints
+    never meet /, which would make a float."""
+    a, b = _num(a), _num(b)
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return q if r == 0 else Fraction(a, b)
+    return _num(a / b)
+
+
+# --------------------------------------------------------------------------
 # Delta-rationals: pairs (q, d) standing for q + d*delta with delta an
 # infinitesimal positive.  Plain tuples; lexicographic comparison is the
 # right order.
 # --------------------------------------------------------------------------
 
-DR_ZERO = (Fraction(0), Fraction(0))
-
-
-def dr(q, d=0):
-    return (Fraction(q), Fraction(d))
+DR_ZERO = (0, 0)
 
 
 def dr_add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
+    return (_num(a[0] + b[0]), _num(a[1] + b[1]))
 
 
 def dr_sub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
+    return (_num(a[0] - b[0]), _num(a[1] - b[1]))
 
 
 def dr_scale(a, k):
-    return (a[0] * k, a[1] * k)
+    return (_num(a[0] * k), _num(a[1] * k))
 
 
 # --------------------------------------------------------------------------
@@ -240,13 +260,17 @@ class Simplex:
     Asserting a bound, repairing a violated one and explaining a conflict
     are one routine each for both sides ("lo" and "hi"), as in Dutertre
     and de Moura.
+
+    Row coefficients, values and bound values are ints where integral
+    (_num) and every quotient is taken by _div; concrete_values, bound
+    scales and certificate multipliers are Fractions.
     """
 
     def __init__(self):
         self.var_ids: Dict[Var, int] = {}
         self.id_vars: List[Optional[Var]] = []
         self.slack_by_key: Dict[object, int] = {}
-        self.rows: Dict[int, Dict[int, Fraction]] = {}
+        self.rows: Dict[int, Dict[int, object]] = {}  # coefficients: int | Fraction
         self.cols: Dict[int, set] = {}
         self.values: Dict[int, tuple] = {}
         self.lo: Dict[int, _Bound] = {}
@@ -269,33 +293,33 @@ class Simplex:
             self.var_ids[v] = vid
         return vid
 
-    def _row_of_linear(self, term: LinTerm) -> Dict[int, Fraction]:
-        """Express a linear part over the current nonbasic variables."""
-        row: Dict[int, Fraction] = {}
+    def _row_of_linear(self, coeffs) -> Dict[int, object]:
+        """Express (variable, coefficient) pairs over the current nonbasic
+        variables."""
+        row: Dict[int, object] = {}
 
         def put(vid, c):
             if vid in self.rows:  # basic: expand its row
                 for j, a in self.rows[vid].items():
-                    row[j] = row.get(j, Fraction(0)) + c * a
+                    row[j] = _num(row.get(j, 0) + c * a)
                     if row[j] == 0:
                         del row[j]
             else:
-                row[vid] = row.get(vid, Fraction(0)) + c
+                row[vid] = _num(row.get(vid, 0) + c)
                 if row[vid] == 0:
                     del row[vid]
 
-        for v, c in term.coeffs:
+        for v, c in coeffs:
             put(self.var_id(v), c)
         return row
 
     def _slack_for(self, linear: LinTerm) -> Tuple[int, Fraction]:
         """Slack variable for linear (normalized by |lead|); returns (id, |lead|)."""
         lead = abs(linear.coeffs[0][1])
-        norm = linear.scale(Fraction(1) / lead)
-        key = norm.key()
+        key = tuple((v, _div(c, lead)) for v, c in linear.coeffs)
         sid = self.slack_by_key.get(key)
         if sid is None:
-            row = self._row_of_linear(norm)
+            row = self._row_of_linear(key)
             sid = self._new_id(None)
             self.slack_by_key[key] = sid
             self.rows[sid] = row
@@ -313,7 +337,7 @@ class Simplex:
         """Assert term op 0.  Returns a conflict (list of cert rows) or None."""
         cid = len(self.constraints)
         self.constraints.append(_Constraint(cid, term, op, source))
-        linear = term.sub(LinTerm.of_const(term.const))
+        linear = LinTerm(term.coeffs, Fraction(0))
         if linear.is_const():
             ok = (
                 term.const < 0
@@ -325,25 +349,26 @@ class Simplex:
             v, c = linear.coeffs[0]
             vid = self.var_id(v)
             scale = abs(c)
-            bound = dr(-term.const / c, 0)
+            q = _div(-term.const, c)
+            bound = (q, 0)
             if op == LT:
-                bound = dr(-term.const / c, Fraction(-1, 1) if c > 0 else Fraction(1, 1))
+                bound = (q, -1 if c > 0 else 1)
             if op == EQ:
-                conflict = self._assert(vid, "hi", dr(-term.const / c), cid, scale, c < 0)
+                conflict = self._assert(vid, "hi", bound, cid, scale, c < 0)
                 if conflict:
                     return conflict
-                return self._assert(vid, "lo", dr(-term.const / c), cid, scale, c > 0)
+                return self._assert(vid, "lo", bound, cid, scale, c > 0)
             kind = "hi" if c > 0 else "lo"
             return self._assert(vid, kind, bound, cid, scale, False)
         sid, lead = self._slack_for(linear)
         # term = lead * slack + const  (slack's definition has lead +-1 sign folded in)
-        bound_q = -term.const / lead
+        bound_q = _div(-term.const, lead)
         if op == EQ:
-            conflict = self._assert(sid, "hi", dr(bound_q), cid, lead, False)
+            conflict = self._assert(sid, "hi", (bound_q, 0), cid, lead, False)
             if conflict:
                 return conflict
-            return self._assert(sid, "lo", dr(bound_q), cid, lead, True)
-        bound = dr(bound_q, -1 if op == LT else 0)
+            return self._assert(sid, "lo", (bound_q, 0), cid, lead, True)
+        bound = (bound_q, -1 if op == LT else 0)
         return self._assert(sid, "hi", bound, cid, lead, False)
 
     def _side(self, kind) -> Dict[int, _Bound]:
@@ -393,9 +418,9 @@ class Simplex:
             self.cols[j].discard(bid)
         self.cols[nid].discard(bid)
         # nid = (bid - sum_j row[j] * j) / a
-        new_row = {bid: Fraction(1) / a}
+        new_row = {bid: _div(1, a)}
         for j, c in row.items():
-            new_row[j] = -c / a
+            new_row[j] = _div(-c, a)
         self.rows[nid] = new_row
         self.cols.setdefault(bid, set()).add(nid)
         for j in row:
@@ -410,7 +435,7 @@ class Simplex:
                 continue
             self.cols[nid].discard(other)
             for j, cc in new_row.items():
-                nv = orow.get(j, Fraction(0)) + c * cc
+                nv = _num(orow.get(j, 0) + c * cc)
                 if nv == 0:
                     if j in orow:
                         del orow[j]
@@ -422,7 +447,7 @@ class Simplex:
 
     def _pivot_and_update(self, bid, nid, val):
         a = self.rows[bid][nid]
-        theta = dr_scale(dr_sub(val, self.values[bid]), Fraction(1) / a)
+        theta = dr_scale(dr_sub(val, self.values[bid]), _div(1, a))
         self.values[bid] = val
         self.values[nid] = dr_add(self.values[nid], theta)
         for other in self.cols.get(nid, ()):
@@ -477,8 +502,8 @@ class Simplex:
         delta = Fraction(1)
         for vid, val in self.values.items():
             for bound, sense in ((self.lo.get(vid), 1), (self.hi.get(vid), -1)):
-                if bound is None:
-                    continue
+                if bound is None or bound.val[1] == val[1]:
+                    continue  # equal delta parts cannot limit delta
                 # need sense * (val - bound.val) >= 0 concretely
                 dq = sense * (val[0] - bound.val[0])
                 dd = sense * (val[1] - bound.val[1])
@@ -487,7 +512,7 @@ class Simplex:
         out = {}
         for v, vid in self.var_ids.items():
             q, d = self.values[vid]
-            out[v] = q + d * delta
+            out[v] = q + d * delta if d else Fraction(q)
         return out
 
 
@@ -787,7 +812,8 @@ def _icsat(f: Formula, counter) -> Optional[dict]:
         m = _icsat(case, counter)
         if m is not None:
             yval = witness(m)
-            assert yval.denominator == 1 and yval % mult == 0
+            if yval.denominator != 1 or yval % mult != 0:
+                raise SelfCheckFailed(f"Cooper witness {yval} for {x!r} is not a multiple of {mult}")
             m = dict(m)
             m[x] = yval / mult
             return m
@@ -808,7 +834,8 @@ def int_conjunction_sat(lits) -> Optional[dict]:
     for lit in lits:
         for v in (lit.term.vars if not isinstance(lit, BoolLit) else ()):
             out[v] = model.get(v, Fraction(0))
-    assert all(eval_formula(mk_lit(l), out) for l in lits)
+    if not all(eval_formula(mk_lit(l), out) for l in lits):
+        raise SelfCheckFailed(f"Cooper model {out!r} fails {lits!r}")
     return out
 
 

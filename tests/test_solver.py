@@ -10,7 +10,7 @@ from helpers import (
     truth_table_sat,
     window_sat_int,
 )
-from recmc.errors import ResourceLimit
+from recmc.errors import ResourceLimit, SelfCheckFailed
 from recmc.formula import (
     EQ,
     FALSE,
@@ -311,3 +311,84 @@ class TestCertificates:
         assert status == "unsat" and isinstance(cert, FarkasCert) and cert.replay()
         status, values = refute_conjunction([(Cmp(LT, tx), True)], Sort.RAT)
         assert status == "sat" and values[x] < 0
+
+
+def _simplex_numbers(simplex):
+    """Every row coefficient, value and bound value held by a simplex."""
+    for row in simplex.rows.values():
+        yield from row.values()
+    for val in simplex.values.values():
+        yield from val
+    for side in (simplex.lo, simplex.hi):
+        for bound in side.values():
+            yield from bound.val
+
+
+def _int_where_integral(n) -> bool:
+    return type(n) is int or (type(n) is Fraction and n.denominator != 1)
+
+
+class TestSimplexNumbers:
+    """The simplex holds an int where a number is integral and a Fraction
+    where it is not, never a float, and hands out Fractions."""
+
+    @pytest.mark.parametrize("mode, vars_", [(Sort.RAT, [x, y, z]), (Sort.INT, [xi, yi])])
+    def test_decide_on_random_conjunctions(self, mode, vars_):
+        rng = random.Random(47)
+        statuses = set()
+        farkas = fractional = 0
+        for _ in range(200):
+            f = random_conjunction(rng, vars_, mode, rng.randint(1, 5))
+            if not isinstance(f, (And, Lit)):
+                continue  # folded to a constant
+            lits = [a.lit for a in f.args] if isinstance(f, And) else [f.lit]
+            check = solver._TheoryCheck(mode)
+            status, payload = check.decide([solver._atom_of(l) for l in lits])
+            statuses.add(status)
+            numbers = list(_simplex_numbers(check.simplex))
+            assert all(_int_where_integral(n) for n in numbers), f
+            fractional += any(type(n) is Fraction for n in numbers)
+            if status == "sat":
+                assert all(type(val) is Fraction for val in payload.values())
+            elif isinstance(payload, FarkasCert):
+                assert all(type(mu) is Fraction for _, mu, _ in payload.entries)
+                farkas += 1
+        assert statuses == {"sat", "unsat"}
+        assert farkas > 10 and fractional > 10
+
+    @pytest.mark.parametrize("k", [1, -1, 2, -2, 3, -3])
+    def test_pivot_quotient(self, k):
+        # x = 0 blocks x, so x + k*y >= 1 is repaired by pivoting on y,
+        # whose row coefficient is -k: y = -s/k - x/k
+        check = solver._TheoryCheck(Sort.RAT)
+        cover = Cmp(LE, LinTerm.of_const(1).sub(tx).sub(ty.scale(k)))
+        status, values = check.decide([(Cmp(EQ, tx), True), (cover, True)])
+        assert status == "sat" and values == {x: 0, y: Fraction(1, k)}
+        assert all(type(val) is Fraction for val in values.values())
+        simplex = check.simplex
+        xid, yid = simplex.var_ids[x], simplex.var_ids[y]
+        (sid,) = simplex.slack_by_key.values()
+        assert simplex.rows == {yid: {sid: Fraction(-1, k), xid: Fraction(-1, k)}}
+        want = int if abs(k) == 1 else Fraction
+        assert all(type(c) is want for c in simplex.rows[yid].values())
+        assert type(simplex.values[yid][0]) is want
+
+
+class TestCooperSelfChecks:
+    """The Cooper decision's own checks raise, also under python -O."""
+
+    def test_model_check(self, monkeypatch):
+        monkeypatch.setattr(solver, "eval_formula", lambda f, model: False)
+        with pytest.raises(SelfCheckFailed):
+            solver.int_conjunction_sat([Cmp(LE, txi.sub(LinTerm.of_const(3)))])
+
+    def test_witness_check(self, monkeypatch):
+        cases = solver.cooper_cases
+
+        def off_by_half(y, g):
+            for case, witness in cases(y, g):
+                yield case, lambda m, w=witness: w(m) + Fraction(1, 2)
+
+        monkeypatch.setattr(solver, "cooper_cases", off_by_half)
+        with pytest.raises(SelfCheckFailed):
+            solver.int_conjunction_sat([Cmp(LE, txi.sub(LinTerm.of_const(3)))])
