@@ -7,6 +7,17 @@ literals: boolean and divisibility literals carry a polarity flag, and
 negated comparisons are rewritten at construction time
 (not(a < b) becomes b <= a, not(a = b) becomes a < b or b < a).
 
+One number rule holds throughout the arithmetic layer (terms, normal
+forms, Cooper and model-based projection, the simplex): a number is a
+Python int when it is integral and a Fraction only when it is not, so
+the common small-integer term costs no gcd per operation.  _num restores
+the rule after an operation that may leave an integral Fraction, and
+_div is the one exact division (/ between two ints would give a float).
+Values that leave the layer are Fractions: LinTerm.evaluate, Cooper
+witnesses, models and certificate multipliers.  An integral number
+compares, hashes and prints alike as an int and as a Fraction, so keys,
+set orders and printed formulas do not depend on which of the two it is.
+
 Everything here is an immutable value; no operation mutates its input.
 Nodes are slotted frozen dataclasses that hash once: the first hash of a
 node is stored in a slot of its own, which takes no part in construction,
@@ -76,10 +87,12 @@ class Var:
     name: str
     sort: Sort
     role: Role = Role.AUX
-    owner: Optional[str] = None
+    # "" for none: hash(None) is an address on Python 3.11, which would make
+    # the hash of an owner-less Var, and set orders, differ between processes
+    owner: str = ""
 
     def key(self):
-        return (self.owner or "", self.name)
+        return (self.owner, self.name)
 
     def __repr__(self):
         if self.owner:
@@ -87,50 +100,62 @@ class Var:
         return self.name
 
 
+# A number inside the arithmetic layer: an int when integral, else a Fraction.
+Number = Union[int, Fraction]
+# A model's value: a bool, or an arithmetic value handed out as a Fraction.
 Value = Union[bool, Fraction]
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+def _num(x: Number) -> Number:
+    """x as an int when it is integral, else as it is (a Fraction)."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _div(a: Number, b: Number) -> Number:
+    """The exact quotient a / b, as an int when it is integral.  Two ints
+    never meet /, which would make a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return q if r == 0 else Fraction(a, b)
+    return _num(a / b)
 
 
 @_node
 class LinTerm:
     """Linear combination of arithmetic variables plus a constant.
 
-    Coefficients are exact rationals; zero coefficients are never stored
-    and entries are kept sorted by variable key so that structurally
-    equal terms compare equal.
+    Coefficients and the constant are Numbers: ints where integral,
+    Fractions where not.  Zero coefficients are never stored and entries
+    are kept sorted by variable key so that structurally equal terms
+    compare equal.
     """
 
-    coeffs: tuple  # tuple[(Var, Fraction), ...] sorted by Var.key()
-    const: Fraction
+    coeffs: tuple  # tuple[(Var, Number), ...] sorted by Var.key()
+    const: Number
 
     @staticmethod
-    def make(coeffs: Mapping[Var, Fraction], const=0) -> "LinTerm":
+    def make(coeffs: Mapping[Var, Number], const: Number = 0) -> "LinTerm":
         items = tuple(
             sorted(
-                ((v, _as_fraction(c)) for v, c in coeffs.items() if c != 0),
+                ((v, _num(c)) for v, c in coeffs.items() if c != 0),
                 key=lambda it: it[0].key(),
             )
         )
-        return LinTerm(items, _as_fraction(const))
+        return LinTerm(items, _num(const))
 
     @staticmethod
     def of_var(v: Var) -> "LinTerm":
-        return LinTerm(((v, Fraction(1)),), Fraction(0))
+        return LinTerm(((v, 1),), 0)
 
     @staticmethod
-    def of_const(c) -> "LinTerm":
-        return LinTerm((), _as_fraction(c))
+    def of_const(c: Number) -> "LinTerm":
+        return LinTerm((), _num(c))
 
-    def coeff(self, v: Var) -> Fraction:
+    def coeff(self, v: Var) -> Number:
         for w, c in self.coeffs:
             if w == v:
                 return c
-        return Fraction(0)
+        return 0
 
     @property
     def vars(self):
@@ -141,21 +166,21 @@ class LinTerm:
 
     def add(self, other: "LinTerm") -> "LinTerm":
         if not other.coeffs:  # constant shift: coefficients stay canonical
-            return LinTerm(self.coeffs, self.const + other.const)
+            return LinTerm(self.coeffs, _num(self.const + other.const))
         acc = {v: c for v, c in self.coeffs}
         for v, c in other.coeffs:
-            acc[v] = acc.get(v, Fraction(0)) + c
+            acc[v] = acc.get(v, 0) + c
         return LinTerm.make(acc, self.const + other.const)
 
     def sub(self, other: "LinTerm") -> "LinTerm":
         return self.add(other.scale(-1))
 
-    def scale(self, k) -> "LinTerm":
-        k = _as_fraction(k)
+    def scale(self, k: Number) -> "LinTerm":
+        k = _num(k)
         if k == 0:
-            return LinTerm.of_const(0)
+            return LinTerm((), 0)
         return LinTerm(
-            tuple((v, c * k) for v, c in self.coeffs), self.const * k
+            tuple((v, _num(c * k)) for v, c in self.coeffs), _num(self.const * k)
         )
 
     def subst(self, mapping: Mapping[Var, "LinTerm"]) -> "LinTerm":
@@ -182,8 +207,8 @@ class LinTerm:
         for v, c in self.coeffs:
             if v not in model:
                 raise UnassignedVar(repr(v))
-            total += c * _as_fraction(model[v])
-        return total
+            total += c * model[v]
+        return total if type(total) is Fraction else Fraction(total)
 
     def key(self):
         return (
@@ -364,8 +389,8 @@ def _canonical_div(lit: DivLit) -> Formula:
         return TRUE if lit.positive else FALSE
     sign = -1 if coeffs[0][1] < 0 else 1
     term = LinTerm(
-        tuple((v, Fraction(_sym_mod(sign * c // g, d))) for v, c in coeffs),
-        Fraction(sign * const // g % d),
+        tuple((v, _sym_mod(sign * c // g, d)) for v, c in coeffs),
+        sign * const // g % d,
     )
     return Lit(DivLit(d, term, lit.positive))
 
@@ -708,8 +733,8 @@ def normalize_for(x: Var, lit: Literal, mode: Sort):
         if abs(c) != 1:
             raise NotNormalized(f"coefficient {c} of {x!r} is not +-1")
         if lit.op == EQ:
-            return ("eq", rest.scale(Fraction(-1) / c))
-        shift = Fraction(1) if lit.op == LE else Fraction(0)
+            return ("eq", rest.scale(-c))  # 1/c = c when |c| = 1
+        shift = 1 if lit.op == LE else 0
         # c*x + rest (<|<=) 0 over integers, with |c| = 1
         if c > 0:
             # x < -rest (+1 if weak)
@@ -717,9 +742,9 @@ def normalize_for(x: Var, lit: Literal, mode: Sort):
         # rest (-1 if weak) < x
         return ("lo", rest.sub(LinTerm.of_const(shift)))
     # rational mode: divide by |c|
-    r = rest.scale(Fraction(1) / abs(c))
+    r = rest.scale(_div(1, abs(c)))
     if lit.op == EQ:
-        return ("eq", rest.scale(Fraction(-1) / c))
+        return ("eq", rest.scale(_div(-1, c)))
     if lit.op == LE:
         raise NotNormalized("weak bound on eliminated rational variable")
     if c > 0:
@@ -742,7 +767,8 @@ def lia_normalize(x: Var, f: Formula):
     for multiplier * x; the literal (multiplier | y) is conjoined.  The
     result is equisatisfiable and projects to an equivalent formula once
     y is eliminated.  A formula whose x-coefficients are already +-1 is
-    returned unchanged with multiplier 1.
+    returned unchanged with multiplier 1.  Raises NotNormalized when a
+    coefficient of x is not integral.
     """
     coeffs = set()
 
@@ -750,7 +776,8 @@ def lia_normalize(x: Var, f: Formula):
         if isinstance(g, Lit) and not isinstance(g.lit, BoolLit):
             c = g.lit.term.coeff(x)
             if c != 0:
-                assert c.denominator == 1, "integer mode requires integral coefficients"
+                if c.denominator != 1:
+                    raise NotNormalized(f"coefficient {c} of {x!r} in integer mode")
                 coeffs.add(abs(c.numerator))
         elif isinstance(g, (And, Or)):
             for a in g.args:
@@ -771,17 +798,15 @@ def lia_normalize(x: Var, f: Formula):
             c = lit.term.coeff(x)
             if c == 0:
                 return g
-            m = Fraction(mult) / abs(c)
+            m = mult // abs(c)  # an int: mult is a multiple of every |c|
             scaled = lit.term.scale(m)  # coefficient of x is now +-mult
             cx = scaled.coeff(x)
-            newterm = scaled.sub(LinTerm(((x, cx),), Fraction(0))).add(
-                yterm.scale(cx / mult)
+            newterm = scaled.sub(LinTerm(((x, cx),), 0)).add(
+                yterm.scale(_div(cx, mult))
             )
             if isinstance(lit, Cmp):
                 return mk_cmp(lit.op, newterm)
-            d = lit.divisor * m.numerator
-            assert m.denominator == 1
-            return mk_lit(DivLit(d, newterm, lit.positive))
+            return mk_lit(DivLit(lit.divisor * m, newterm, lit.positive))
         if isinstance(g, And):
             return f_and(rewrite(a) for a in g.args)
         if isinstance(g, Or):

@@ -30,7 +30,6 @@ recursion limit of 1000.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import PathExplosion, RplSyntaxError, ValidationError
@@ -50,11 +49,13 @@ from .formula import (
     LinTerm,
     Lit,
     Not,
+    Number,
     Or,
     Role,
     Sort,
     Top,
     Var,
+    _div,
     free_vars,
     has_calls,
     mk_cmp,
@@ -167,18 +168,17 @@ def _err(node, msg) -> RplSyntaxError:
 # -- numbers and terms -------------------------------------------------------
 
 
-def _parse_number(tok: _Tok) -> Optional[Fraction]:
+def _parse_number(tok: _Tok) -> Optional[Number]:
     s = tok.text
     neg = s.startswith("-")
     body = s[1:] if neg else s
     if "/" in body:
         p, _, q = body.partition("/")
         if p.isdigit() and q.isdigit() and int(q) != 0:
-            val = Fraction(int(p), int(q))
-            return -val if neg else val
+            return _div(-int(p) if neg else int(p), int(q))
         return None
     if body.isdigit():
-        return Fraction(-int(body) if neg else int(body))
+        return -int(body) if neg else int(body)
     return None
 
 
@@ -234,7 +234,7 @@ def _parse_term(node, scope: _Scope) -> LinTerm:
     raise _err(node, f"unknown term operator '{head}'")
 
 
-def _parse_const(node, scope) -> Fraction:
+def _parse_const(node, scope) -> Number:
     items = node[1]
     if len(items) != 3:
         raise _err(node, "'/' takes two integers")
@@ -244,7 +244,7 @@ def _parse_const(node, scope) -> Fraction:
         raise _err(node, "'/' takes two integers")
     if scope.mode is Sort.INT:
         raise _err(node, "rational constant in integer mode")
-    return p / q
+    return _div(p, q)
 
 
 # -- formulas ----------------------------------------------------------------
@@ -428,7 +428,7 @@ def _proc_header(pf):
 # -- printing ----------------------------------------------------------------
 
 
-def _num_str(c: Fraction) -> str:
+def _num_str(c: Number) -> str:
     if c.denominator == 1:
         return str(c.numerator)
     return f"{c.numerator}/{c.denominator}"

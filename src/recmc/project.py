@@ -209,7 +209,7 @@ def _value(term: LinTerm, model) -> Fraction:
     total = term.const
     for v, c in term.coeffs:
         total += c * model.get(v, 0)
-    return total
+    return Fraction(total)
 
 
 def cooper_cases(x: Var, g: Formula):
@@ -323,7 +323,7 @@ def project(
             g, mult, y = lia_normalize(x, cur)
             if strategy == "mbp":
                 if y is not x:
-                    work = {**work, y: Fraction(mult) * Fraction(work[x])}
+                    work = {**work, y: mult * Fraction(work[x])}
                 cur = lia_proj(y, g, work)
             else:
                 cur = cooper_qe(y, g)

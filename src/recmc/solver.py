@@ -28,11 +28,12 @@ exceeds its node budget does the solver report unknown.
 The budgets are the module constants below.  They are read at call
 time, so a test can lower them with monkeypatch.
 
-Everything is exact, with no floats.  Inside the simplex a number is a
-Python int when it is integral and a Fraction only when it is not, so
-the common small-integer tableau costs no gcd or allocation per
-operation; the simplex hands out Fractions (values, bound scales and
-certificate multipliers).
+Everything is exact, with no floats.  Numbers follow the rule of the
+whole arithmetic layer (see formula): tableau coefficients, values and
+bounds, like term coefficients, are Python ints when integral and
+Fractions only when not, so the common small-integer tableau costs no
+gcd or allocation per operation.  What the solver hands out is
+Fractions: model values, Cooper witnesses and certificate multipliers.
 """
 
 from __future__ import annotations
@@ -57,11 +58,14 @@ from .formula import (
     Lit,
     Literal,
     Not,
+    Number,
     Or,
     Role,
     Sort,
     Top,
     Var,
+    _div,
+    _num,
     eval_formula,
     f_and,
     free_vars,
@@ -178,26 +182,6 @@ class SatResult:
 
 
 # --------------------------------------------------------------------------
-# Simplex numbers: an int when integral, else a Fraction.
-# --------------------------------------------------------------------------
-
-
-def _num(x):
-    """x as an int when it is integral, else as it is (a Fraction)."""
-    return x.numerator if x.denominator == 1 else x
-
-
-def _div(a, b):
-    """The exact quotient a / b, as an int when it is integral.  Two ints
-    never meet /, which would make a float."""
-    a, b = _num(a), _num(b)
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return q if r == 0 else Fraction(a, b)
-    return _num(a / b)
-
-
-# --------------------------------------------------------------------------
 # Delta-rationals: pairs (q, d) standing for q + d*delta with delta an
 # infinitesimal positive.  Plain tuples; lexicographic comparison is the
 # right order.
@@ -227,7 +211,7 @@ def dr_scale(a, k):
 class _Bound:
     val: tuple  # delta-rational
     cid: int
-    inv_scale: Fraction  # constraint term = scale * (v - val) resp. (val - v)
+    scale: Number  # constraint term = scale * (v - val) resp. (val - v)
     negated: bool  # equality used in the lower-bound direction
 
 
@@ -262,15 +246,16 @@ class Simplex:
     and de Moura.
 
     Row coefficients, values and bound values are ints where integral
-    (_num) and every quotient is taken by _div; concrete_values, bound
-    scales and certificate multipliers are Fractions.
+    (_num) and every quotient is taken by _div; concrete_values and
+    certificate multipliers are Fractions.  A bound keeps its
+    constraint's scale, and only a conflict divides by it.
     """
 
     def __init__(self):
         self.var_ids: Dict[Var, int] = {}
         self.id_vars: List[Optional[Var]] = []
         self.slack_by_key: Dict[object, int] = {}
-        self.rows: Dict[int, Dict[int, object]] = {}  # coefficients: int | Fraction
+        self.rows: Dict[int, Dict[int, Number]] = {}
         self.cols: Dict[int, set] = {}
         self.values: Dict[int, tuple] = {}
         self.lo: Dict[int, _Bound] = {}
@@ -313,10 +298,11 @@ class Simplex:
             put(self.var_id(v), c)
         return row
 
-    def _slack_for(self, linear: LinTerm) -> Tuple[int, Fraction]:
-        """Slack variable for linear (normalized by |lead|); returns (id, |lead|)."""
-        lead = abs(linear.coeffs[0][1])
-        key = tuple((v, _div(c, lead)) for v, c in linear.coeffs)
+    def _slack_for(self, coeffs) -> Tuple[int, Number]:
+        """Slack variable for the linear form of (variable, coefficient)
+        pairs, normalized by |lead|; returns (id, |lead|)."""
+        lead = abs(coeffs[0][1])
+        key = tuple((v, _div(c, lead)) for v, c in coeffs)
         sid = self.slack_by_key.get(key)
         if sid is None:
             row = self._row_of_linear(key)
@@ -337,16 +323,16 @@ class Simplex:
         """Assert term op 0.  Returns a conflict (list of cert rows) or None."""
         cid = len(self.constraints)
         self.constraints.append(_Constraint(cid, term, op, source))
-        linear = LinTerm(term.coeffs, Fraction(0))
-        if linear.is_const():
+        coeffs = term.coeffs
+        if not coeffs:
             ok = (
                 term.const < 0
                 if op == LT
                 else (term.const <= 0 if op == LE else term.const == 0)
             )
             return None if ok else [(cid, Fraction(1), False)]
-        if len(linear.coeffs) == 1:
-            v, c = linear.coeffs[0]
+        if len(coeffs) == 1:
+            v, c = coeffs[0]
             vid = self.var_id(v)
             scale = abs(c)
             q = _div(-term.const, c)
@@ -360,7 +346,7 @@ class Simplex:
                 return self._assert(vid, "lo", bound, cid, scale, c > 0)
             kind = "hi" if c > 0 else "lo"
             return self._assert(vid, kind, bound, cid, scale, False)
-        sid, lead = self._slack_for(linear)
+        sid, lead = self._slack_for(coeffs)
         # term = lead * slack + const  (slack's definition has lead +-1 sign folded in)
         bound_q = _div(-term.const, lead)
         if op == EQ:
@@ -379,11 +365,13 @@ class Simplex:
         cur = own.get(vid)
         if cur is not None and not _beyond(kind, cur.val, val):
             return None
-        inv = Fraction(1) / scale
         opp = other.get(vid)
         if opp is not None and _beyond(kind, opp.val, val):
-            return [(cid, inv, negated), (opp.cid, opp.inv_scale, opp.negated)]
-        own[vid] = _Bound(val, cid, inv, negated)
+            return [
+                (cid, Fraction(1, scale), negated),
+                (opp.cid, Fraction(1, opp.scale), opp.negated),
+            ]
+        own[vid] = _Bound(val, cid, scale, negated)
         if vid not in self.rows and _beyond(kind, self.values[vid], val):
             self._update(vid, val)
         return None
@@ -489,10 +477,10 @@ class Simplex:
         """The violated bound of vid and, for each nonbasic variable of its
         row, the bound that stops it from moving toward repair."""
         b = self._side(kind)[vid]
-        cert = [(b.cid, b.inv_scale, b.negated)]
+        cert = [(b.cid, Fraction(1, b.scale), b.negated)]
         for j, a in self.rows[vid].items():
             bj = self._side(_toward(kind, a))[j]
-            cert.append((bj.cid, abs(a) * bj.inv_scale, bj.negated))
+            cert.append((bj.cid, Fraction(abs(a), bj.scale), bj.negated))
         return cert
 
     # -- models ------------------------------------------------------------
@@ -815,7 +803,7 @@ def _icsat(f: Formula, counter) -> Optional[dict]:
             if yval.denominator != 1 or yval % mult != 0:
                 raise SelfCheckFailed(f"Cooper witness {yval} for {x!r} is not a multiple of {mult}")
             m = dict(m)
-            m[x] = yval / mult
+            m[x] = _div(yval, mult)
             return m
     return None
 
@@ -833,7 +821,7 @@ def int_conjunction_sat(lits) -> Optional[dict]:
     out = {}
     for lit in lits:
         for v in (lit.term.vars if not isinstance(lit, BoolLit) else ()):
-            out[v] = model.get(v, Fraction(0))
+            out[v] = Fraction(model.get(v, 0))
     if not all(eval_formula(mk_lit(l), out) for l in lits):
         raise SelfCheckFailed(f"Cooper model {out!r} fails {lits!r}")
     return out

@@ -24,7 +24,7 @@ from recmc.project import project
 from recmc.solver import Model
 
 
-def mk_vars(names, sort, owner=None):
+def mk_vars(names, sort, owner=""):
     return [Var(n, sort, Role.AUX, owner) for n in names]
 
 

@@ -1,14 +1,18 @@
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mk_vars, random_model, random_nnf
+from helpers import mk_vars, random_conjunction, random_model, random_nnf
+import recmc
 from recmc import formula
-from recmc.errors import NegatedCall, PathExplosion, UnassignedVar
+from recmc.errors import NegatedCall, NotNormalized, PathExplosion, UnassignedVar
 from recmc.formula import (
     EQ,
     FALSE,
@@ -40,6 +44,8 @@ from recmc.formula import (
     normalize_for,
     to_nnf,
 )
+from recmc.project import cooper_cases
+from recmc.solver import int_conjunction_sat
 
 p, q = mk_vars(["p", "q"], Sort.BOOL)
 x, y, u, l = mk_vars(["x", "y", "u", "l"], Sort.RAT)
@@ -184,6 +190,12 @@ class TestLiaNormalize:
         assert Cmp(LT, txp.sub(self.tyi.scale(3))) in lits
         assert Cmp(LT, self.tzi.scale(2).sub(txp)) in lits
         assert DivLit(6, txp) in lits
+
+    def test_non_integral_coefficient_is_an_error(self):
+        # an error under python -O as well: a guard, not an assert
+        f = mk_cmp(LE, self.txi.scale(Fraction(1, 2)).add(self.tyi))
+        with pytest.raises(NotNormalized):
+            lia_normalize(self.xi, f)
 
     def test_free_formula_unchanged(self):
         f = mk_cmp(LT, self.tyi)
@@ -371,6 +383,19 @@ class TestNodeHash:
                 setattr(node, name, None)
             assert not hasattr(node, "__dict__"), type(node).__name__
 
+    def test_owner_less_var_hash_is_the_same_in_every_process(self):
+        # the hash fixes the iteration order of sets of variables
+        script = "from recmc.formula import Sort, Var; print(hash(Var('x', Sort.INT)))"
+        src = os.path.dirname(os.path.dirname(recmc.__file__))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0")
+        outs = {
+            subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            ).stdout
+            for _ in range(2)
+        }
+        assert len(outs) == 1
+
     def test_cache_outside_repr_and_eq(self):
         for make in (
             lambda: Var("v", Sort.INT),
@@ -441,3 +466,95 @@ class TestSubst:
         assert got == _subst_reference(t, mapping)
         assert all(d != 0 for _, d in got.coeffs)
         assert set(got.vars) <= set(rest.vars)
+
+
+def _number_ok(n) -> bool:
+    """An int where integral, a Fraction where not, never a float."""
+    return type(n) is int or (type(n) is Fraction and n.denominator != 1)
+
+
+def _assert_term_numbers(term):
+    numbers = [term.const] + [c for _, c in term.coeffs]
+    assert all(_number_ok(n) for n in numbers), repr(term)
+
+
+def _term_literals(f):
+    if isinstance(f, Lit):
+        return [] if isinstance(f.lit, BoolLit) else [f.lit]
+    return [l for a in f.args for l in _term_literals(a)] if isinstance(f, (And, Or)) else []
+
+
+def _assert_formula_numbers(f):
+    for l in _term_literals(f):
+        _assert_term_numbers(l.term)
+
+
+class TestNumberRule:
+    """Terms and everything built from them store an int where a number is
+    integral and a Fraction where it is not; evaluate, Cooper witnesses
+    and model values are Fractions."""
+
+    @given(_terms(), _terms(), _coeff, st.dictionaries(st.sampled_from(_pool), _terms(), max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_term_operations(self, t, u, k, mapping):
+        # _terms builds with make from Fraction inputs, integral ones too
+        for term in (t, t.add(u), t.sub(u), t.scale(k), t.scale(2), t.subst(mapping)):
+            _assert_term_numbers(term)
+        _assert_term_numbers(LinTerm.of_const(Fraction(4, 2)))
+        _assert_term_numbers(LinTerm.of_var(x))
+        assert all(_number_ok(t.coeff(v)) for v in _pool)  # an absent variable gives int 0
+        model = {v: Fraction(i) for i, v in enumerate(_pool)}
+        assert type(t.evaluate(model)) is Fraction
+        assert type(LinTerm.of_const(3).evaluate({})) is Fraction
+
+    @pytest.mark.parametrize("mode", [Sort.RAT, Sort.INT])
+    def test_normal_forms(self, mode):
+        xs = mk_vars(["x", "y", "z"], mode)
+        rng = random.Random(61)
+        divs = 0
+        for _ in range(150):
+            f = random_nnf(rng, xs, mode, rng.randint(1, 5))
+            _assert_formula_numbers(f)
+            for l in _term_literals(f):
+                # canonical divisibility on integral terms, kept as is on others
+                d = rng.randint(2, 6)
+                _assert_formula_numbers(mk_lit(DivLit(d, l.term.scale(rng.choice([1, 2, 3])))))
+                divs += isinstance(l, DivLit)
+            v = rng.choice(xs)
+            if mode is Sort.RAT:
+                for l in _term_literals(f):
+                    if l.op != LE or l.term.coeff(v) == 0:  # weak bounds are split first
+                        tag = normalize_for(v, l, mode)
+                        if tag[0] in ("eq", "lo", "hi"):
+                            _assert_term_numbers(tag[1])
+                continue
+            g, mult, w = lia_normalize(v, f)
+            assert type(mult) is int
+            _assert_formula_numbers(g)
+            for l in _term_literals(g):
+                tag = normalize_for(w, l, mode)
+                if tag[0] in ("eq", "lo", "hi", "div"):
+                    _assert_term_numbers(tag[2] if tag[0] == "div" else tag[1])
+        assert mode is Sort.RAT or divs > 10
+
+    def test_cooper_witnesses_and_models(self):
+        xs = mk_vars(["x", "y", "z"], Sort.INT)
+        rng = random.Random(67)
+        sat = 0
+        for _ in range(80):
+            f = random_conjunction(rng, xs, Sort.INT, rng.randint(1, 4))
+            lits = _term_literals(f)
+            if not lits:
+                continue
+            v = rng.choice(xs)
+            g, _, w = lia_normalize(v, f)
+            for case, witness in cooper_cases(w, g):
+                _assert_formula_numbers(case)
+                # the Cooper walk reads its own models with int values
+                for m in ({u: Fraction(rng.randint(-4, 4)) for u in xs}, {u: 1 for u in xs}, {}):
+                    assert type(witness(m)) is Fraction
+            model = int_conjunction_sat(lits)
+            if model is not None:
+                sat += 1
+                assert all(type(val) is Fraction for val in model.values())
+        assert sat > 10
