@@ -26,11 +26,12 @@ per field, over all bounds of the run:
     mbp_calls     single-variable MBP eliminations made by the engine's
                   reach and query rules; not calls to project.project,
                   and none under --proj qe
-    solver_calls  the engine's own check_sat calls; not those made by
-                  interpolation, the inductiveness check, counterexample
-                  replay or witness validation.  No such call sits in an
-                  assert statement, so the count is the same under
-                  python -O
+    solver_calls  satisfiability queries the engine's rules asked, whether
+                  solved or answered from the answers the check kept for
+                  formulas it asked before; not those of interpolation,
+                  the inductiveness check, counterexample replay or
+                  witness validation.  No such query sits in an assert
+                  statement, so the count is the same under python -O
     wall_ms       wall-clock milliseconds of the whole check, including
                   inductiveness, replay and validation
 

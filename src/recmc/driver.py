@@ -16,6 +16,12 @@ subproblem is solved once and its node shared, so a chain whose
 unfolded call tree is exponential replays in time linear in its
 distinct nodes.
 
+One check solves each distinct query once.  It owns an answer memo
+(formula -> SatResult, see engine.solve) that lives across bounds and is
+shared by the engine's rules, check_inductive and counterexample
+replay; each of them calls check_sat only for a formula the check has
+not asked before.  Validation and interpolation never read the memo.
+
 Both witnesses are validated before being returned - the proof against
 a fresh solver, the tree literally, node by node - so a verdict is
 never emitted on the engine's say-so alone.
@@ -27,7 +33,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from .engine import EngineConfig, bounded_safety, new_stats
+from .engine import EngineConfig, bounded_safety, new_stats, solve
 from .errors import ProvenanceGap, ResourceLimit, SelfCheckFailed, UnassignedVar
 from .formula import (
     EQ,
@@ -50,7 +56,7 @@ from .program import (
     over_env,
     under_env,
 )
-from .solver import check_sat, entails, total_model
+from .solver import entails, total_model
 
 
 @dataclass
@@ -108,8 +114,11 @@ def check(
     rho, sigma = AssertionMap(), AssertionMap()
     stats = new_stats()
     trace: list = []
+    memo: dict = {}
     start = time.monotonic()
-    verdict = _check_loop(program, phi_safe, max_bound, config, rho, sigma, stats, trace)
+    verdict = _check_loop(
+        program, phi_safe, max_bound, config, rho, sigma, stats, trace, memo
+    )
     stats["wall_ms"] = int((time.monotonic() - start) * 1000)
     verdict.stats = stats
     verdict.trace = trace
@@ -118,20 +127,20 @@ def check(
     return verdict
 
 
-def _check_loop(program, phi_safe, max_bound, config, rho, sigma, stats, trace):
+def _check_loop(program, phi_safe, max_bound, config, rho, sigma, stats, trace, memo):
     for n in range(max_bound + 1):
         res, reason, _ = bounded_safety(
-            program, phi_safe, n, rho, sigma, config, stats, trace
+            program, phi_safe, n, rho, sigma, config, stats, trace, memo
         )
         if res == "UNKNOWN":
             return Verdict("UNKNOWN", n, reason=reason)
         if res == "UNSAFE":
-            tree = build_cex(rho, program, phi_safe, n)
+            tree = build_cex(rho, program, phi_safe, n, memo)
             if not validate_cex(program, tree, phi_safe):
                 raise SelfCheckFailed("counterexample failed validation")
             return Verdict("UNSAFE", n, cex=tree)
         try:
-            inductive = check_inductive(program, sigma, n)
+            inductive = check_inductive(program, sigma, n, memo)
         except ResourceLimit as exc:
             return Verdict("UNKNOWN", n, reason=f"solver resource limit: {exc}")
         if inductive:
@@ -142,7 +151,9 @@ def _check_loop(program, phi_safe, max_bound, config, rho, sigma, stats, trace):
     return Verdict("UNKNOWN", max_bound, reason="bound exhausted")
 
 
-def check_inductive(program: Program, sigma: AssertionMap, n: int) -> bool:
+def check_inductive(
+    program: Program, sigma: AssertionMap, n: int, memo: Optional[dict] = None
+) -> bool:
     """Push summary facts upward; true when every level-n fact moves.
 
     Levels are swept bottom-up so that facts pushed from below are
@@ -153,7 +164,13 @@ def check_inductive(program: Program, sigma: AssertionMap, n: int) -> bool:
     A push at level b adds at b + 1 a formula already at level b, which
     leaves the level-b conjunction unchanged, so the environment is built
     once per level and each body instantiated once per level.
+
+    Each push is the query "body and not fact", asked through the
+    check's answer memo (a fresh one when memo is None): a push asked
+    at an earlier bound, or by the engine's sum rule, is not solved
+    again.  validate_proof re-solves the proof from scratch.
     """
+    memo = {} if memo is None else memo
     inductive = True
     for b in range(n + 1):
         env = over_env(sigma, b, program)
@@ -163,7 +180,10 @@ def check_inductive(program: Program, sigma: AssertionMap, n: int) -> bool:
                 continue
             body = instantiate(proc.body, env, program)
             for fact in facts:
-                if entails(body, fact.formula, program.mode):
+                res = solve(memo, f_and([body, negate_nnf(fact.formula)]), program.mode)
+                if res.is_unknown:
+                    raise ResourceLimit(res.reason)
+                if res.is_unsat:
                     sigma.add(name, b + 1, fact.formula)
                 elif b == n:
                     inductive = False
@@ -201,7 +221,8 @@ def _pin(values: Dict[Var, object]) -> Formula:
 
 
 def build_cex(
-    rho: AssertionMap, program: Program, phi_safe: Formula, n: int
+    rho: AssertionMap, program: Program, phi_safe: Formula, n: int,
+    memo: Optional[dict] = None,
 ) -> CounterexampleTree:
     """Replay reachability facts into a concrete execution tree.
 
@@ -212,17 +233,21 @@ def build_cex(
 
     A node depends only on its fact and pinned formals, so each distinct
     pair is solved once and its node shared by every call that needs it;
-    the under-approximating environment is built once per bound.
+    the under-approximating environment is built once per bound.  The
+    solves go through the check's answer memo (a fresh one when memo is
+    None), so the root query the engine just asked is not solved again;
+    validate_cex reads none of them.
     """
+    memo = {} if memo is None else memo
     main = program.proc(program.main)
     u_main = under_env(rho, n, program)[main.name]
-    res = check_sat(f_and([u_main, negate_nnf(phi_safe)]), program.mode)
+    res = solve(memo, f_and([u_main, negate_nnf(phi_safe)]), program.mode)
     if not res.is_sat:
         raise ProvenanceGap("unsafe verdict but no violating model")
     model = total_model(res.model, main.formals)
     fact = _fact_for(rho, main.name, n, model)
     pinned = {v: model[v] for v in main.formals}
-    root = _expand(rho, program, fact, pinned, {}, {})
+    root = _expand(rho, program, fact, pinned, {}, {}, memo)
     return CounterexampleTree(root, n)
 
 
@@ -234,10 +259,10 @@ def _fact_for(rho, name, bound, model):
     raise ProvenanceGap(f"no reachability fact of {name} matches the model")
 
 
-def _expand(rho, program, fact, pinned, nodes, envs) -> CexNode:
+def _expand(rho, program, fact, pinned, nodes, envs, memo) -> CexNode:
     """The node replaying fact with the formals pinned, memoised in nodes
     by (fact, pinned values in formals order); envs caches under_env by
-    bound."""
+    bound, and memo answers the solves."""
     key = (fact.fact_id, tuple(pinned.items()))
     if key in nodes:
         return nodes[key]
@@ -249,7 +274,7 @@ def _expand(rho, program, fact, pinned, nodes, envs) -> CexNode:
     if below not in envs:
         envs[below] = under_env(rho, below, program)
     matrix = instantiate(path, envs[below], program)
-    res = check_sat(f_and([matrix, _pin(pinned)]), program.mode)
+    res = solve(memo, f_and([matrix, _pin(pinned)]), program.mode)
     if not res.is_sat:
         raise ProvenanceGap(f"fact {fact.fact_id} does not replay")
     model = total_model(res.model, proc.all_vars)
@@ -261,7 +286,7 @@ def _expand(rho, program, fact, pinned, nodes, envs) -> CexNode:
         }
         child_fact = _fact_for(rho, call.callee, below, renamed_model)
         children.append(
-            _expand(rho, program, child_fact, renamed_model, nodes, envs)
+            _expand(rho, program, child_fact, renamed_model, nodes, envs, memo)
         )
     values = {v: model[v] for v in proc.all_vars}
     node = nodes[key] = CexNode(proc.name, fact.path_index, values, tuple(children))

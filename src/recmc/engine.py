@@ -30,7 +30,9 @@ set empties, always on a query of minimal bound (FIFO among ties):
 When the work set drains, the original query has been answered: unsafe
 if some reachability fact of main meets the negated property, safe
 otherwise.  Facts are never retracted; the maps persist across calls so
-an outer loop can deepen the bound incrementally.
+an outer loop can deepen the bound incrementally.  So does the answer
+memo: every query the rules ask is solved once per memo, and a formula
+asked again, in this run or a later one, is answered from it.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from .program import (
     under_env,
 )
 from .project import project
-from .solver import Model, check_sat, total_model
+from .solver import Model, SatResult, check_sat, total_model
 
 log = logging.getLogger("recmc")
 
@@ -109,6 +111,19 @@ def new_stats() -> Dict[str, int]:
     }
 
 
+def solve(memo: Dict[Formula, SatResult], f: Formula, mode: Sort) -> SatResult:
+    """check_sat(f, mode), answered from memo when f was asked before.
+
+    check_sat is a function of its formula and mode, so one memo may
+    serve every query about one program, across bounds.  A miss calls
+    this module's binding of check_sat, which tracing wrappers replace.
+    """
+    res = memo.get(f)
+    if res is None:
+        res = memo[f] = check_sat(f, mode)
+    return res
+
+
 class BndSafety:
     """One bounded run; rho and sigma are shared with the caller."""
 
@@ -122,6 +137,7 @@ class BndSafety:
         config: EngineConfig,
         stats: Optional[dict] = None,
         trace: Optional[list] = None,
+        memo: Optional[dict] = None,
     ):
         self.program = program
         self.phi_safe = phi_safe
@@ -131,6 +147,7 @@ class BndSafety:
         self.config = config
         self.stats = stats if stats is not None else new_stats()
         self.trace = trace if trace is not None else []
+        self.memo = memo if memo is not None else {}
         self.queue: List[BoundedQuery] = []
         self._next_qid = 0
         self._env_cache: Dict[tuple, Dict[str, Formula]] = {}
@@ -139,7 +156,7 @@ class BndSafety:
 
     def _sat(self, f: Formula):
         self.stats["solver_calls"] += 1
-        res = check_sat(f, self.program.mode)
+        res = solve(self.memo, f, self.program.mode)
         if res.is_unknown:
             raise ResourceLimit(res.reason)
         return res
@@ -268,7 +285,8 @@ class BndSafety:
         """Drop every queued query of q's procedure that answered accepts,
         asked in queue order; q itself must be among them."""
         removed = [q2 for q2 in self.queue if q2.proc == q.proc and answered(q2)]
-        assert any(q2.qid == q.qid for q2 in removed), f"{rule} did not answer its query"
+        if not any(q2.qid == q.qid for q2 in removed):
+            raise PreconditionFailed(f"{rule} did not answer its query")
         self.queue = [q2 for q2 in self.queue if q2 not in removed]
         self.stats[rule] += 1
         return TraceEvent(
@@ -320,9 +338,8 @@ class BndSafety:
             elim = [v for v in proc.all_vars if v not in keep]
             psi = self._project(elim, matrix, sat_model, proc)
             child_goal = self._rename_to_formals(psi, args, callee.formals)
-            assert not any(q2.bound == q.bound - 1 for q2 in self.queue), (
-                "new query would overlap an existing bound level"
-            )
+            if any(q2.bound == q.bound - 1 for q2 in self.queue):
+                raise PreconditionFailed("new query would overlap an existing bound level")
             child = self._new_query(call.callee, child_goal, q.bound - 1)
             self._push(child)
             self.stats["query"] += 1
@@ -398,9 +415,10 @@ def bounded_safety(
     config: Optional[EngineConfig] = None,
     stats: Optional[dict] = None,
     trace: Optional[list] = None,
+    memo: Optional[dict] = None,
 ) -> Tuple[str, str, BndSafety]:
     engine = BndSafety(
-        program, phi_safe, bound, rho, sigma, config or EngineConfig(), stats, trace
+        program, phi_safe, bound, rho, sigma, config or EngineConfig(), stats, trace, memo
     )
     verdict, reason = engine.run()
     return verdict, reason, engine

@@ -146,6 +146,18 @@ class TestCheckCommand:
         total = int(fields["sum"]) + int(fields["reach"]) + int(fields["query"])
         assert total == int(fields["steps"])
 
+    @pytest.mark.parametrize(
+        "name, solver_calls",
+        [("overview", 30), ("overview_bad", 24), ("gpdr_divergence", 28)],
+    )
+    def test_solver_calls_count_queries_asked(self, name, solver_calls, tmp_path, capsys):
+        # answers the check kept from earlier queries count as asked
+        path = tmp_path / f"{name}.rpl"
+        path.write_text(program_text(name))
+        run_cli(["check", str(path), "--stats"])
+        out = capsys.readouterr().out
+        assert f"\nsolver_calls {solver_calls}\n" in out[out.index(STATS_HEADER):]
+
     def test_stats_equal_under_optimize(self, overview_file):
         # a solver call inside an assert statement would be skipped under -O
         blocks = []

@@ -3,17 +3,20 @@ import random
 import pytest
 
 import recmc.driver
+import recmc.engine
 from recmc.driver import (
     CexNode,
     CounterexampleTree,
     SafetyProof,
+    _pin,
     build_cex,
     check,
     check_inductive,
     validate_cex,
     validate_proof,
 )
-from recmc.engine import EngineConfig
+from recmc.engine import EngineConfig, solve
+from recmc.errors import SelfCheckFailed
 from recmc.formula import (
     EQ,
     LE,
@@ -23,11 +26,12 @@ from recmc.formula import (
     Sort,
     f_and,
     mk_cmp,
+    negate_nnf,
 )
 from recmc.generators import gen_bebop, overview, overview_bad
 from recmc.parser import parse
-from recmc.program import AssertionMap
-from recmc.solver import check_sat, entails
+from recmc.program import AssertionMap, instantiate, over_env, under_env
+from recmc.solver import Model, SatResult, check_sat, entails
 
 
 def _var(program, proc, name):
@@ -158,7 +162,9 @@ class TestUnsafeChains:
             calls[0] += 1
             return check_sat(*args, **kwargs)
 
-        monkeypatch.setattr(recmc.driver, "check_sat", counting_check_sat)
+        # replay solves through the answer memo, whose misses call the
+        # engine module's binding of check_sat
+        monkeypatch.setattr(recmc.engine, "check_sat", counting_check_sat)
         tree = build_cex(verdict.rho, unit.program, unit.phi_safe, n)
         assert calls[0] <= 4 * (n + 1)
         assert tree.root is not verdict.cex.root and tree == verdict.cex
@@ -234,6 +240,82 @@ class TestCheckInductive:
         assert not check_inductive(program, sigma, 0)
         assert [f.formula for f in sigma.at("D", 1)] == [good]
         assert not sigma.at("T", 1)
+
+
+class TestAnswerMemo:
+    """One check solves each distinct query once; the witnesses are
+    validated without reading the answers it kept."""
+
+    @pytest.mark.parametrize(
+        "make, max_bound",
+        [(overview, 8), (lambda: gen_bebop(6, safe=False), 16)],
+        ids=["overview", "bebop-6-unsafe"],
+    )
+    def test_one_solve_per_distinct_query(self, make, max_bound, monkeypatch):
+        unit = make()
+        asked, solved = [], []
+
+        def asking(memo, f, mode):
+            asked.append(f)
+            return solve(memo, f, mode)
+
+        def solving(f, mode):
+            solved.append(f)
+            return check_sat(f, mode)
+
+        monkeypatch.setattr(recmc.engine, "solve", asking)
+        monkeypatch.setattr(recmc.driver, "solve", asking)
+        monkeypatch.setattr(recmc.engine, "check_sat", solving)
+        verdict = check(unit.program, unit.phi_safe, max_bound=max_bound)
+        assert verdict.status in ("SAFE", "UNSAFE")
+        assert len(solved) == len(set(asked)) < len(asked)
+
+    def test_lying_inductiveness_answer_fails_validation(self, monkeypatch):
+        """An "inductive" answer kept for a fact that is not: the proof
+        built on it is re-solved by validate_proof and rejected."""
+        unit = overview()
+        real = recmc.driver.check_inductive
+        lies = []
+
+        def lying(program, sigma, n, memo):
+            env = over_env(sigma, n, program)
+            for name, proc in program.procedures.items():
+                body = instantiate(proc.body, env, program)
+                for fact in sigma.at(name, n):
+                    query = f_and([body, negate_nnf(fact.formula)])
+                    if check_sat(query, program.mode).is_sat:
+                        memo[query] = SatResult("unsat")
+                        lies.append(query)
+            return real(program, sigma, n, memo)
+
+        monkeypatch.setattr(recmc.driver, "check_inductive", lying)
+        with pytest.raises(SelfCheckFailed, match="proof"):
+            check(unit.program, unit.phi_safe, max_bound=8)
+        assert lies
+
+    def test_lying_replay_answer_fails_validation(self, monkeypatch):
+        """A replay model kept for a leaf that breaks its path: the tree
+        built on it is read literally by validate_cex and rejected."""
+        unit = gen_bebop(3, safe=False)
+        real = recmc.driver._expand
+        lies = []
+
+        def lying(rho, program, fact, pinned, nodes, envs, memo):
+            proc = program.proc(fact.proc)
+            path = proc.paths[fact.path_index]
+            if not path.calls and not lies:
+                env = under_env(rho, fact.bound - 1, program)
+                query = f_and([instantiate(path, env, program), _pin(pinned)])
+                res = check_sat(query, program.mode)
+                out = proc.formals[-1]
+                memo[query] = SatResult("sat", Model({**res.model, out: not res.model[out]}))
+                lies.append(query)
+            return real(rho, program, fact, pinned, nodes, envs, memo)
+
+        monkeypatch.setattr(recmc.driver, "_expand", lying)
+        with pytest.raises(SelfCheckFailed, match="counterexample"):
+            check(unit.program, unit.phi_safe, max_bound=10)
+        assert lies
 
 
 class TestBounds:
