@@ -22,9 +22,15 @@ shared by the engine's rules, check_inductive and counterexample
 replay; each of them calls check_sat only for a formula the check has
 not asked before.  Validation and interpolation never read the memo.
 
-Both witnesses are validated before being returned - the proof against
-a fresh solver, the tree literally, node by node - so a verdict is
-never emitted on the engine's say-so alone.
+Both witnesses are validated before being returned, so a verdict is
+never emitted on the engine's say-so alone.  The proof is re-solved
+against a fresh solver.  The tree is read literally, by one walk that is
+the same in every mode: each distinct node must take a real body path,
+assign exactly its procedure's variables (integral ones in integer
+mode), satisfy the path's literals and pass its argument values to its
+children; the root's height must be within the bound and its values
+must violate the property.  The walk costs time linear in the distinct
+nodes of the tree.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from .engine import EngineConfig, bounded_safety, new_stats, solve
-from .errors import ProvenanceGap, ResourceLimit, SelfCheckFailed, UnassignedVar
+from .errors import ProvenanceGap, ResourceLimit, SelfCheckFailed
 from .formula import (
     EQ,
     BoolLit,
@@ -44,6 +50,7 @@ from .formula import (
     Sort,
     Var,
     eval_formula,
+    eval_literal,
     f_and,
     mk_cmp,
     negate_nnf,
@@ -51,7 +58,6 @@ from .formula import (
 from .program import (
     AssertionMap,
     Program,
-    bool_bounded_semantics,
     instantiate,
     over_env,
     under_env,
@@ -294,60 +300,57 @@ def _expand(rho, program, fact, pinned, nodes, envs, memo) -> CexNode:
 
 
 def validate_cex(program: Program, tree: CounterexampleTree, phi_safe: Formula) -> bool:
-    """Ground-truth check of an execution tree.
+    """Ground-truth check of an execution tree, the same for every mode.
 
-    Every node's path literals hold in its model; child formals agree
-    with the parent's argument values; leaves are call-free; the root
-    violates the property.  In boolean mode the root valuation is also
-    checked against the explicit bounded semantics.
-
-    A node shared by several calls is checked once: its result depends
-    only on the node and its subtree.  Argument agreement is checked on
-    every call edge.
+    One walk over the distinct nodes checks that each node's path index
+    names a body path, that its values assign exactly the procedure's
+    variables (integral ones in integer mode), that the path's literals
+    hold in them, and that every call edge goes to the callee with the
+    argument values as its formals.  The height of each subtree is
+    memoised by node, and the root's must be at most the bound.  A tree
+    that passes is a derivation of the root valuation within the bound,
+    so the root is in main's bounded semantics; it must also violate the
+    property.  A node shared by several calls is walked once, so the
+    cost is linear in the distinct nodes, not the unfolded tree.
     """
-    main = program.proc(program.main)
-    checked = set()
+    heights: Dict[int, int] = {}
 
-    def walk(node: CexNode) -> bool:
-        if id(node) in checked:
-            return True
+    def height(node: CexNode) -> int:
+        """Height of a valid subtree, -1 for an invalid one."""
+        if id(node) in heights:
+            return heights[id(node)]
         proc = program.proc(node.proc)
-        if node.path_index >= len(proc.paths):
-            return False
+        if not 0 <= node.path_index < len(proc.paths):
+            return -1
+        if node.values.keys() != set(proc.all_vars):
+            return -1
+        if program.mode is Sort.INT and any(
+            val.denominator != 1 for val in node.values.values()
+        ):
+            return -1
         path = proc.paths[node.path_index]
-        try:
-            for lit in path.literals:
-                if not eval_formula(Lit(lit), node.values):
-                    return False
-        except UnassignedVar:
-            return False
+        if not all(eval_literal(lit, node.values) for lit in path.literals):
+            return -1
         if len(node.children) != len(path.calls):
-            return False
+            return -1
+        below = -1
         for call, child in zip(path.calls, node.children):
             callee = program.proc(call.callee)
             if child.proc != call.callee:
-                return False
+                return -1
             for formal, arg in zip(callee.formals, call.args):
-                if child.values.get(formal) != node.values.get(arg):
-                    return False
-            if not walk(child):
-                return False
-        checked.add(id(node))
-        return True
+                if child.values.get(formal) != node.values[arg]:
+                    return -1
+            h = height(child)
+            if h < 0:
+                return -1
+            below = max(below, h)
+        heights[id(node)] = below + 1
+        return below + 1
 
     root = tree.root
-    if root.proc != main.name:
+    if root.proc != program.main:
         return False
-    if not walk(root):
+    if not 0 <= height(root) <= tree.bound:
         return False
-    try:
-        if eval_formula(phi_safe, root.values):
-            return False  # must violate the property
-    except UnassignedVar:
-        return False
-    if program.mode is Sort.BOOL:
-        reachable = bool_bounded_semantics(program, main.name, tree.bound)
-        valuation = tuple(bool(root.values[v]) for v in main.formals)
-        if valuation not in reachable:
-            return False
-    return True
+    return not eval_formula(phi_safe, root.values)  # must violate the property

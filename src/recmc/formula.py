@@ -29,12 +29,11 @@ and dicts of nodes iterate in the same order as without the cache.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import (
     NegatedCall,
@@ -752,22 +751,16 @@ def normalize_for(x: Var, lit: Literal, mode: Sort):
     return ("lo", r)
 
 
-_aux_counter = itertools.count()
-
-
-def fresh_var(base: Var, suffix: str, sort: Optional[Sort] = None) -> Var:
-    n = next(_aux_counter)
-    return Var(f"{base.name}#{suffix}{n}", sort or base.sort, Role.AUX, base.owner)
-
-
 def lia_normalize(x: Var, f: Formula):
     """Rescale an integer formula so x occurs only with coefficient +-1.
 
-    Returns (formula, multiplier, y) where y is a fresh variable standing
-    for multiplier * x; the literal (multiplier | y) is conjoined.  The
-    result is equisatisfiable and projects to an equivalent formula once
-    y is eliminated.  A formula whose x-coefficients are already +-1 is
-    returned unchanged with multiplier 1.  Raises NotNormalized when a
+    Returns (formula, multiplier, y) where y stands for multiplier * x;
+    the literal (multiplier | y) is conjoined.  The result is
+    equisatisfiable and projects to an equivalent formula once y is
+    eliminated.  Every caller eliminates y before it returns, so y can
+    take a fixed name after x, an AUX one that no parsed variable has,
+    and equal calls give equal results.  A formula whose x-coefficients
+    are already +-1 is returned unchanged with multiplier 1.  Raises NotNormalized when a
     coefficient of x is not integral.
     """
     coeffs = set()
@@ -787,7 +780,7 @@ def lia_normalize(x: Var, f: Formula):
     if not coeffs or coeffs == {1}:
         return f, 1, x
     mult = lcm(*coeffs)
-    y = fresh_var(x, "s")
+    y = Var(f"{x.name}#s", x.sort, Role.AUX, x.owner)
     yterm = LinTerm.of_var(y)
 
     def rewrite(g):

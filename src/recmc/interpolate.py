@@ -22,8 +22,10 @@ and psi ∧ b unsatisfiable.  The mode alone picks the method:
   a-local variables.
 
 The contract (a => psi, psi ∧ b unsat, vars ⊆ shared) is re-checked
-with the solver on every call and a violation raises InterpolationError;
-it is a bug guard, not an input error.
+with the solver on every call.  When it holds, a ∧ b is unsat, so that
+query is solved only when the contract fails, to tell the two errors
+apart: a satisfiable a ∧ b raises NotUnsat, an input error; otherwise
+the violation raises InterpolationError, a bug guard.
 """
 
 from __future__ import annotations
@@ -62,23 +64,23 @@ from .solver import (
 
 def itp(a: Formula, b: Formula, shared: FrozenSet[Var], mode: Sort) -> Formula:
     assert not has_calls(a) and not has_calls(b)
-    pre = check_sat(f_and([a, b]), mode)
-    if pre.is_sat:
-        raise NotUnsat("interpolation query is satisfiable")
-
     if mode is Sort.BOOL:
         psi = _strongest(a, shared)
     else:
         psi = _farkas_itp(a, b, shared, mode)
 
-    # contract, always on
+    # contract, always on; when it holds, a ∧ b is unsat
     if not free_vars(psi) <= shared:
         raise InterpolationError(f"interpolant leaks variables: {psi!r}")
     if not entails(a, psi, mode):
-        raise InterpolationError(f"a does not imply interpolant: {psi!r}")
-    if not check_sat(f_and([psi, b]), mode).is_unsat:
-        raise InterpolationError(f"interpolant consistent with b: {psi!r}")
-    return psi
+        problem = "a does not imply interpolant"
+    elif not check_sat(f_and([psi, b]), mode).is_unsat:
+        problem = "interpolant consistent with b"
+    else:
+        return psi
+    if check_sat(f_and([a, b]), mode).is_sat:
+        raise NotUnsat("interpolation query is satisfiable")
+    raise InterpolationError(f"{problem}: {psi!r}")
 
 
 def _strongest(a: Formula, shared: FrozenSet[Var]) -> Formula:

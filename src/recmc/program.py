@@ -254,7 +254,8 @@ def instantiate_path_mixed(
 
 
 # --------------------------------------------------------------------------
-# Explicit bounded semantics for boolean programs (testing oracle).
+# Explicit bounded semantics for boolean programs, by enumerating every
+# valuation: the oracle of the tests and the benchmark.  check never uses it.
 # --------------------------------------------------------------------------
 
 ENUM_GUARD_BITS = 16

@@ -165,7 +165,6 @@ class ClausalCore:
 class SatResult:
     status: str  # "sat" | "unsat" | "unknown"
     model: Optional[Model] = None
-    certs: tuple = ()  # one FarkasCert/ClausalCore per explored theory conflict
     reason: str = ""
 
     @property
@@ -1151,7 +1150,7 @@ class _CDCL:
 
 
 def check_sat(f: Formula, mode: Sort) -> SatResult:
-    """Decide a call-free NNF formula; produce a model or certificates."""
+    """Decide a call-free NNF formula; produce a model when it is sat."""
     assert not isinstance(f, Not), "input must be in NNF"
     if isinstance(f, Top):
         return SatResult("sat", Model({}))
@@ -1161,7 +1160,6 @@ def check_sat(f: Formula, mode: Sort) -> SatResult:
     skel = _Skeleton()
     skel.build(f)
     nvars = skel.finalize()
-    certs: List[object] = []
     theory_checks = [0]
 
     def on_full(assign: Dict[int, bool]):
@@ -1185,7 +1183,6 @@ def check_sat(f: Formula, mode: Sort) -> SatResult:
         if status == "unknown":
             on_full.unknown = payload
             return "budget"
-        certs.append(payload)
         # blocking clause: negate the conjunction that was refuted
         clause = []
         for lit, val in payload.literals:
@@ -1197,10 +1194,10 @@ def check_sat(f: Formula, mode: Sort) -> SatResult:
     on_full.unknown = None
     status, payload = _CDCL(nvars, skel.clauses).search(on_full)
     if status == "unsat":
-        return SatResult("unsat", certs=tuple(certs))
+        return SatResult("unsat")
     if status == "unknown":
         reason = on_full.unknown or "decision budget exhausted"
-        return SatResult("unknown", certs=tuple(certs), reason=str(reason))
+        return SatResult("unknown", reason=str(reason))
     arith_vals, bool_vals = on_full.result
     values: Dict[Var, object] = {}
     for v in free_vars(f):
@@ -1214,7 +1211,7 @@ def check_sat(f: Formula, mode: Sort) -> SatResult:
     # a solver bug becomes a loud failure, not a wrong answer
     if not eval_formula(f, model):
         raise SelfCheckFailed(f"model check failed for {f!r} -> {model!r}")
-    return SatResult("sat", model, certs=tuple(certs))
+    return SatResult("sat", model)
 
 
 def refute_conjunction(literals: Sequence[Tuple[Literal, bool]], mode: Sort):

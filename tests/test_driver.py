@@ -1,9 +1,12 @@
+import os
 import random
+from fractions import Fraction
 
 import pytest
 
 import recmc.driver
 import recmc.engine
+from recmc.cli import run_cli
 from recmc.driver import (
     CexNode,
     CounterexampleTree,
@@ -316,6 +319,83 @@ class TestAnswerMemo:
         with pytest.raises(SelfCheckFailed, match="counterexample"):
             check(unit.program, unit.phi_safe, max_bound=10)
         assert lies
+
+
+WIDE_UNSAFE = os.path.join(os.path.dirname(__file__), "data", "wide_unsafe.rpl")
+
+
+def _with_values(node, values):
+    return CexNode(node.proc, node.path_index, values, node.children)
+
+
+@pytest.fixture(scope="module")
+def wide_run():
+    with open(WIDE_UNSAFE) as fh:
+        unit = parse(fh.read())
+    return unit, check(unit.program, unit.phi_safe, max_bound=16)
+
+
+class TestValidationWalk:
+    """validate_cex reads the tree alone, in every mode: path indices,
+    assigned variables, integrality, and the height against the bound."""
+
+    def test_wide_boolean_chain_is_unsafe(self, wide_run, capsys):
+        # 24 variables per procedure: 2^24 valuations each, one node each
+        assert run_cli(["check", WIDE_UNSAFE, "--max-bound", "16"]) == 1
+        assert capsys.readouterr().out.splitlines()[0] == "UNSAFE"
+        unit, verdict = wide_run
+        assert verdict.status == "UNSAFE"
+        assert validate_cex(unit.program, verdict.cex, unit.phi_safe)
+
+    def test_values_assign_exactly_the_variables(self, wide_run):
+        unit, verdict = wide_run
+        root = verdict.cex.root
+        child = root.children[0]
+        pad = _var(unit.program, child.proc, "u1")
+        fewer = {v: val for v, val in child.values.items() if v != pad}
+        more = {**child.values, _var(unit.program, "M", "x0"): False}
+        for values in (fewer, more):
+            bad = _replace_at(root, (0,), _with_values(child, values))
+            tree = CounterexampleTree(bad, verdict.cex.bound)
+            assert not validate_cex(unit.program, tree, unit.phi_safe)
+
+    def test_bound_below_height_rejected(self, bad_run):
+        unit, verdict = bad_run
+        assert verdict.cex.bound == 1
+        tree = CounterexampleTree(verdict.cex.root, 0)
+        assert not validate_cex(unit.program, tree, unit.phi_safe)
+
+    def test_chain_with_lowered_bound_rejected(self):
+        unit = gen_bebop(3, safe=False)
+        verdict = check(unit.program, unit.phi_safe, max_bound=10)
+        assert validate_cex(unit.program, verdict.cex, unit.phi_safe)
+        tree = CounterexampleTree(verdict.cex.root, verdict.cex.bound - 1)
+        assert not validate_cex(unit.program, tree, unit.phi_safe)
+
+    def test_negative_path_index_rejected(self, bad_run):
+        unit, verdict = bad_run
+        root = verdict.cex.root
+        bad = CexNode(root.proc, -1, root.values, root.children)
+        tree = CounterexampleTree(bad, verdict.cex.bound)
+        assert not validate_cex(unit.program, tree, unit.phi_safe)
+
+    def test_fractional_integer_values_rejected(self):
+        unit = parse(
+            """
+            (program (mode int)
+              (procedure P (in i) (out o) (body (= o (+ i 1))))
+              (main P)
+              (assert-safe (<= o i)))
+            """
+        )
+        verdict = check(unit.program, unit.phi_safe, max_bound=2)
+        assert verdict.status == "UNSAFE"
+        assert validate_cex(unit.program, verdict.cex, unit.phi_safe)
+        i, o = _var(unit.program, "P", "i"), _var(unit.program, "P", "o")
+        # o = i + 1 holds and o <= i fails, but not over the integers
+        root = _with_values(verdict.cex.root, {i: Fraction(1, 2), o: Fraction(3, 2)})
+        tree = CounterexampleTree(root, verdict.cex.bound)
+        assert not validate_cex(unit.program, tree, unit.phi_safe)
 
 
 class TestBounds:

@@ -191,6 +191,14 @@ class TestLiaNormalize:
         assert Cmp(LT, self.tzi.scale(2).sub(txp)) in lits
         assert DivLit(6, txp) in lits
 
+    def test_repeated_calls_are_equal(self):
+        # the rescaled variable is named after x, not drawn from a counter,
+        # so the result does not depend on what ran before
+        f = mk_cmp(LT, self.txi.scale(2).sub(self.tyi))
+        first, again = lia_normalize(self.xi, f), lia_normalize(self.xi, f)
+        assert first == again and first[2] != self.xi
+        assert first[2].role is Role.AUX
+
     def test_non_integral_coefficient_is_an_error(self):
         # an error under python -O as well: a guard, not an assert
         f = mk_cmp(LE, self.txi.scale(Fraction(1, 2)).add(self.tyi))

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import mk_vars, random_nnf, qe_all
-from recmc.errors import NotUnsat
+from recmc import interpolate
+from recmc.errors import InterpolationError, NotUnsat
 from recmc.formula import (
     EQ,
     FALSE,
@@ -70,6 +71,24 @@ class TestExamples:
     def test_not_unsat_rejected(self):
         with pytest.raises(NotUnsat):
             itp(TRUE, TRUE, frozenset(), Sort.RAT)
+
+    @pytest.mark.parametrize(
+        "psi, problem",
+        [(FALSE, "does not imply"), (TRUE, "consistent with b")],
+        ids=["a-not-implied", "b-consistent"],
+    )
+    @pytest.mark.parametrize("mode", [Sort.BOOL, Sort.RAT])
+    def test_broken_contract_raises(self, monkeypatch, mode, psi, problem):
+        # a ∧ b is unsat, so a corrupted interpolant is the checker's own
+        # bug, not a satisfiable query
+        if mode is Sort.BOOL:
+            a, b, shared = Lit(BoolLit(p)), Lit(BoolLit(p, False)), frozenset([p])
+            monkeypatch.setattr(interpolate, "_strongest", lambda *args: psi)
+        else:
+            a, b, shared = mk_cmp(LT, tx), mk_cmp(LT, tx.scale(-1)), frozenset([x])
+            monkeypatch.setattr(interpolate, "_farkas_itp", lambda *args: psi)
+        with pytest.raises(InterpolationError, match=problem):
+            itp(a, b, shared, mode)
 
     def test_idempotent_on_shared_only(self):
         a = f_and([mk_cmp(LT, tx.sub(LinTerm.of_const(2))), mk_cmp(LT, LinTerm.of_const(0).sub(tx))])

@@ -48,13 +48,22 @@ txi, tyi = LinTerm.of_var(xi), LinTerm.of_var(yi)
 p, q, r = mk_vars(["p", "q", "r"], Sort.BOOL)
 
 
+def conjuncts(f):
+    """The literals of a conjunction, each asserted true; None when f
+    folded to a constant."""
+    if isinstance(f, Lit):
+        return [(f.lit, True)]
+    if isinstance(f, And):
+        return [(a.lit, True) for a in f.args]
+    return None
+
+
 class TestBasics:
     def test_rational_conflict_with_farkas(self):
         f = f_and([mk_cmp(LT, tx), mk_cmp(LT, LinTerm.of_const(1).sub(tx))])
-        res = check_sat(f, Sort.RAT)
-        assert res.is_unsat
-        cert = res.certs[0]
-        assert isinstance(cert, FarkasCert)
+        assert check_sat(f, Sort.RAT).is_unsat
+        status, cert = refute_conjunction(conjuncts(f), Sort.RAT)
+        assert status == "unsat" and isinstance(cert, FarkasCert)
         assert sorted(mu for _, mu, _ in cert.entries) == [1, 1]
         assert cert.replay()
 
@@ -115,9 +124,10 @@ class TestIntegerPreChecks:
 
     def test_gcd_refutes_equality(self, no_search):
         eq = mk_cmp(EQ, txi.scale(2).add(tyi.scale(2)).add(LinTerm.of_const(3)))
-        res = check_sat(eq, Sort.INT)
-        assert res.is_unsat
-        assert res.certs == (ClausalCore(((eq.lit, True),)),)
+        assert check_sat(eq, Sort.INT).is_unsat
+        assert refute_conjunction(conjuncts(eq), Sort.INT) == (
+            "unsat", ClausalCore(((eq.lit, True),))
+        )
 
     def test_residues_refute_negated_divisibility(self, no_search):
         f = f_and(
@@ -126,9 +136,9 @@ class TestIntegerPreChecks:
                 mk_lit(DivLit(2, self.tzi.add(LinTerm.of_const(1)), False)),
             ]
         )
-        res = check_sat(f, Sort.INT)
-        assert res.is_unsat
-        (core,) = res.certs
+        assert check_sat(f, Sort.INT).is_unsat
+        status, core = refute_conjunction(conjuncts(f), Sort.INT)
+        assert status == "unsat"
         assert isinstance(core, ClausalCore) and len(core.literals) == 2
 
     def test_residues_over_mixed_divisors(self, monkeypatch):
@@ -164,9 +174,9 @@ class TestIntegerPreChecks:
         bound = mk_cmp(LE, txi.sub(LinTerm.of_const(5)))
         f = f_and([mk_lit(div4), mk_lit(DivLit(2, z_odd.term, False)), bound])
         monkeypatch.setattr(solver, "BB_NODE_BUDGET", 0)
-        res = check_sat(f, Sort.INT)
-        assert res.is_unsat
-        (core,) = res.certs
+        assert check_sat(f, Sort.INT).is_unsat
+        status, core = refute_conjunction(conjuncts(f), Sort.INT)
+        assert status == "unsat"
         assert set(core.literals) == {(div4, True), (z_odd, False)}
 
 
@@ -255,11 +265,13 @@ class TestCertificates:
         replayed = 0
         for _ in range(300):
             f = random_conjunction(rng, [x, y, z], Sort.RAT, rng.randint(2, 5))
-            res = check_sat(f, Sort.RAT)
-            for cert in res.certs:
-                if isinstance(cert, FarkasCert):
-                    assert cert.replay()
-                    replayed += 1
+            lits = conjuncts(f)
+            if lits is None:
+                continue
+            status, cert = refute_conjunction(lits, Sort.RAT)
+            if status == "unsat" and isinstance(cert, FarkasCert):
+                assert cert.replay()
+                replayed += 1
         assert replayed > 30
 
     def test_clausal_cores_refute(self):
@@ -267,12 +279,14 @@ class TestCertificates:
         checked = 0
         for _ in range(200):
             f = random_conjunction(rng, [xi, yi], Sort.INT, rng.randint(2, 5))
-            res = check_sat(f, Sort.INT)
-            for cert in res.certs:
-                if isinstance(cert, ClausalCore) and cert.literals:
-                    lits = [Lit(literal_of(atom, val)) for atom, val in cert.literals]
-                    assert check_sat(f_and(lits), Sort.INT).is_unsat
-                    checked += 1
+            lits = conjuncts(f)
+            if lits is None:
+                continue
+            status, cert = refute_conjunction(lits, Sort.INT)
+            if status == "unsat" and isinstance(cert, ClausalCore) and cert.literals:
+                core = [Lit(literal_of(atom, val)) for atom, val in cert.literals]
+                assert check_sat(f_and(core), Sort.INT).is_unsat
+                checked += 1
         assert checked > 10
 
     @pytest.mark.parametrize("mode, vars_", [(Sort.RAT, [x, y, z]), (Sort.INT, [xi, yi])])
@@ -282,10 +296,10 @@ class TestCertificates:
         statuses = set()
         for _ in range(200):
             f = random_conjunction(rng, vars_, mode, rng.randint(1, 5))
-            if not isinstance(f, (And, Lit)):
-                continue  # folded to a constant
-            lits = [a.lit for a in f.args] if isinstance(f, And) else [f.lit]
-            status, payload = refute_conjunction([(l, True) for l in lits], mode)
+            lits = conjuncts(f)
+            if lits is None:
+                continue
+            status, payload = refute_conjunction(lits, mode)
             res = check_sat(f, mode)
             assert status == res.status, f
             statuses.add(status)
@@ -295,11 +309,11 @@ class TestCertificates:
                     assert eval_formula(f, model)
                     if mode is Sort.INT:
                         assert all(val.denominator == 1 for val in model.values())
-            for cert in ((payload,) if status == "unsat" else ()) + res.certs:
-                if isinstance(cert, FarkasCert):
-                    assert cert.replay()
+            if status == "unsat":
+                if isinstance(payload, FarkasCert):
+                    assert payload.replay()
                 else:
-                    core = f_and([Lit(literal_of(atom, val)) for atom, val in cert.literals])
+                    core = f_and([Lit(literal_of(atom, val)) for atom, val in payload.literals])
                     assert check_sat(core, mode).is_unsat
         assert statuses == {"sat", "unsat"}
 
