@@ -8,22 +8,32 @@ conflicts come back as blocking clauses.  A rational conflict carries
 its Farkas multipliers; interpolation gets them by refuting the
 conjunction of a path pair directly with refute_conjunction.
 
-Integer mode solves the rational relaxation and branches on fractional
-variables.  Divisibility literals are compiled to fresh-variable
-equalities (d | t becomes t = d*k).  Two kinds of conflict that
-branch-and-bound cannot refute on an unbounded relaxation are caught
-before it runs: the GCD test rejects an equality, as it is asserted,
-whose coefficient gcd does not divide its constant; the residue check
-rejects divisibility literals on one linear form that no residue
-modulo the lcm of their divisors satisfies.  Branch-and-bound alone is
-not a decision procedure for integer arithmetic, so when the branch budget
-runs out we fall back to a complete decision of the offending
-conjunction, after first deciding its divisibility literals alone: a
-depth-first walk over the Cooper disjuncts that project.cooper_cases
-yields for one variable at a time, the same enumeration that exact
-elimination takes whole.  The first satisfiable disjunct gives the
-model, through the witness that comes with it.  Only if the walk
-exceeds its node budget does the solver report unknown.
+Integer mode first solves the rational relaxation, which holds the
+comparison literals only: a divisibility literal constrains nothing over
+the rationals.  A relaxation conflict keeps its Farkas certificate.  The
+integer phase then runs in order: the residue check, which rejects
+divisibility literals on one linear form that no residue modulo the lcm
+of their divisors satisfies; the root test, which takes the relaxation's
+values when they are integral and satisfy every literal; and an exact
+presolve over the integers.  The presolve writes t < 0 as t + 1 <= 0,
+d | t as t = d*k and not d | t as t = d*k + r with 1 <= r <= d - 1,
+eliminates every equality as the Omega test does (Pugh, CACM 1992: the
+GCD test, substitution of a unit-coefficient variable, the mod-hat step
+otherwise), turns opposite inequalities into equalities, and divides
+each inequality by its coefficients' gcd, rounding its constant up.
+Branch-and-bound runs on the inequalities that remain, in a fresh
+simplex, and back-substitution gives the model.  Each row carries the
+literals it came from, so a conflict anywhere is a core of literals.
+Branch-and-bound alone is not a decision procedure for integer
+arithmetic, so when its node budget runs out the backstop is a complete
+decision of the conjunction: a depth-first walk over the Cooper
+disjuncts that project.cooper_cases yields for one variable at a time,
+the same enumeration that exact elimination takes whole.  The first
+satisfiable disjunct gives the model, through the witness that comes
+with it.  Only if the walk exceeds its node budget does the solver
+report unknown.  An integer core is shrunk by deleting literals one at
+a time; each trial is decided by the steps above up to a bounded
+branch-and-bound, and a literal goes only when the rest is refuted.
 
 The budgets are the module constants below.  They are read at call
 time, so a test can lower them with monkeypatch.
@@ -43,7 +53,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import ResourceLimit, SelfCheckFailed, WrongMode
+from .errors import PreconditionFailed, ResourceLimit, SelfCheckFailed, WrongMode
 from .formula import (
     EQ,
     LE,
@@ -60,13 +70,13 @@ from .formula import (
     Not,
     Number,
     Or,
-    Role,
     Sort,
     Top,
     Var,
     _div,
     _num,
     eval_formula,
+    eval_literal,
     f_and,
     free_vars,
     lia_normalize,
@@ -81,11 +91,12 @@ MAX_DECISIONS = 500_000
 # Full assignments theory-checked in one check_sat search; past it the
 # result is unknown.
 MAX_THEORY_CHECKS = 100_000
-# Branch-and-bound nodes of one integer theory check.  Exhausting it is
-# not unknown by itself: the check falls back to the Cooper decision.
+# Branch-and-bound nodes of one integer theory check, and of each trial
+# of core minimization.  Exhausting it is not unknown by itself: the check
+# falls back to the Cooper decision, and the trial keeps its literal.
 BB_NODE_BUDGET = 40
-# Cooper nodes of one complete integer decision.  Exhausting it in the
-# fallback gives unknown; in core minimization it keeps the literal.
+# Cooper nodes of one complete integer decision; exhausting it gives
+# unknown.
 COOPER_NODE_BUDGET = 30_000
 
 
@@ -221,7 +232,9 @@ class _Constraint:
         self.cid = cid
         self.term = term  # LinTerm, meaning term op 0
         self.op = op
-        self.source = source  # ("lit", literal, value) or ("branch",)
+        # the asserted literal; in branch-and-bound after the presolve, the
+        # mask of the literals the row follows from (0 for a branch)
+        self.source = source
 
 
 def _beyond(kind, a, b) -> bool:
@@ -508,12 +521,6 @@ class Simplex:
 # --------------------------------------------------------------------------
 
 
-def _div_aux(lit: DivLit, idx: int) -> Tuple[Var, Var]:
-    k = Var(f"div#{idx}k", Sort.INT, Role.AUX)
-    r = Var(f"div#{idx}r", Sort.INT, Role.AUX)
-    return k, r
-
-
 def _gcd_feasible(term: LinTerm) -> bool:
     """False when term = 0 has no integer solution: the gcd of the
     coefficients does not divide the constant."""
@@ -556,187 +563,357 @@ class _TheoryCheck:
     def __init__(self, mode: Sort):
         self.mode = mode
         self.simplex = Simplex()
-        self.n_div = 0
 
     def decide(self, asserted) -> Tuple[str, object]:
-        """Assert canonical (atom, value) pairs in order, then decide their
-        conjunction.  Returns ("sat", values), ("unsat", cert) for the
-        first conflict, or ("unknown", reason)."""
-        for atom, value in asserted:
-            conflict = self._assert_literal(atom, value)
-            if conflict is not None:
-                return "unsat", conflict
-        rows = self.simplex.check()
-        if rows is not None:
-            return "unsat", self._cert_from(rows)
+        """Decide the conjunction of canonical (atom, value) pairs.
+        Returns ("sat", values), ("unsat", cert) or ("unknown", reason)."""
+        cert = self._relax(asserted)
+        if cert is not None:
+            return "unsat", cert
         if self.mode is not Sort.INT:
             return "sat", self.simplex.concrete_values()
-        return self._solve_int(asserted)
+        status, payload = self._solve_int(asserted)
+        if status == "unsat":
+            return status, _minimize_core(payload)
+        if status == "budget":
+            return self._cooper_fallback(asserted)
+        return status, payload
 
-    def _add(self, term: LinTerm, op: str, source):
-        """Assert term op 0; a certificate on conflict, else None."""
-        if self.mode is Sort.INT and op == LT:
-            # t < 0 over the integers is t <= -1
-            term = term.add(LinTerm.of_const(1))
-            op = LE
-        if self.mode is Sort.INT and op == EQ and not _gcd_feasible(term):
-            # no integer lies on the hyperplane, which branch-and-bound
-            # cannot show when the hyperplane is unbounded
-            return ClausalCore(((source[1], source[2]),))
-        rows = self.simplex.add_constraint(term, op, source)
-        return None if rows is None else self._cert_from(rows)
-
-    def _assert_literal(self, lit: Literal, value: bool):
-        if isinstance(lit, Cmp):
+    def _relax(self, asserted):
+        """Assert the comparison literals in order and check their
+        relaxation over the rationals; the certificate of the first
+        conflict, or None."""
+        for lit, value in asserted:
+            if isinstance(lit, DivLit):
+                if self.mode is not Sort.INT:
+                    raise WrongMode("divisibility literal outside integer mode")
+                continue  # over the rationals any term is d times something
+            if not isinstance(lit, Cmp):
+                raise TypeError(f"not a theory literal: {lit!r}")
             if not value:
                 # comparison atoms only occur positively in NNF
                 raise AssertionError("negated comparison literal in conjunction")
-            return self._add(lit.term, lit.op, ("lit", lit, True))
-        if isinstance(lit, DivLit):
-            if self.mode is not Sort.INT:
-                raise WrongMode("divisibility literal outside integer mode")
-            holds = lit.positive == value
-            src = ("lit", lit, value)
-            k, r = _div_aux(lit, self.n_div)
-            self.n_div += 1
-            kterm = LinTerm.of_var(k)
-            if holds:
-                # t = d*k
-                t = lit.term.sub(kterm.scale(lit.divisor))
-                return self._add(t, EQ, src)
-            # t = d*k + r, 1 <= r <= d - 1
-            rterm = LinTerm.of_var(r)
-            t = lit.term.sub(kterm.scale(lit.divisor)).sub(rterm)
-            return (
-                self._add(t, EQ, src)
-                or self._add(LinTerm.of_const(1).sub(rterm), LE, src)
-                or self._add(rterm.sub(LinTerm.of_const(lit.divisor - 1)), LE, src)
-            )
-        raise TypeError(f"not a theory literal: {lit!r}")
-
-    # -- results -----------------------------------------------------------
+            term, op = lit.term, lit.op
+            if self.mode is Sort.INT and op == LT:
+                # t < 0 over the integers is t <= -1
+                term, op = term.add(LinTerm.of_const(1)), LE
+            if self.mode is Sort.INT and op == EQ and not _gcd_feasible(term):
+                # a one-literal core, before any conflict the relaxation finds
+                return ClausalCore(((lit, True),))
+            rows = self.simplex.add_constraint(term, op, lit)
+            if rows is not None:
+                return self._cert_from(rows)
+        rows = self.simplex.check()
+        return None if rows is None else self._cert_from(rows)
 
     def _cert_from(self, rows) -> object:
-        by_lit = {}
-        pure = True
+        by_cid = {}
         for cid, mu, negated in rows:
-            c = self.simplex.constraints[cid]
-            if c.source[0] != "lit" or isinstance(c.source[1], DivLit):
-                pure = False
-            by_lit.setdefault((id(c.source), cid), (c, mu, negated))
-        if pure:
-            entries = []
-            for c, mu, negated in by_lit.values():
-                entries.append((c.source[1], mu, negated))
-            cert = FarkasCert(tuple(entries))
-            if cert.replay():
-                return cert
-        lits = []
-        seen = set()
-        for cid, _, _ in rows:
-            c = self.simplex.constraints[cid]
-            if c.source[0] == "lit":
-                key = (c.source[1], c.source[2])
-                if key not in seen:
-                    seen.add(key)
-                    lits.append(key)
-        return ClausalCore(tuple(lits))
+            by_cid.setdefault(cid, (self.simplex.constraints[cid].source, mu, negated))
+        cert = FarkasCert(tuple(by_cid.values()))
+        if cert.replay():
+            return cert
+        # an integer conflict through a tightened strict literal
+        return ClausalCore(tuple(dict.fromkeys((lit, True) for lit, _, _ in by_cid.values())))
 
     def _solve_int(self, asserted):
+        """The integer phase, once the relaxation is satisfiable:
+        ("sat", values), ("unsat", core), or ("budget", None) when
+        branch-and-bound runs out of nodes."""
         core = _residue_conflict(asserted)
         if core is not None:
             return "unsat", core
-        budget = [BB_NODE_BUDGET]
-        status, payload = self._branch_and_bound(budget)
-        if status == "unsat" and isinstance(payload, ClausalCore):
-            payload = self._minimize_core(payload)
-        if status != "budget":
-            return status, payload
-        return self._cooper_fallback(asserted)
-
-    def _int_vars(self):
-        return [
-            (v, vid)
-            for v, vid in self.simplex.var_ids.items()
-            if v.sort is Sort.INT
-        ]
-
-    def _branch_and_bound(self, budget):
-        if budget[0] <= 0:
-            return "budget", None
-        budget[0] -= 1
-        conflict = self.simplex.check()
-        if conflict is not None:
-            return "unsat", self._cert_from(conflict)
-        vals = self.simplex.concrete_values()
-        frac = None
-        for v, vid in sorted(self._int_vars(), key=lambda it: it[1]):
-            if vals[v].denominator != 1:
-                frac = (v, vals[v])
-                break
-        if frac is None:
-            return "sat", vals
-        v, val = frac
-        floor = val.numerator // val.denominator
-        vterm = LinTerm.of_var(v)
-        certs = []
-        for hi_side in (True, False):
-            snap = self.simplex.snapshot()
-            if hi_side:
-                t = vterm.sub(LinTerm.of_const(floor))  # v <= floor
-            else:
-                t = LinTerm.of_const(floor + 1).sub(vterm)  # v >= floor + 1
-            conflict = self.simplex.add_constraint(t, LE, ("branch",))
-            if conflict is None:
-                status, payload = self._branch_and_bound(budget)
-                if status in ("sat", "budget"):
-                    if status == "sat":
-                        return status, payload
-                    self.simplex.restore(snap)
-                    return "budget", None
-                certs.append(payload)
-            else:
-                certs.append(self._cert_from(conflict))
-            self.simplex.restore(snap)
-        # both branches refuted: merge input-literal parts
-        merged = dict.fromkeys(pair for cert in certs for pair in cert.literals)
-        return "unsat", ClausalCore(tuple(merged))
+        values = self.simplex.concrete_values()
+        if all(val.denominator == 1 for val in values.values()):
+            for lit, _ in asserted:
+                for v in lit.term.vars:
+                    values.setdefault(v, Fraction(0))
+            if all(eval_literal(lit, values) == value for lit, value in asserted):
+                return "sat", values
+        return _IntPresolve(asserted).solve()
 
     def _cooper_fallback(self, asserted):
-        # Divisibility literals on different linear forms can clash, as
-        # (4 | 2y - z + 3) and not (2 | z + 1) do.  Decided alone they
-        # need no bounds, and a core among them is cheap to minimize.
-        divs = tuple((lit, val) for lit, val in asserted if isinstance(lit, DivLit))
-        try:
-            if divs and int_conjunction_sat(_literals(divs)) is None:
-                return "unsat", self._minimize_core(ClausalCore(divs))
-        except _CooperBudget:
-            pass  # decide the whole conjunction below
         try:
             model = int_conjunction_sat(_literals(asserted))
         except _CooperBudget:
             return "unknown", "integer decision budget exhausted"
         if model is not None:
             return "sat", model
-        return "unsat", self._minimize_core(ClausalCore(tuple(asserted)))
+        return "unsat", _minimize_core(ClausalCore(tuple(asserted)))
 
-    def _minimize_core(self, core: "ClausalCore") -> "ClausalCore":
-        """Deletion-based shrinking; each trial is one Cooper decision."""
-        pairs = list(core.literals)
-        if len(pairs) <= 2:
-            return core
-        i = 0
-        while i < len(pairs):
-            trial = pairs[:i] + pairs[i + 1 :]
-            try:
-                model = int_conjunction_sat(_literals(trial))
-            except _CooperBudget:
-                model = object()  # treat as satisfiable: keep the literal
-            if model is None:
-                pairs = trial
+
+def _refutation(pairs):
+    """The certificate of the bounded integer decision of pairs (the
+    relaxation, the residue check, the presolve and branch-and-bound
+    within its budget), or None when that decision does not refute them."""
+    check = _TheoryCheck(Sort.INT)
+    cert = check._relax(pairs)
+    if cert is None:
+        status, cert = check._solve_int(pairs)
+        if status != "unsat":
+            return None
+    return cert
+
+
+def _minimize_core(core: ClausalCore) -> ClausalCore:
+    """Deletion-based shrinking: a literal goes only when _refutation
+    refutes the rest, whose own core then replaces the rest."""
+    pairs = list(core.literals)
+    if len(pairs) <= 2:
+        return core
+    i = 0
+    while i < len(pairs):
+        trial = pairs[:i] + pairs[i + 1 :]
+        cert = _refutation(trial)
+        if cert is None:
+            i += 1
+            continue
+        kept = set(cert.literals)
+        i = sum(pair in kept for pair in pairs[:i])
+        pairs = [pair for pair in trial if pair in kept]
+    return ClausalCore(tuple(pairs))
+
+
+# --------------------------------------------------------------------------
+# Exact presolve of an integer conjunction: equality elimination as in the
+# Omega test (Pugh, CACM 1992), then branch-and-bound on what is left.
+# --------------------------------------------------------------------------
+
+
+def _mod_hat(a: int, m: int) -> int:
+    """a - m * floor(a/m + 1/2), the residue of a modulo m nearest 0."""
+    return a - m * ((2 * a + m) // (2 * m))
+
+
+class _Row:
+    """sum coeffs[v] * v + const, = 0 or <= 0 over the integers.  Bit i of
+    mask is set when the row follows from the i-th asserted literal."""
+
+    __slots__ = ("coeffs", "const", "mask")
+
+    def __init__(self, coeffs: Dict[Var, int], const: int, mask: int):
+        self.coeffs = coeffs  # no zero entries
+        self.const = const
+        self.mask = mask
+
+    def subst(self, x: Var, definition: "_Row") -> None:
+        """Replace x by the term of definition, which says x = term."""
+        a = self.coeffs.pop(x, 0)
+        if not a:
+            return
+        coeffs = self.coeffs
+        for v, c in definition.coeffs.items():
+            n = coeffs.get(v, 0) + a * c
+            if n:
+                coeffs[v] = n
             else:
-                i += 1
-        return ClausalCore(tuple(pairs))
+                coeffs.pop(v, None)
+        self.const += a * definition.const
+        self.mask |= definition.mask
+
+
+class _IntPresolve:
+    """An integer conjunction as equalities and inequalities over integer
+    variables, reduced until no equality is left.
+
+    t < 0 becomes t + 1 <= 0, d | t becomes t = d*k and not d | t
+    becomes t = d*k + r with 1 <= r <= d - 1, for fresh k and r (a term
+    with fractions is first scaled to integers, together with d).  Fresh
+    variables are named from a counter of this presolve, and rows and
+    substitutions are kept in lists, so the result does not depend on
+    set or hash order.
+    """
+
+    def __init__(self, asserted):
+        self.asserted = asserted
+        self.n_fresh = 0
+        self.eqs: List[_Row] = []
+        self.ineqs: List[_Row] = []
+        self.defs: List[Tuple[Var, _Row]] = []  # in elimination order
+        for i, (lit, value) in enumerate(asserted):
+            scale = lcm(lit.term.const.denominator, *(c.denominator for _, c in lit.term.coeffs))
+            coeffs = {v: int(c * scale) for v, c in lit.term.coeffs}
+            const = int(lit.term.const * scale)
+            mask = 1 << i
+            if isinstance(lit, Cmp):
+                if lit.op == EQ:
+                    self.eqs.append(_Row(coeffs, const, mask))
+                else:
+                    self.ineqs.append(_Row(coeffs, const + 1 if lit.op == LT else const, mask))
+                continue
+            d = lit.divisor * scale
+            coeffs[self._fresh()] = -d
+            if lit.positive != value:
+                r = self._fresh()
+                coeffs[r] = -1
+                self.ineqs.append(_Row({r: -1}, 1, mask))
+                self.ineqs.append(_Row({r: 1}, 1 - d, mask))
+            self.eqs.append(_Row(coeffs, const, mask))
+
+    def _fresh(self) -> Var:
+        self.n_fresh += 1
+        return Var(f"#{self.n_fresh}", Sort.INT)
+
+    def _core(self, mask: int) -> ClausalCore:
+        return ClausalCore(tuple(pair for i, pair in enumerate(self.asserted) if mask >> i & 1))
+
+    def solve(self):
+        """("sat", values), ("unsat", core) or ("budget", None)."""
+        mask = self._reduce()
+        if mask is not None:
+            return "unsat", self._core(mask)
+        values = {}
+        if self.ineqs:
+            simplex = Simplex()
+            for row in self.ineqs:
+                conflict = simplex.add_constraint(LinTerm.make(row.coeffs, row.const), LE, row.mask)
+                if conflict is not None:
+                    return "unsat", self._core(_conflict_mask(simplex, conflict))
+            status, payload = _branch_and_bound(simplex, [BB_NODE_BUDGET])
+            if status == "unsat":
+                return status, self._core(payload)
+            if status == "budget":
+                return status, None
+            values = {v: int(val) for v, val in payload.items()}
+        for x, definition in reversed(self.defs):
+            values[x] = definition.const + sum(c * values.get(v, 0) for v, c in definition.coeffs.items())
+        model = {}
+        for lit, _ in self.asserted:
+            for v in lit.term.vars:
+                model[v] = Fraction(values.get(v, 0))
+        if not all(eval_literal(lit, model) == value for lit, value in self.asserted):
+            raise SelfCheckFailed(f"presolve model {model!r} fails {self.asserted!r}")
+        return "sat", model
+
+    def _reduce(self) -> Optional[int]:
+        """Eliminate every equality and tighten the inequalities; the mask
+        of a refuted subset of the literals, or None."""
+        while True:
+            while self.eqs:
+                mask = self._eliminate(self.eqs.pop(0))
+                if mask is not None:
+                    return mask
+            mask = self._tighten()
+            if mask is not None or not self.eqs:
+                return mask
+
+    def _substitute(self, x: Var, definition: _Row) -> None:
+        for row in self.eqs:
+            row.subst(x, definition)
+        for row in self.ineqs:
+            row.subst(x, definition)
+        self.defs.append((x, definition))
+
+    def _eliminate(self, row: _Row) -> Optional[int]:
+        """Divide the equality row by its gcd, then substitute away a
+        variable with a unit coefficient, or take Pugh's mod-hat step and
+        put the smaller equality back; a mask on conflict, else None."""
+        coeffs = row.coeffs
+        if not coeffs:
+            return None if row.const == 0 else row.mask
+        g = gcd(*coeffs.values())
+        if row.const % g:
+            return row.mask  # no integer lies on the hyperplane
+        if g > 1:
+            coeffs = {v: c // g for v, c in coeffs.items()}
+            row = _Row(coeffs, row.const // g, row.mask)
+        units = [v for v, c in coeffs.items() if c == 1 or c == -1]
+        if units:
+            unit = min(units, key=lambda v: sum(v in r.coeffs for r in self.ineqs))
+            a = coeffs.pop(unit)  # unit = -a * (rest + const)
+            definition = _Row({v: -a * c for v, c in coeffs.items()}, -a * row.const, row.mask)
+            self._substitute(unit, definition)
+            return None
+        x = min(coeffs, key=lambda v: abs(coeffs[v]))
+        if coeffs[x] < 0:
+            row = _Row({v: -c for v, c in coeffs.items()}, -row.const, row.mask)
+            coeffs = row.coeffs
+        # with m = a_x + 1, the equality taken modulo m reads
+        # x = -m*sigma + sum_v (a_v mod^ m)*v + (const mod^ m)
+        m = coeffs[x] + 1
+        definition = _Row({}, _mod_hat(row.const, m), row.mask)
+        for v, c in coeffs.items():
+            if v is not x and _mod_hat(c, m):
+                definition.coeffs[v] = _mod_hat(c, m)
+        definition.coeffs[self._fresh()] = -m
+        self._substitute(x, definition)
+        row.subst(x, definition)
+        self.eqs.insert(0, row)
+        return None
+
+    def _tighten(self) -> Optional[int]:
+        """Divide each inequality by the gcd of its coefficients, rounding
+        its constant up; keep the tightest of those with one left side and
+        turn two with opposite left sides and constants into an equality.
+        The mask of a refuted inequality or pair, or None."""
+        best: Dict[tuple, Optional[_Row]] = {}
+        for row in self.ineqs:
+            if not row.coeffs:
+                if row.const > 0:
+                    return row.mask
+                continue
+            g = gcd(*row.coeffs.values())
+            if g > 1:
+                row.coeffs = {v: c // g for v, c in row.coeffs.items()}
+                row.const = -(-row.const // g)
+            key = tuple(sorted(row.coeffs.items(), key=lambda it: it[0].key()))
+            cur = best.get(key)
+            if cur is None or row.const > cur.const:
+                best[key] = row
+        self.ineqs = []
+        for key, row in best.items():
+            if row is None:
+                continue
+            neg = tuple((v, -c) for v, c in key)
+            other = best.get(neg)
+            if other is not None and row.const + other.const >= 0:
+                mask = row.mask | other.mask
+                if row.const + other.const > 0:
+                    return mask
+                self.eqs.append(_Row(dict(row.coeffs), row.const, mask))
+                best[neg] = None
+                continue
+            self.ineqs.append(row)
+        return None
+
+
+def _conflict_mask(simplex: Simplex, rows) -> int:
+    mask = 0
+    for cid, _, _ in rows:
+        mask |= simplex.constraints[cid].source
+    return mask
+
+
+def _branch_and_bound(simplex: Simplex, budget):
+    """Branch-and-bound over a simplex whose constraints carry masks as
+    their sources, depth-first on the lowest-id fractional variable, its
+    floor side first: ("sat", values), ("unsat", mask) or ("budget",
+    None) once budget[0] nodes are spent."""
+    if budget[0] <= 0:
+        return "budget", None
+    budget[0] -= 1
+    conflict = simplex.check()
+    if conflict is not None:
+        return "unsat", _conflict_mask(simplex, conflict)
+    vals = simplex.concrete_values()
+    v = next((v for v in simplex.var_ids if vals[v].denominator != 1), None)
+    if v is None:
+        return "sat", vals
+    floor = vals[v].numerator // vals[v].denominator
+    vterm = LinTerm.of_var(v)
+    mask = 0
+    for t in (vterm.sub(LinTerm.of_const(floor)), LinTerm.of_const(floor + 1).sub(vterm)):
+        snap = simplex.snapshot()
+        conflict = simplex.add_constraint(t, LE, 0)  # v <= floor, then v >= floor + 1
+        if conflict is None:
+            status, payload = _branch_and_bound(simplex, budget)
+            if status != "unsat":
+                return status, payload
+            mask |= payload
+        else:
+            mask |= _conflict_mask(simplex, conflict)
+        simplex.restore(snap)
+    return "unsat", mask
 
 
 # --------------------------------------------------------------------------
@@ -1056,7 +1233,8 @@ class _CDCL:
                 uip = p
                 break
             ante = self.reason[var]
-            assert ante is not None, "non-decision expected on conflict side"
+            if ante is None:
+                raise SelfCheckFailed("decision literal on the conflict side")
             reason_lits = [l for l in self.clauses[ante] if abs(l) != var]
             index -= 1
         learned = [-uip] + learned
@@ -1151,7 +1329,8 @@ class _CDCL:
 
 def check_sat(f: Formula, mode: Sort) -> SatResult:
     """Decide a call-free NNF formula; produce a model when it is sat."""
-    assert not isinstance(f, Not), "input must be in NNF"
+    if isinstance(f, Not):
+        raise PreconditionFailed("check_sat input must be in NNF")
     if isinstance(f, Top):
         return SatResult("sat", Model({}))
     if isinstance(f, Bottom):

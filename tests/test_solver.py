@@ -10,7 +10,7 @@ from helpers import (
     truth_table_sat,
     window_sat_int,
 )
-from recmc.errors import ResourceLimit, SelfCheckFailed
+from recmc.errors import PreconditionFailed, ResourceLimit, SelfCheckFailed
 from recmc.formula import (
     EQ,
     FALSE,
@@ -23,9 +23,10 @@ from recmc.formula import (
     DivLit,
     LinTerm,
     Lit,
+    Not,
     Sort,
-    Var,
     eval_formula,
+    eval_literal,
     f_and,
     f_or,
     mk_cmp,
@@ -43,8 +44,8 @@ from recmc.solver import (
 
 x, y, z = mk_vars(["x", "y", "z"], Sort.RAT)
 tx, ty, tz = (LinTerm.of_var(v) for v in (x, y, z))
-xi, yi = mk_vars(["x", "y"], Sort.INT)
-txi, tyi = LinTerm.of_var(xi), LinTerm.of_var(yi)
+xi, yi, zi = mk_vars(["x", "y", "z"], Sort.INT)
+txi, tyi, tzi = (LinTerm.of_var(v) for v in (xi, yi, zi))
 p, q, r = mk_vars(["p", "q", "r"], Sort.BOOL)
 
 
@@ -80,6 +81,11 @@ class TestBasics:
         assert res.is_sat
         assert res.model[p] is False and res.model[q] is True
 
+    def test_non_nnf_input_rejected(self):
+        # raised, not asserted, so that it holds under python -O too
+        with pytest.raises(PreconditionFailed):
+            check_sat(Not(mk_cmp(LT, tx)), Sort.RAT)
+
     def test_constants(self):
         assert check_sat(TRUE, Sort.BOOL).is_sat
         assert check_sat(FALSE, Sort.RAT).is_unsat
@@ -111,11 +117,9 @@ class TestIntegerPreChecks:
 
     Under no_search both node budgets are zero, so branch-and-bound and
     Cooper refute nothing: unsat can only come from the GCD test on
-    equalities or the residue check on divisibility literals.
+    equalities, the residue check on divisibility literals, or equality
+    elimination.
     """
-
-    zi = Var("z", Sort.INT)
-    tzi = LinTerm.of_var(zi)
 
     @pytest.fixture()
     def no_search(self, monkeypatch):
@@ -132,8 +136,8 @@ class TestIntegerPreChecks:
     def test_residues_refute_negated_divisibility(self, no_search):
         f = f_and(
             [
-                mk_lit(DivLit(2, self.tzi, False)),
-                mk_lit(DivLit(2, self.tzi.add(LinTerm.of_const(1)), False)),
+                mk_lit(DivLit(2, tzi, False)),
+                mk_lit(DivLit(2, tzi.add(LinTerm.of_const(1)), False)),
             ]
         )
         assert check_sat(f, Sort.INT).is_unsat
@@ -168,9 +172,10 @@ class TestIntegerPreChecks:
     def test_fallback_core_across_linear_forms(self, monkeypatch):
         # 4 | 2y - z + 3 makes z odd, which is asserted false; the residue
         # check does not see this since the two literals have different
-        # linear forms, so the Cooper fallback must find the core
-        div4 = DivLit(4, tyi.scale(2).sub(self.tzi).add(LinTerm.of_const(3)))
-        z_odd = DivLit(2, self.tzi.add(LinTerm.of_const(1)))
+        # linear forms, but equality elimination finds the core without
+        # branching
+        div4 = DivLit(4, tyi.scale(2).sub(tzi).add(LinTerm.of_const(3)))
+        z_odd = DivLit(2, tzi.add(LinTerm.of_const(1)))
         bound = mk_cmp(LE, txi.sub(LinTerm.of_const(5)))
         f = f_and([mk_lit(div4), mk_lit(DivLit(2, z_odd.term, False)), bound])
         monkeypatch.setattr(solver, "BB_NODE_BUDGET", 0)
@@ -180,6 +185,53 @@ class TestIntegerPreChecks:
         assert set(core.literals) == {(div4, True), (z_odd, False)}
 
 
+class TestEqualityElimination:
+    """Shapes on which depth-first branch-and-bound dives into an unbounded
+    direction: the integer phase decides each without the Cooper fallback."""
+
+    @pytest.fixture(autouse=True)
+    def no_cooper(self, monkeypatch):
+        def fallback(check, asserted):
+            raise AssertionError(f"Cooper fallback on {asserted!r}")
+
+        monkeypatch.setattr(solver._TheoryCheck, "_cooper_fallback", fallback)
+
+    def test_even_coefficients_round_the_bound(self):
+        # -2x + 2y + 3 <= 0 is y - x <= -3/2, over the integers y - x <= -2
+        f = mk_cmp(LE, txi.scale(-2).add(tyi.scale(2)).add(LinTerm.of_const(3)))
+        assert check_sat(f, Sort.INT).is_sat
+
+    def test_strict_bound_with_odd_variable(self):
+        # the relaxation's vertex x = 5/2 sends branch-and-bound down x <= 2
+        f = f_and(
+            [
+                mk_cmp(LT, txi.scale(-2).add(tzi).add(LinTerm.of_const(3))),
+                mk_lit(DivLit(2, tzi, False)),
+            ]
+        )
+        res = check_sat(f, Sort.INT)
+        assert res.is_sat and res.model[zi] % 2 == 1
+
+    def test_line_refuted_modulo_two(self):
+        # 2x - z + 3 = 0 makes z odd, so z + 1 is even: no branching on the
+        # unbounded line refutes this, elimination does
+        line = mk_cmp(EQ, txi.scale(2).sub(tzi).add(LinTerm.of_const(3)))
+        odd = DivLit(2, tzi.add(LinTerm.of_const(1)))
+        f = f_and([line, mk_lit(DivLit(2, odd.term, False))])
+        assert check_sat(f, Sort.INT).is_unsat
+        status, core = refute_conjunction(conjuncts(f), Sort.INT)
+        assert status == "unsat"
+        assert sorted(core.literals, key=repr) == sorted([(line.lit, True), (odd, False)], key=repr)
+
+
+    def test_model_check(self, monkeypatch):
+        # the presolve's model is checked against every literal; the check
+        # raises, so it holds under python -O too
+        monkeypatch.setattr(solver, "eval_literal", lambda lit, model: False)
+        with pytest.raises(SelfCheckFailed):
+            refute_conjunction([(Cmp(LE, txi.sub(LinTerm.of_const(3))), True)], Sort.INT)
+
+
 class TestEntailment:
     def test_examples(self):
         assert entails(mk_cmp(EQ, tx.sub(LinTerm.of_const(1))), mk_cmp(LT, tx.scale(-1)), Sort.RAT)
@@ -187,10 +239,9 @@ class TestEntailment:
         assert entails(FALSE, mk_cmp(LT, tx), Sort.RAT)
 
     def test_unknown_propagates(self, monkeypatch):
-        for name in ("MAX_DECISIONS", "MAX_THEORY_CHECKS"):
-            monkeypatch.setattr(solver, name, 1)
-        for name in ("BB_NODE_BUDGET", "COOPER_NODE_BUDGET"):
-            monkeypatch.setattr(solver, name, 0)
+        # the conjunction holds at all zeros, which the integer phase finds
+        # without search, so only the theory-check budget can leave it open
+        monkeypatch.setattr(solver, "MAX_THEORY_CHECKS", 0)
         vars_ = mk_vars([f"v{i}" for i in range(8)], Sort.INT)
         big = f_and(
             [mk_lit(DivLit(3, LinTerm.of_var(v).add(LinTerm.of_var(w))))
@@ -237,6 +288,43 @@ class TestDifferential:
                     sats += 1
                     assert eval_formula(f, res.model)
             assert sats > 0
+
+    def test_theory_check_vs_cooper(self):
+        # conjunctions with equalities and divisibility literals of both
+        # signs, decided by the integer phase and by Cooper's method alone
+        rng = random.Random(53)
+        vs = [xi, yi, zi]
+        decided = {"sat": 0, "unsat": 0}
+        for _ in range(400):
+            lits = []
+            for _ in range(rng.randint(2, 5)):
+                picked = rng.sample(vs, rng.randint(1, 3))
+                term = LinTerm.make(
+                    {v: rng.choice([-3, -2, -1, 1, 2, 3]) for v in picked}, rng.randint(-4, 4)
+                )
+                kind = rng.choice([LT, LE, EQ, "div", "not div"])
+                if kind in (LT, LE, EQ):
+                    g = mk_cmp(kind, term)
+                else:
+                    g = mk_lit(DivLit(rng.randint(2, 4), term, kind == "div"))
+                if isinstance(g, Lit):
+                    lits.append(g.lit)
+            asserted = list(dict.fromkeys(solver._atom_of(lit) for lit in lits))
+            try:
+                oracle = solver.int_conjunction_sat(lits)
+            except solver._CooperBudget:
+                continue
+            status, payload = solver._TheoryCheck(Sort.INT).decide(asserted)
+            assert status == ("unsat" if oracle is None else "sat"), lits
+            decided[status] += 1
+            if status == "sat":
+                model = {v: payload.get(v, Fraction(0)) for v in vs}
+                assert all(eval_literal(lit, model) for lit in lits), (lits, model)
+            else:
+                assert set(payload.literals) <= set(asserted)
+                core = [literal_of(atom, val) for atom, val in payload.literals]
+                assert solver.int_conjunction_sat(core) is None, (lits, core)
+        assert decided["sat"] > 100 and decided["unsat"] > 50
 
     def test_integer_rational_agreement(self):
         # formulas whose rational solutions happen to be integral
