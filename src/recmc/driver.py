@@ -31,6 +31,11 @@ mode), satisfy the path's literals and pass its argument values to its
 children; the root's height must be within the bound and its values
 must violate the property.  The walk costs time linear in the distinct
 nodes of the tree.
+
+A solver that gives up on a query of replay, of the inductiveness check
+or of proof validation raises ResourceLimit, and the check answers
+UNKNOWN ("solver resource limit: ..."); only a witness that the solver
+refutes fails validation.
 """
 
 from __future__ import annotations
@@ -140,20 +145,19 @@ def _check_loop(program, phi_safe, max_bound, config, rho, sigma, stats, trace, 
         )
         if res == "UNKNOWN":
             return Verdict("UNKNOWN", n, reason=reason)
-        if res == "UNSAFE":
-            tree = build_cex(rho, program, phi_safe, n, memo)
-            if not validate_cex(program, tree, phi_safe):
-                raise SelfCheckFailed("counterexample failed validation")
-            return Verdict("UNSAFE", n, cex=tree)
         try:
-            inductive = check_inductive(program, sigma, n, memo)
+            if res == "UNSAFE":
+                tree = build_cex(rho, program, phi_safe, n, memo)
+                if not validate_cex(program, tree, phi_safe):
+                    raise SelfCheckFailed("counterexample failed validation")
+                return Verdict("UNSAFE", n, cex=tree)
+            if check_inductive(program, sigma, n, memo):
+                proof = SafetyProof(over_env(sigma, n, program), n)
+                if not validate_proof(program, proof, phi_safe):
+                    raise SelfCheckFailed("proof failed validation")
+                return Verdict("SAFE", n, proof=proof)
         except ResourceLimit as exc:
             return Verdict("UNKNOWN", n, reason=f"solver resource limit: {exc}")
-        if inductive:
-            proof = SafetyProof(over_env(sigma, n, program), n)
-            if not validate_proof(program, proof, phi_safe):
-                raise SelfCheckFailed("proof failed validation")
-            return Verdict("SAFE", n, proof=proof)
     return Verdict("UNKNOWN", max_bound, reason="bound exhausted")
 
 
@@ -197,17 +201,15 @@ def check_inductive(
 
 
 def validate_proof(program: Program, proof: SafetyProof, phi_safe: Formula) -> bool:
-    """Safe and inductive, re-checked from scratch."""
+    """Safe and inductive, re-checked from scratch.  Raises ResourceLimit
+    when the solver cannot decide, which is not a failed proof."""
     env = proof.env
-    try:
-        if not entails(env[program.main], phi_safe, program.mode):
-            return False
-        for name, proc in program.procedures.items():
-            body = instantiate(proc.body, env, program)
-            if not entails(body, env[name], program.mode):
-                return False
-    except ResourceLimit:
+    if not entails(env[program.main], phi_safe, program.mode):
         return False
+    for name, proc in program.procedures.items():
+        body = instantiate(proc.body, env, program)
+        if not entails(body, env[name], program.mode):
+            return False
     return True
 
 
@@ -234,8 +236,9 @@ def build_cex(
 
     Node models are re-solved with the formals pinned to the values the
     parent requires; every fact is an under-approximation of real
-    executions, so the solve cannot fail unless the bookkeeping is
-    broken (hence ProvenanceGap, not a user-facing error).
+    executions, so an unsat solve means the bookkeeping is broken (hence
+    ProvenanceGap, not a user-facing error).  An unknown one raises
+    ResourceLimit.
 
     A node depends only on its fact and pinned formals, so each distinct
     pair is solved once and its node shared by every call that needs it;
@@ -248,6 +251,8 @@ def build_cex(
     main = program.proc(program.main)
     u_main = under_env(rho, n, program)[main.name]
     res = solve(memo, f_and([u_main, negate_nnf(phi_safe)]), program.mode)
+    if res.is_unknown:
+        raise ResourceLimit(res.reason)
     if not res.is_sat:
         raise ProvenanceGap("unsafe verdict but no violating model")
     model = total_model(res.model, main.formals)
@@ -281,6 +286,8 @@ def _expand(rho, program, fact, pinned, nodes, envs, memo) -> CexNode:
         envs[below] = under_env(rho, below, program)
     matrix = instantiate(path, envs[below], program)
     res = solve(memo, f_and([matrix, _pin(pinned)]), program.mode)
+    if res.is_unknown:
+        raise ResourceLimit(res.reason)
     if not res.is_sat:
         raise ProvenanceGap(f"fact {fact.fact_id} does not replay")
     model = total_model(res.model, proc.all_vars)

@@ -5,14 +5,6 @@ class RecmcError(Exception):
     """Base class for all checker errors."""
 
 
-class NegatedCall(RecmcError):
-    """A procedure call atom occurred under a negation."""
-
-
-class PathExplosion(RecmcError):
-    """DNF expansion of a body exceeded the fixed path limit."""
-
-
 class NotNormalized(RecmcError):
     """A literal was not in the normal form required by the caller."""
 
@@ -69,6 +61,11 @@ class RplSyntaxError(RecmcError):
 
 class ValidationError(RecmcError):
     """A parsed program violated a well-formedness rule."""
+
+
+class PathExplosion(ValidationError):
+    """DNF expansion exceeded the fixed path limit: an input error for a
+    procedure body, a cue to fall back for Farkas interpolation."""
 
 
 class ArityMismatch(ValidationError):

@@ -35,12 +35,7 @@ from math import gcd, lcm
 from operator import attrgetter
 from typing import Iterable, Mapping, Union
 
-from .errors import (
-    NegatedCall,
-    NotNormalized,
-    PathExplosion,
-    UnassignedVar,
-)
+from .errors import NotNormalized, PathExplosion, UnassignedVar
 
 
 class Sort(enum.Enum):
@@ -357,16 +352,6 @@ class Call(Formula):
         return f"({self.callee} " + " ".join(map(repr, self.args)) + ")"
 
 
-@dataclass(frozen=True)
-class Not(Formula):
-    """Pre-normalization node only; never survives to_nnf."""
-
-    arg: Formula
-
-    def __repr__(self):
-        return f"(not {self.arg!r})"
-
-
 def _sym_mod(c: int, d: int) -> int:
     """Residue of c modulo d in the range (-d/2, d/2]."""
     r = c % d
@@ -479,36 +464,21 @@ def negate_literal(lit: Literal) -> Formula:
     return mk_lit(DivLit(lit.divisor, lit.term, not lit.positive))
 
 
-def to_nnf(f: Formula, negate: bool = False) -> Formula:
-    """Push negations to the literals.
-
-    Raises NegatedCall if a call atom occurs under a negation; calls must
-    stay positive for the fixed-point reading of procedure bodies.
-    """
-    if isinstance(f, Not):
-        return to_nnf(f.arg, not negate)
-    if isinstance(f, Top):
-        return FALSE if negate else TRUE
-    if isinstance(f, Bottom):
-        return TRUE if negate else FALSE
-    if isinstance(f, Lit):
-        return negate_literal(f.lit) if negate else mk_lit(f.lit)
-    if isinstance(f, Call):
-        if negate:
-            raise NegatedCall(f.callee)
-        return f
-    if isinstance(f, And):
-        parts = [to_nnf(a, negate) for a in f.args]
-        return f_or(parts) if negate else f_and(parts)
-    if isinstance(f, Or):
-        parts = [to_nnf(a, negate) for a in f.args]
-        return f_and(parts) if negate else f_or(parts)
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def negate_nnf(f: Formula) -> Formula:
-    """Negation of an NNF formula, again in NNF."""
-    return to_nnf(f, negate=True)
+    """Negation of an NNF formula, again in NNF: And and Or swap and each
+    literal is negated.  Calls occur only positively, so a call atom here
+    is a programming error (TypeError)."""
+    if isinstance(f, Lit):
+        return negate_literal(f.lit)
+    if isinstance(f, And):
+        return f_or(negate_nnf(a) for a in f.args)
+    if isinstance(f, Or):
+        return f_and(negate_nnf(a) for a in f.args)
+    if isinstance(f, Top):
+        return FALSE
+    if isinstance(f, Bottom):
+        return TRUE
+    raise TypeError(f"cannot negate {f!r}")
 
 
 def free_vars(f: Formula) -> frozenset:
@@ -529,8 +499,6 @@ def has_calls(f: Formula) -> bool:
         return True
     if isinstance(f, (And, Or)):
         return any(has_calls(a) for a in f.args)
-    if isinstance(f, Not):
-        return has_calls(f.arg)
     return False
 
 
@@ -818,8 +786,6 @@ def lia_normalize(x: Var, f: Formula):
 def formula_size(f: Formula) -> int:
     if isinstance(f, (And, Or)):
         return 1 + sum(formula_size(a) for a in f.args)
-    if isinstance(f, Not):
-        return 1 + formula_size(f.arg)
     return 1
 
 

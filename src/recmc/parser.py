@@ -14,10 +14,28 @@ and bare variable names as boolean atoms.  Terms: (+ t ...), (- a b),
 accepted as sugar for the flipped forms.  Comments run from ';' to the
 end of the line.
 
-Bodies are normalized to NNF on load and expanded into paths; a call
-under a negation, a call in assert-safe, or any scoping, arity, or sort
-violation is reported as a ValidationError, syntax problems as
-RplSyntaxError with position.
+parse reads, checks and normalizes a program in one pass.  It is the
+only entry point that checks a program, and nothing downstream checks a
+rule again.  Each rule is checked where its text is read, in this order:
+
+  - the top-level forms, then the procedure headers: a mode, a main and
+    an assert-safe are present, headers are well formed, no procedure
+    is declared twice; then main must be declared;
+  - each body, in file order: variables are declared once, in scope and
+    of the right sort; a call names a declared procedure with its arity
+    and is not under a negation (reported with its position); a negated
+    divisibility literal is rejected unless it folds to a constant; the
+    body has at most formula.PATH_LIMIT paths (else PathExplosion);
+  - assert-safe, in main's scope: it calls nothing, and mentions only
+    main's formals.
+
+Syntax, scope and sort errors are RplSyntaxErrors with their position;
+the other rules raise ValidationError or its subclasses ArityMismatch
+and PathExplosion.
+
+A formula is built in NNF as it is read: (not ...) flips the polarity of
+its argument, and and or swap under a negation, and a literal leaf under
+a negation is negated as it is built (negate_nnf).
 
 Parentheses may nest at most MAX_NESTING = 256 deep, counting the
 (program ...) form itself; a deeper '(' is an RplSyntaxError at its
@@ -32,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .errors import PathExplosion, RplSyntaxError, ValidationError
+from .errors import ArityMismatch, RplSyntaxError, ValidationError
 from .formula import (
     EQ,
     FALSE,
@@ -48,7 +66,6 @@ from .formula import (
     Formula,
     LinTerm,
     Lit,
-    Not,
     Number,
     Or,
     Role,
@@ -56,11 +73,12 @@ from .formula import (
     Top,
     Var,
     _div,
+    f_and,
+    f_or,
     free_vars,
-    has_calls,
     mk_cmp,
     mk_lit,
-    to_nnf,
+    negate_nnf,
 )
 from .program import Program, make_procedure
 
@@ -183,9 +201,17 @@ def _parse_number(tok: _Tok) -> Optional[Number]:
 
 
 class _Scope:
-    def __init__(self, mode: Sort, vars_: Dict[str, Var]):
+    """What a formula is read against: the mode, the variables in scope,
+    and in a body its procedure's name and every procedure's arity.  In
+    assert-safe proc is "", and no call is allowed."""
+
+    def __init__(
+        self, mode: Sort, vars_: Dict[str, Var], proc: str = "", arities=None
+    ):
         self.mode = mode
         self.vars = vars_
+        self.proc = proc
+        self.arities = arities
 
     def lookup(self, tok: _Tok) -> Var:
         v = self.vars.get(tok.text)
@@ -252,27 +278,26 @@ def _parse_const(node, scope) -> Number:
 _CMP_OPS = {"<": LT, "<=": LE, "=": EQ, ">": LT, ">=": LE}
 
 
-def _parse_expr(node, scope: _Scope) -> Formula:
+def _parse_expr(node, scope: _Scope, negated: bool = False) -> Formula:
+    """The NNF of node, or of its negation when negated is set."""
     if isinstance(node, _Tok):
         if node.text == "true":
-            return TRUE
+            return FALSE if negated else TRUE
         if node.text == "false":
-            return FALSE
+            return TRUE if negated else FALSE
         v = scope.lookup(node)
         if v.sort is not Sort.BOOL:
             raise RplSyntaxError(node.line, node.col, f"'{node.text}' is not boolean")
-        return Lit(BoolLit(v))
+        return Lit(BoolLit(v, not negated))
     head = _head(node)
     items = node[1]
     if head in ("and", "or"):
-        args = [_parse_expr(a, scope) for a in items[1:]]
-        return (And if head == "and" else Or)(tuple(args)) if args else (
-            TRUE if head == "and" else FALSE
-        )
+        args = [_parse_expr(a, scope, negated) for a in items[1:]]
+        return f_and(args) if (head == "and") != negated else f_or(args)
     if head == "not":
         if len(items) != 2:
             raise _err(node, "'not' takes one argument")
-        return Not(_parse_expr(items[1], scope))
+        return _parse_expr(items[1], scope, not negated)
     if head in _CMP_OPS:
         if len(items) != 3:
             raise _err(node, f"'{head}' takes two arguments")
@@ -282,8 +307,8 @@ def _parse_expr(node, scope: _Scope) -> Formula:
         rhs = _parse_term(items[2], scope)
         if head in (">", ">="):
             lhs, rhs = rhs, lhs
-        return mk_cmp(_CMP_OPS[head], lhs.sub(rhs))
-    if head == "divides":
+        leaf = mk_cmp(_CMP_OPS[head], lhs.sub(rhs))
+    elif head == "divides":
         if scope.mode is not Sort.INT:
             raise _err(node, "'divides' requires integer mode")
         if len(items) != 3 or not isinstance(items[1], _Tok):
@@ -291,17 +316,39 @@ def _parse_expr(node, scope: _Scope) -> Formula:
         d = _parse_number(items[1])
         if d is None or d.denominator != 1 or d <= 0:
             raise _err(node, "divisor must be a positive integer")
-        return mk_lit(DivLit(int(d), _parse_term(items[2], scope)))
-    if head == "call":
-        if len(items) < 2 or not isinstance(items[1], _Tok):
-            raise _err(node, "'call' takes a procedure name and variables")
-        args = []
-        for a in items[2:]:
-            if not isinstance(a, _Tok):
-                raise _err(node, "call arguments must be variables")
-            args.append(scope.lookup(a))
-        return Call(items[1].text, tuple(args))
-    raise _err(node, f"unknown operator '{head}'")
+        leaf = mk_lit(DivLit(int(d), _parse_term(items[2], scope)))
+        if negated and scope.proc and isinstance(leaf, Lit):
+            raise ValidationError("negated divisibility in input")
+    elif head == "call":
+        return _parse_call(node, scope, negated)
+    else:
+        raise _err(node, f"unknown operator '{head}'")
+    return negate_nnf(leaf) if negated else leaf
+
+
+def _parse_call(node, scope: _Scope, negated: bool) -> Call:
+    items = node[1]
+    if len(items) < 2 or not isinstance(items[1], _Tok):
+        raise _err(node, "'call' takes a procedure name and variables")
+    args = []
+    for a in items[2:]:
+        if not isinstance(a, _Tok):
+            raise _err(node, "call arguments must be variables")
+        args.append(scope.lookup(a))
+    callee = items[1].text
+    if not scope.proc:
+        raise ValidationError("assert-safe must not call procedures")
+    if negated:
+        tok = node[0]
+        raise ValidationError(f"{tok.line}:{tok.col}: call to {callee} under a negation")
+    arity = scope.arities.get(callee)
+    if arity is None:
+        raise ValidationError(f"{scope.proc} calls undeclared procedure {callee!r}")
+    if len(args) != arity:
+        raise ArityMismatch(
+            f"call to {callee} in {scope.proc}: {len(args)} args, {arity} formals"
+        )
+    return Call(callee, tuple(args))
 
 
 # -- program -----------------------------------------------------------------
@@ -355,10 +402,17 @@ def parse(text: str) -> SourceUnit:
         name, sections = _proc_header(pf)
         if name in headers:
             raise _err(pf, f"duplicate procedure '{name}'")
-        headers[name] = (pf, sections)
+        headers[name] = sections
+
+    if main_name not in headers:
+        raise ValidationError(f"main procedure {main_name!r} is not declared")
+    arities = {
+        name: len(sections.get("in", ())) + len(sections.get("out", ()))
+        for name, sections in headers.items()
+    }
 
     procedures = {}
-    for name, (pf, sections) in headers.items():
+    for name, sections in headers.items():
         declared = {}
         groups = {}
         for role_name, role in (("in", Role.IN), ("out", Role.OUT), ("local", Role.LOCAL)):
@@ -372,30 +426,16 @@ def parse(text: str) -> SourceUnit:
                 declared[tok.text] = v
                 vs.append(v)
             groups[role_name] = tuple(vs)
-        scope = _Scope(mode, declared)
-        body_raw = _parse_expr(sections["body"], scope)
-        try:
-            body = to_nnf(body_raw)
-        except Exception as exc:
-            raise ValidationError(f"body of {name}: {exc}") from exc
-        try:
-            procedures[name] = make_procedure(
-                name, groups["in"], groups["out"], groups["local"], body
-            )
-        except PathExplosion as exc:
-            raise ValidationError(f"body of {name}: {exc}") from exc
+        body = _parse_expr(sections["body"], _Scope(mode, declared, name, arities))
+        procedures[name] = make_procedure(
+            name, groups["in"], groups["out"], groups["local"], body
+        )
 
-    program = Program(procedures, main_name, mode)
-    program.validate()
-
-    main = program.proc(main_name)
-    main_scope = _Scope(mode, {v.name: v for v in main.all_vars})
-    phi_raw = _parse_expr(safe_form, main_scope)
-    if has_calls(phi_raw):
-        raise ValidationError("assert-safe must not call procedures")
-    phi_safe = to_nnf(phi_raw)
+    main = procedures[main_name]
+    phi_safe = _parse_expr(safe_form, _Scope(mode, {v.name: v for v in main.all_vars}))
     if not free_vars(phi_safe) <= set(main.formals):
         raise ValidationError("assert-safe mentions non-formal variables")
+    program = Program(procedures, main_name, mode)
     return SourceUnit(text, program, mode, phi_safe)
 
 
@@ -486,8 +526,6 @@ def print_formula(f: Formula) -> str:
         return "(or " + " ".join(print_formula(a) for a in f.args) + ")"
     if isinstance(f, Call):
         return "(call " + f.callee + "".join(" " + a.name for a in f.args) + ")"
-    if isinstance(f, Not):
-        return f"(not {print_formula(f.arg)})"
     raise TypeError(f"cannot print {f!r}")
 
 

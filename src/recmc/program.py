@@ -3,7 +3,9 @@
 A program is a finite family of procedures with a designated main.  A
 procedure body is a quantifier-free NNF formula over its formals and
 locals in which call atoms occur only positively; the paths of the body
-are its DNF disjuncts, computed once.
+are its DNF disjuncts, computed once.  Nothing here checks these rules:
+parser.parse is the one entry point that reads a program, and it builds
+only programs that keep them.
 
 Assertion maps store facts per (procedure, stack bound).  Two instances
 drive the engine: the reachability map (under-approximations, each
@@ -29,18 +31,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .errors import ArityMismatch, TooLarge, ValidationError
+from .errors import ArityMismatch, TooLarge
 from .formula import (
     FALSE,
     TRUE,
     And,
     BoolLit,
     Call,
-    Cmp,
-    DivLit,
     Formula,
     Lit,
-    Not,
     Or,
     Path,
     Sort,
@@ -83,56 +82,6 @@ class Program:
 
     def proc(self, name: str) -> Procedure:
         return self.procedures[name]
-
-    def validate(self) -> None:
-        if self.main not in self.procedures:
-            raise ValidationError(f"main procedure {self.main!r} is not declared")
-        for p in self.procedures.values():
-            names = [v.name for v in p.all_vars]
-            if len(names) != len(set(names)):
-                raise ValidationError(f"duplicate variable name in {p.name}")
-            scope = set(p.all_vars)
-            for v in p.all_vars:
-                if v.sort is not self.mode:
-                    raise ValidationError(
-                        f"{v!r} has sort {v.sort.value}; program mode is {self.mode.value}"
-                    )
-            self._check_body(p, p.body, scope)
-
-    def _check_body(self, p: Procedure, f: Formula, scope) -> None:
-        if isinstance(f, Not):
-            raise ValidationError(f"body of {p.name} is not in NNF")
-        if isinstance(f, Call):
-            callee = self.procedures.get(f.callee)
-            if callee is None:
-                raise ValidationError(f"{p.name} calls undeclared procedure {f.callee!r}")
-            if len(f.args) != len(callee.formals):
-                raise ArityMismatch(
-                    f"call to {f.callee} in {p.name}: {len(f.args)} args, "
-                    f"{len(callee.formals)} formals"
-                )
-            for a in f.args:
-                if a not in scope:
-                    raise ValidationError(f"call argument {a!r} not in scope of {p.name}")
-        elif isinstance(f, (And, Or)):
-            for a in f.args:
-                self._check_body(p, a, scope)
-        elif isinstance(f, Lit):
-            for v in (
-                (f.lit.var,) if isinstance(f.lit, BoolLit) else f.lit.term.vars
-            ):
-                if v not in scope:
-                    raise ValidationError(f"variable {v!r} not in scope of {p.name}")
-            if isinstance(f.lit, DivLit):
-                if self.mode is not Sort.INT:
-                    raise ValidationError("divisibility literal outside integer mode")
-                if not f.lit.positive:
-                    raise ValidationError("negated divisibility in input")
-            if self.mode is Sort.INT and isinstance(f.lit, (Cmp, DivLit)):
-                if not f.lit.term.is_integral():
-                    raise ValidationError(
-                        f"non-integral coefficients in integer mode: {f.lit!r}"
-                    )
 
 
 # --------------------------------------------------------------------------

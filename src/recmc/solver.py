@@ -53,7 +53,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import PreconditionFailed, ResourceLimit, SelfCheckFailed, WrongMode
+from .errors import ResourceLimit, SelfCheckFailed, WrongMode
 from .formula import (
     EQ,
     LE,
@@ -67,7 +67,6 @@ from .formula import (
     LinTerm,
     Lit,
     Literal,
-    Not,
     Number,
     Or,
     Sort,
@@ -961,13 +960,15 @@ def _pick_int_var(lits):
 
 
 def _icsat(f: Formula, counter) -> Optional[dict]:
+    # every call is a node, also a case that folded to a constant: its
+    # substitution was work too, and the budget bounds all of it
+    if counter[0] <= 0:
+        raise _CooperBudget()
+    counter[0] -= 1
     if isinstance(f, Bottom):
         return None
     if isinstance(f, Top):
         return {}
-    if counter[0] <= 0:
-        raise _CooperBudget()
-    counter[0] -= 1
     x = _pick_int_var(_conj_literals(f))
     g, mult, y = lia_normalize(x, f)
     if isinstance(g, Bottom):
@@ -988,7 +989,7 @@ def int_conjunction_sat(lits) -> Optional[dict]:
     """Witness for a conjunction of integer literals, or None.
 
     Complete (Cooper's method underneath); raises _CooperBudget past
-    COOPER_NODE_BUDGET nodes.
+    COOPER_NODE_BUDGET nodes, where every case tested is a node.
     """
     f = f_and([mk_lit(l) for l in lits])
     model = _icsat(f, [COOPER_NODE_BUDGET])
@@ -1329,8 +1330,6 @@ class _CDCL:
 
 def check_sat(f: Formula, mode: Sort) -> SatResult:
     """Decide a call-free NNF formula; produce a model when it is sat."""
-    if isinstance(f, Not):
-        raise PreconditionFailed("check_sat input must be in NNF")
     if isinstance(f, Top):
         return SatResult("sat", Model({}))
     if isinstance(f, Bottom):
@@ -1425,7 +1424,3 @@ def entails(a: Formula, b: Formula, mode: Sort) -> bool:
     if res.is_unknown:
         raise ResourceLimit(res.reason)
     return res.is_unsat
-
-
-def equivalent(a: Formula, b: Formula, mode: Sort) -> bool:
-    return entails(a, b, mode) and entails(b, a, mode)

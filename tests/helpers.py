@@ -21,7 +21,7 @@ from recmc.formula import (
     mk_lit,
 )
 from recmc.project import project
-from recmc.solver import Model
+from recmc.solver import Model, entails
 
 
 def mk_vars(names, sort, owner=""):
@@ -77,6 +77,10 @@ def random_model(rng, vars_, span=6):
         else:
             out[v] = Fraction(rng.randint(-2 * span, 2 * span), rng.randint(1, 3))
     return Model(out)
+
+
+def equivalent(a, b, mode):
+    return entails(a, b, mode) and entails(b, a, mode)
 
 
 def truth_table_sat(f, bool_vars):

@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import fact_valuations, mk_vars, random_nnf
+from helpers import equivalent, fact_valuations, mk_vars, random_nnf
 from recmc.driver import SafetyProof, check, validate_cex, validate_proof
 from recmc.engine import EngineConfig, bounded_safety, new_stats
 from recmc.formula import (
@@ -41,7 +41,7 @@ from recmc.interpolate import _strongest, itp
 from recmc.parser import parse
 from recmc.program import AssertionMap, bool_bounded_semantics, bool_unbounded_semantics
 from recmc.project import _collect, lw_qe, project, split_weak_bounds
-from recmc.solver import check_sat, entails, equivalent
+from recmc.solver import check_sat, entails
 
 PASS = "criterion {n}: PASS - {msg}"
 

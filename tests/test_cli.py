@@ -6,9 +6,19 @@ import pytest
 
 import recmc
 import recmc.cli
-from recmc.cli import EXIT_ERROR, EXIT_INTERNAL, EXIT_SAFE, STATS_HEADER, run_cli
+import recmc.driver
+from recmc.cli import (
+    EXIT_ERROR,
+    EXIT_INTERNAL,
+    EXIT_SAFE,
+    EXIT_UNKNOWN,
+    STATS_HEADER,
+    run_cli,
+)
+from recmc.errors import ResourceLimit
 from recmc.generators import program_text
 from recmc.parser import MAX_NESTING
+from recmc.solver import SatResult
 
 SRC = os.path.dirname(os.path.dirname(recmc.__file__))
 
@@ -282,6 +292,28 @@ class TestErrorsNeverReadAsVerdicts:
         assert captured.err == (
             f"recmc: {src}: 1:{col}: parentheses nested deeper than {MAX_NESTING}\n"
         )
+
+    def test_solver_giving_up_in_replay_is_unknown(self, bad_file, monkeypatch, capsys):
+        real = recmc.driver.build_cex
+
+        def giving_up(*args):
+            with monkeypatch.context() as inside:
+                inside.setattr(
+                    recmc.driver, "solve", lambda memo, f, mode: SatResult("unknown", reason="out")
+                )
+                return real(*args)
+
+        monkeypatch.setattr(recmc.driver, "build_cex", giving_up)
+        assert run_cli(["check", bad_file]) == EXIT_UNKNOWN
+        assert capsys.readouterr().out == "UNKNOWN (solver resource limit: out)\n"
+
+    def test_solver_giving_up_in_validation_is_unknown(self, overview_file, monkeypatch, capsys):
+        def giving_up(a, b, mode):
+            raise ResourceLimit("out")
+
+        monkeypatch.setattr(recmc.driver, "entails", giving_up)
+        assert run_cli(["check", overview_file]) == EXIT_UNKNOWN
+        assert capsys.readouterr().out == "UNKNOWN (solver resource limit: out)\n"
 
     def test_corrupted_proof_rejected_under_optimize(self, overview_file):
         # claiming inductiveness at bound 0 hands the driver a proof that

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import fact_valuations
+from helpers import equivalent, fact_valuations
 from recmc.engine import EngineConfig, bounded_safety, new_stats
 from recmc.formula import (
     EQ,
@@ -14,7 +14,7 @@ from recmc.formula import (
 from recmc.generators import gen_bebop, overview, random_bool_program
 from recmc.parser import parse
 from recmc.program import AssertionMap, bool_bounded_semantics
-from recmc.solver import check_sat, entails, equivalent
+from recmc.solver import check_sat, entails
 
 
 def _run(unit, bound, **cfg):

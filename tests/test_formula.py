@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mk_vars, random_conjunction, random_model, random_nnf
+from helpers import equivalent, mk_vars, random_conjunction, random_model, random_nnf
 import recmc
 from recmc import formula
-from recmc.errors import NegatedCall, NotNormalized, PathExplosion, UnassignedVar
+from recmc.errors import NotNormalized, PathExplosion, UnassignedVar, ValidationError
 from recmc.formula import (
     EQ,
     FALSE,
@@ -26,7 +26,6 @@ from recmc.formula import (
     DivLit,
     LinTerm,
     Lit,
-    Not,
     Or,
     Path,
     Role,
@@ -42,10 +41,10 @@ from recmc.formula import (
     mk_lit,
     negate_nnf,
     normalize_for,
-    to_nnf,
 )
+from recmc.parser import parse
 from recmc.project import cooper_cases
-from recmc.solver import int_conjunction_sat
+from recmc.solver import entails, int_conjunction_sat
 
 p, q = mk_vars(["p", "q"], Sort.BOOL)
 x, y, u, l = mk_vars(["x", "y", "u", "l"], Sort.RAT)
@@ -56,38 +55,135 @@ def lit(v, pos=True):
     return Lit(BoolLit(v, pos))
 
 
+def _read(mode, expr, formals="p q x y u l"):
+    """The assert-safe formula expr, read in a program of the given mode
+    whose main has the given formals, and those formals by name."""
+    unit = parse(
+        f"(program (mode {mode}) (procedure P (in {formals}) (out) (body true))"
+        f" (main P) (assert-safe {expr}))"
+    )
+    return unit.phi_safe, {v.name: v for v in unit.program.proc("P").formals}
+
+
+_BOOL_ATOMS = st.sampled_from(["a", "b", "c", "true", "false"])
+_TERMS = st.recursive(
+    st.sampled_from(["a", "b", "c"]) | st.integers(-3, 3).map(str),
+    lambda t: st.one_of(
+        st.tuples(st.just("+"), t, t),
+        st.tuples(st.just("-"), t, t),
+        st.tuples(st.just("-"), t),
+        st.tuples(st.just("*"), st.integers(-3, 3).map(str), t),
+    ),
+    max_leaves=4,
+)
+_CMPS = st.tuples(st.sampled_from(["<", "<=", "=", ">", ">="]), _TERMS, _TERMS)
+_DIVIDES = st.tuples(st.just("divides"), st.integers(1, 4).map(str), _TERMS)
+
+
+def _formulas(atoms):
+    return st.recursive(
+        atoms,
+        lambda f: st.one_of(
+            st.tuples(st.just("not"), f),
+            st.lists(f, max_size=3).map(lambda xs: ("and", *xs)),
+            st.lists(f, max_size=3).map(lambda xs: ("or", *xs)),
+        ),
+        max_leaves=8,
+    )
+
+
+def _text(sexp) -> str:
+    if isinstance(sexp, str):
+        return sexp
+    return "(" + " ".join(_text(s) for s in sexp) + ")"
+
+
+def _eval(sexp, env):
+    """The value of a formula or term s-expression under env, read off
+    the syntax: the oracle of the parser's NNF."""
+    if isinstance(sexp, str):
+        if sexp in ("true", "false"):
+            return sexp == "true"
+        return env[sexp] if sexp in env else Fraction(int(sexp))
+    op, *args = sexp
+    vals = [_eval(a, env) for a in args]
+    if op == "not":
+        return not vals[0]
+    if op == "and":
+        return all(vals)
+    if op == "or":
+        return any(vals)
+    if op == "+":
+        return vals[0] + vals[1]
+    if op == "-":
+        return vals[0] - vals[1] if len(vals) == 2 else -vals[0]
+    if op == "*":
+        return vals[0] * vals[1]
+    if op == "divides":
+        return vals[1] % vals[0] == 0
+    return {"<": vals[0] < vals[1], "<=": vals[0] <= vals[1], "=": vals[0] == vals[1],
+            ">": vals[0] > vals[1], ">=": vals[0] >= vals[1]}[op]
+
+
 class TestToNNF:
+    """Formula text is read straight into NNF."""
+
     def test_de_morgan(self):
-        f = to_nnf(Not(And((lit(p), lit(q)))))
-        assert f == Or((lit(p, False), lit(q, False)))
+        f, v = _read("bool", "(not (and p q))")
+        assert f == Or((lit(v["p"], False), lit(v["q"], False)))
 
     def test_double_negation(self):
-        assert to_nnf(Not(Not(lit(p)))) == lit(p)
+        f, v = _read("bool", "(not (not p))")
+        assert f == lit(v["p"])
 
     def test_atom_negation_rules(self):
         # not(x < u and l < x)  ->  u <= x or x <= l
-        f = to_nnf(Not(And((mk_cmp(LT, tx.sub(tu)), mk_cmp(LT, tl.sub(tx))))))
+        f, v = _read("rat", "(not (and (< x u) (< l x)))")
+        tx, tu, tl = (LinTerm.of_var(v[n]) for n in "xul")
         assert f == f_or([mk_cmp(LE, tu.sub(tx)), mk_cmp(LE, tx.sub(tl))])
 
     def test_negated_equality_splits(self):
-        f = to_nnf(Not(mk_cmp(EQ, tx.sub(ty))))
+        f, _ = _read("rat", "(not (= x y))")
         assert isinstance(f, Or) and len(f.args) == 2
 
     def test_negated_call_rejected(self):
-        with pytest.raises(NegatedCall):
-            to_nnf(Not(Call("P", (x, y))))
+        line = "  (procedure P (in i) (out o) (body (or (= o i) (not (call D i o)))))"
+        text = (
+            "(program (mode rat)\n"
+            "  (procedure D (in a) (out b) (body (= b a)))\n"
+            f"{line}\n"
+            "  (main P) (assert-safe true))"
+        )
+        with pytest.raises(ValidationError) as err:
+            parse(text)
+        col = line.index("(call") + 1
+        assert str(err.value) == f"3:{col}: call to D under a negation"
 
-    def test_preserves_models(self):
-        rng = random.Random(7)
-        vars_ = [p, q, x, y]
-        for _ in range(300):
-            f = random_nnf(rng, vars_, Sort.RAT, rng.randint(1, 5))
-            if rng.random() < 0.5:
-                f = Not(f)
-            g = to_nnf(f)
-            m = random_model(rng, vars_)
-            want = not eval_formula(f.arg, m) if isinstance(f, Not) else eval_formula(f, m)
-            assert eval_formula(g, m) == want
+    @given(
+        st.sampled_from(["bool", "rat", "int"]).flatmap(
+            lambda mode: st.tuples(
+                st.just(mode),
+                _formulas(
+                    _BOOL_ATOMS if mode == "bool"
+                    else _CMPS | _DIVIDES if mode == "int" else _CMPS
+                ),
+            )
+        ),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_preserves_models(self, mode_sexp, rng):
+        mode, sexp = mode_sexp
+        f, v = _read(mode, _text(sexp), "a b c")
+        for _ in range(5):
+            if mode == "bool":
+                env = {n: rng.random() < 0.5 for n in v}
+            elif mode == "int":
+                env = {n: Fraction(rng.randint(-6, 6)) for n in v}
+            else:
+                env = {n: Fraction(rng.randint(-12, 12), rng.randint(1, 3)) for n in v}
+            model = {v[n]: val for n, val in env.items()}
+            assert eval_formula(f, model) == _eval(sexp, env)
 
 
 class TestDnfPaths:
@@ -114,8 +210,6 @@ class TestDnfPaths:
             dnf_paths(f)
 
     def test_disjunction_equivalent_to_body(self):
-        from recmc.solver import equivalent, entails
-
         rng = random.Random(13)
         for _ in range(40):
             body = random_nnf(rng, [p, q, x, y], Sort.RAT, rng.randint(1, 6))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mk_vars, random_nnf, qe_all
+from helpers import equivalent, mk_vars, random_nnf, qe_all
 from recmc import interpolate
 from recmc.errors import InterpolationError, NotUnsat
 from recmc.formula import (
@@ -30,7 +30,7 @@ from recmc.formula import (
 )
 from recmc.interpolate import _strongest, itp
 from recmc.project import lw_qe
-from recmc.solver import check_sat, entails, equivalent
+from recmc.solver import check_sat, entails
 
 x, y, s0, s1, a0, a1, b0 = mk_vars(["x", "y", "s0", "s1", "a0", "a1", "b0"], Sort.RAT)
 tx, ty = LinTerm.of_var(x), LinTerm.of_var(y)

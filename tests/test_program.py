@@ -22,6 +22,7 @@ from recmc.formula import (
     mk_cmp,
 )
 from recmc.generators import overview
+from recmc.parser import parse
 from recmc.program import (
     AssertionMap,
     Program,
@@ -213,15 +214,33 @@ class TestBoolSemantics:
 
 
 class TestValidation:
-    def test_mode_mismatch_rejected(self, unit):
-        program = unit.program
-        bad = Program(dict(program.procedures), program.main, Sort.INT)
-        with pytest.raises(ValidationError):
-            bad.validate()
+    """parse checks each input rule where it reads the text."""
+
+    @staticmethod
+    def _parse(mode, p_body, main="P"):
+        return parse(
+            f"(program (mode {mode}) (procedure P (in i) (out o) (body {p_body}))"
+            f" (main {main}) (assert-safe true))"
+        )
 
     def test_unknown_callee_rejected(self):
-        i = Var("i", Sort.BOOL, Role.IN, "P")
-        o = Var("o", Sort.BOOL, Role.OUT, "P")
-        proc = make_procedure("P", (i,), (o,), (), Call("Q", (i, o)))
-        with pytest.raises(ValidationError):
-            Program({"P": proc}, "P", Sort.BOOL).validate()
+        with pytest.raises(ValidationError, match="P calls undeclared procedure 'Q'"):
+            self._parse("bool", "(call Q i o)")
+        # the text is checked, also a call that folding removes
+        with pytest.raises(ValidationError, match="P calls undeclared procedure 'Q'"):
+            self._parse("bool", "(or o (and false (call Q i o)))")
+
+    def test_undeclared_main_rejected(self):
+        with pytest.raises(ValidationError, match="main procedure 'M' is not declared"):
+            self._parse("bool", "o", main="M")
+
+    def test_negated_divisibility_rejected(self):
+        with pytest.raises(ValidationError, match="negated divisibility in input"):
+            self._parse("int", "(not (divides 2 (+ i o)))")
+        # a negation that folds to a constant is no literal, and is accepted
+        assert self._parse("int", "(and (= o i) (not (divides 2 (* 4 i))))")
+        # assert-safe may negate divisibility
+        assert parse(
+            "(program (mode int) (procedure P (in i) (out o) (body (= o i)))"
+            " (main P) (assert-safe (not (divides 2 o))))"
+        )

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    equivalent,
     exists_window_int,
     mk_vars,
     random_conjunction,
@@ -44,7 +45,6 @@ from recmc.solver import (
     Model,
     check_sat,
     entails,
-    equivalent,
     int_conjunction_sat,
 )
 

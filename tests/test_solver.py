@@ -10,7 +10,7 @@ from helpers import (
     truth_table_sat,
     window_sat_int,
 )
-from recmc.errors import PreconditionFailed, ResourceLimit, SelfCheckFailed
+from recmc.errors import ResourceLimit, SelfCheckFailed
 from recmc.formula import (
     EQ,
     FALSE,
@@ -23,7 +23,6 @@ from recmc.formula import (
     DivLit,
     LinTerm,
     Lit,
-    Not,
     Sort,
     eval_formula,
     eval_literal,
@@ -80,11 +79,6 @@ class TestBasics:
         res = check_sat(f, Sort.BOOL)
         assert res.is_sat
         assert res.model[p] is False and res.model[q] is True
-
-    def test_non_nnf_input_rejected(self):
-        # raised, not asserted, so that it holds under python -O too
-        with pytest.raises(PreconditionFailed):
-            check_sat(Not(mk_cmp(LT, tx)), Sort.RAT)
 
     def test_constants(self):
         assert check_sat(TRUE, Sort.BOOL).is_sat
@@ -494,3 +488,30 @@ class TestCooperSelfChecks:
         monkeypatch.setattr(solver, "cooper_cases", off_by_half)
         with pytest.raises(SelfCheckFailed):
             solver.int_conjunction_sat([Cmp(LE, txi.sub(LinTerm.of_const(3)))])
+
+
+class TestCooperBudget:
+    def test_budget_bounds_every_case(self, monkeypatch):
+        # the cases of this conjunction mostly fold to false; each costs a
+        # substitution, so each counts against the budget
+        def t(cx, cy, cz, c):
+            return LinTerm.make({xi: cx, yi: cy, zi: cz}, c)
+
+        lits = [
+            DivLit(3, t(0, 1, 1, 2), False),
+            Cmp(LE, t(-3, 2, 2, -2)),
+            Cmp(LE, t(-3, -2, 3, -4)),
+            Cmp(LT, t(-1, 0, -3, -4)),
+            DivLit(4, t(2, 1, 2, 0)),
+        ]
+        real = solver._icsat
+        calls = [0]
+
+        def counting(f, counter):
+            calls[0] += 1
+            return real(f, counter)
+
+        monkeypatch.setattr(solver, "_icsat", counting)
+        with pytest.raises(solver._CooperBudget):
+            solver.int_conjunction_sat(lits)
+        assert calls[0] <= solver.COOPER_NODE_BUDGET + 1
