@@ -8,13 +8,14 @@ for linear rational and integer arithmetic.
 """
 
 from .driver import CounterexampleTree, SafetyProof, Verdict, check, validate_cex, validate_proof
-from .engine import EngineConfig, bounded_safety
+from .engine import BndSafety, EngineConfig, bounded_safety
 from .formula import Sort
 from .parser import SourceUnit, parse, print_program
 from .program import AssertionMap, Program
 
 __all__ = [
     "AssertionMap",
+    "BndSafety",
     "CounterexampleTree",
     "EngineConfig",
     "Program",

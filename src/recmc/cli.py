@@ -11,7 +11,9 @@ Exit codes:
     3  usage or input error, or a RecmcError raised by the checker,
        such as a proof or counterexample that failed validation;
        parentheses nested deeper than parser.MAX_NESTING (256) are an
-       input error, reported with the line:col of the first '(' too deep
+       input error, reported with the line:col of the first '(' too deep;
+       so is an output path that cannot be written, and check then
+       prints no verdict
     4  internal error: any other exception; reported on one line
 
 A crash thus never leaves with the code of a verdict.
@@ -46,6 +48,7 @@ import logging
 import os
 import random
 import sys
+from contextlib import ExitStack
 from fractions import Fraction
 
 from .driver import Verdict, check
@@ -150,6 +153,11 @@ def _configure_logging():
         logging.basicConfig(stream=sys.stderr, level=getattr(logging, level.upper()))
 
 
+def _cannot_write(exc: OSError) -> int:
+    print(f"recmc: cannot write {exc.filename}: {exc}", file=sys.stderr)
+    return EXIT_ERROR
+
+
 def _cmd_check(args) -> int:
     for flag, value in (("--max-bound", args.max_bound), ("--step-budget", args.step_budget)):
         if value < 0:
@@ -173,22 +181,29 @@ def _cmd_check(args) -> int:
         )
         return EXIT_ERROR
     config = EngineConfig(proj=args.proj, step_budget=args.step_budget)
-    try:
-        verdict = check(unit.program, unit.phi_safe, args.max_bound, config)
-    except RecmcError as exc:
-        print(f"recmc: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    with ExitStack() as outputs:
+        # opened before the check, so an unwritable path prints no verdict
+        try:
+            witness, trace = (
+                outputs.enter_context(open(path, "w", encoding="utf-8")) if path else None
+                for path in (args.witness, args.trace)
+            )
+        except OSError as exc:
+            return _cannot_write(exc)
+        try:
+            verdict = check(unit.program, unit.phi_safe, args.max_bound, config)
+        except RecmcError as exc:
+            print(f"recmc: {exc}", file=sys.stderr)
+            return EXIT_ERROR
 
-    print(verdict.status if verdict.status != "UNKNOWN" else f"UNKNOWN ({verdict.reason})")
-    if verdict.status == "SAFE":
-        for name, f in verdict.proof.env.items():
-            print(f"  {name}: {print_formula(f)}")
-    if args.witness:
-        with open(args.witness, "w", encoding="utf-8") as fh:
-            emit_witness(verdict, fh)
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            emit_trace(verdict.trace, fh)
+        print(verdict.status if verdict.status != "UNKNOWN" else f"UNKNOWN ({verdict.reason})")
+        if verdict.status == "SAFE":
+            for name, f in verdict.proof.env.items():
+                print(f"  {name}: {print_formula(f)}")
+        if witness:
+            emit_witness(verdict, witness)
+        if trace:
+            emit_trace(verdict.trace, trace)
     if args.stats:
         emit_stats(verdict.stats, sys.stdout)
     return {"SAFE": EXIT_SAFE, "UNSAFE": EXIT_UNSAFE}.get(verdict.status, EXIT_UNKNOWN)
@@ -214,8 +229,11 @@ def _cmd_gen(args) -> int:
             unit = random_arith_program(rng, args.mode)
     text = print_program(unit.program, unit.phi_safe)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _cannot_write(exc)
     else:
         sys.stdout.write(text)
     return EXIT_SAFE

@@ -16,11 +16,12 @@ subproblem is solved once and its node shared, so a chain whose
 unfolded call tree is exponential replays in time linear in its
 distinct nodes.
 
-One check solves each distinct query once.  It owns an answer memo
-(formula -> SatResult, see engine.solve) that lives across bounds and is
-shared by the engine's rules, check_inductive and counterexample
-replay; each of them calls check_sat only for a formula the check has
-not asked before.  Validation and interpolation never read the memo.
+One check has one state object, an engine.BndSafety built once and
+run at every bound.  check_inductive and counterexample replay read
+their environments from it and ask their queries through its solve, as
+the engine's rules do, so a distinct formula is solved once per check
+and an environment is built once per map version.  Validation and
+interpolation never read that state.
 
 Both witnesses are validated before being returned, so a verdict is
 never emitted on the engine's say-so alone.  The proof is re-solved
@@ -44,7 +45,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from .engine import EngineConfig, bounded_safety, new_stats, solve
+from .engine import BndSafety, EngineConfig, bounded_safety
 from .errors import ProvenanceGap, ResourceLimit, SelfCheckFailed
 from .formula import (
     EQ,
@@ -60,13 +61,7 @@ from .formula import (
     mk_cmp,
     negate_nnf,
 )
-from .program import (
-    AssertionMap,
-    Program,
-    instantiate,
-    over_env,
-    under_env,
-)
+from .program import AssertionMap, Program, instantiate
 from .solver import entails, total_model
 
 
@@ -109,7 +104,7 @@ class Verdict:
     proof: Optional[SafetyProof] = None
     cex: Optional[CounterexampleTree] = None
     reason: str = ""
-    stats: dict = field(default_factory=new_stats)
+    stats: dict = field(default_factory=dict)
     trace: list = field(default_factory=list)
     rho: Optional[AssertionMap] = None
     sigma: Optional[AssertionMap] = None
@@ -121,38 +116,29 @@ def check(
     max_bound: int = 64,
     config: Optional[EngineConfig] = None,
 ) -> Verdict:
-    config = config or EngineConfig()
-    rho, sigma = AssertionMap(), AssertionMap()
-    stats = new_stats()
-    trace: list = []
-    memo: dict = {}
+    engine = BndSafety(program, phi_safe, config)
     start = time.monotonic()
-    verdict = _check_loop(
-        program, phi_safe, max_bound, config, rho, sigma, stats, trace, memo
-    )
-    stats["wall_ms"] = int((time.monotonic() - start) * 1000)
-    verdict.stats = stats
-    verdict.trace = trace
-    verdict.rho = rho
-    verdict.sigma = sigma
+    verdict = _check_loop(engine, max_bound)
+    engine.stats["wall_ms"] = int((time.monotonic() - start) * 1000)
+    verdict.stats, verdict.trace = engine.stats, engine.trace
+    verdict.rho, verdict.sigma = engine.rho, engine.sigma
     return verdict
 
 
-def _check_loop(program, phi_safe, max_bound, config, rho, sigma, stats, trace, memo):
+def _check_loop(engine: BndSafety, max_bound: int) -> Verdict:
+    program, phi_safe = engine.program, engine.phi_safe
     for n in range(max_bound + 1):
-        res, reason, _ = bounded_safety(
-            program, phi_safe, n, rho, sigma, config, stats, trace, memo
-        )
+        res, reason = bounded_safety(engine, n)
         if res == "UNKNOWN":
             return Verdict("UNKNOWN", n, reason=reason)
         try:
             if res == "UNSAFE":
-                tree = build_cex(rho, program, phi_safe, n, memo)
+                tree = build_cex(engine, n)
                 if not validate_cex(program, tree, phi_safe):
                     raise SelfCheckFailed("counterexample failed validation")
                 return Verdict("UNSAFE", n, cex=tree)
-            if check_inductive(program, sigma, n, memo):
-                proof = SafetyProof(over_env(sigma, n, program), n)
+            if check_inductive(engine, n):
+                proof = SafetyProof(engine.env("o", n), n)
                 if not validate_proof(program, proof, phi_safe):
                     raise SelfCheckFailed("proof failed validation")
                 return Verdict("SAFE", n, proof=proof)
@@ -161,10 +147,9 @@ def _check_loop(program, phi_safe, max_bound, config, rho, sigma, stats, trace, 
     return Verdict("UNKNOWN", max_bound, reason="bound exhausted")
 
 
-def check_inductive(
-    program: Program, sigma: AssertionMap, n: int, memo: Optional[dict] = None
-) -> bool:
-    """Push summary facts upward; true when every level-n fact moves.
+def check_inductive(engine: BndSafety, n: int) -> bool:
+    """Push the check's summary facts upward; true when every level-n
+    fact moves.
 
     Levels are swept bottom-up so that facts pushed from below are
     already visible when the higher levels are checked; pushes from
@@ -172,28 +157,25 @@ def check_inductive(
     directly.  sigma only ever grows.
 
     A push at level b adds at b + 1 a formula already at level b, which
-    leaves the level-b conjunction unchanged, so the environment is built
+    leaves the level-b conjunction unchanged, so the environment is read
     once per level and each body instantiated once per level.
 
-    Each push is the query "body and not fact", asked through the
-    check's answer memo (a fresh one when memo is None): a push asked
-    at an earlier bound, or by the engine's sum rule, is not solved
-    again.  validate_proof re-solves the proof from scratch.
+    Each push is the query "body and not fact", asked through
+    engine.solve: a push asked at an earlier bound, or by the engine's
+    sum rule, is not solved again.  validate_proof re-solves the proof
+    from scratch.
     """
-    memo = {} if memo is None else memo
+    program, sigma = engine.program, engine.sigma
     inductive = True
     for b in range(n + 1):
-        env = over_env(sigma, b, program)
+        env = engine.env("o", b)
         for name, proc in program.procedures.items():
             facts = sigma.at(name, b)
             if not facts:
                 continue
             body = instantiate(proc.body, env, program)
             for fact in facts:
-                res = solve(memo, f_and([body, negate_nnf(fact.formula)]), program.mode)
-                if res.is_unknown:
-                    raise ResourceLimit(res.reason)
-                if res.is_unsat:
+                if engine.solve(f_and([body, negate_nnf(fact.formula)])).is_unsat:
                     sigma.add(name, b + 1, fact.formula)
                 elif b == n:
                     inductive = False
@@ -228,11 +210,9 @@ def _pin(values: Dict[Var, object]) -> Formula:
     return f_and(parts)
 
 
-def build_cex(
-    rho: AssertionMap, program: Program, phi_safe: Formula, n: int,
-    memo: Optional[dict] = None,
-) -> CounterexampleTree:
-    """Replay reachability facts into a concrete execution tree.
+def build_cex(engine: BndSafety, n: int) -> CounterexampleTree:
+    """Replay the check's reachability facts into a concrete execution
+    tree.
 
     Node models are re-solved with the formals pinned to the values the
     parent requires; every fact is an under-approximation of real
@@ -241,25 +221,21 @@ def build_cex(
     ResourceLimit.
 
     A node depends only on its fact and pinned formals, so each distinct
-    pair is solved once and its node shared by every call that needs it;
-    the under-approximating environment is built once per bound.  The
-    solves go through the check's answer memo (a fresh one when memo is
-    None), so the root query the engine just asked is not solved again;
-    validate_cex reads none of them.
+    pair is solved once and its node shared by every call that needs it.
+    The environments and solves come from engine, so the root query the
+    engine just asked is not solved again; validate_cex reads none of
+    them.
     """
-    memo = {} if memo is None else memo
+    program = engine.program
     main = program.proc(program.main)
-    u_main = under_env(rho, n, program)[main.name]
-    res = solve(memo, f_and([u_main, negate_nnf(phi_safe)]), program.mode)
-    if res.is_unknown:
-        raise ResourceLimit(res.reason)
+    u_main = engine.env("u", n)[main.name]
+    res = engine.solve(f_and([u_main, negate_nnf(engine.phi_safe)]))
     if not res.is_sat:
         raise ProvenanceGap("unsafe verdict but no violating model")
     model = total_model(res.model, main.formals)
-    fact = _fact_for(rho, main.name, n, model)
+    fact = _fact_for(engine.rho, main.name, n, model)
     pinned = {v: model[v] for v in main.formals}
-    root = _expand(rho, program, fact, pinned, {}, {}, memo)
-    return CounterexampleTree(root, n)
+    return CounterexampleTree(_expand(engine, fact, pinned, {}), n)
 
 
 def _fact_for(rho, name, bound, model):
@@ -270,24 +246,20 @@ def _fact_for(rho, name, bound, model):
     raise ProvenanceGap(f"no reachability fact of {name} matches the model")
 
 
-def _expand(rho, program, fact, pinned, nodes, envs, memo) -> CexNode:
+def _expand(engine: BndSafety, fact, pinned, nodes) -> CexNode:
     """The node replaying fact with the formals pinned, memoised in nodes
-    by (fact, pinned values in formals order); envs caches under_env by
-    bound, and memo answers the solves."""
+    by (fact, pinned values in formals order)."""
     key = (fact.fact_id, tuple(pinned.items()))
     if key in nodes:
         return nodes[key]
+    program = engine.program
     proc = program.proc(fact.proc)
     if fact.path_index is None:
         raise ProvenanceGap(f"fact {fact.fact_id} has no path index")
     path = proc.paths[fact.path_index]
     below = fact.bound - 1
-    if below not in envs:
-        envs[below] = under_env(rho, below, program)
-    matrix = instantiate(path, envs[below], program)
-    res = solve(memo, f_and([matrix, _pin(pinned)]), program.mode)
-    if res.is_unknown:
-        raise ResourceLimit(res.reason)
+    matrix = instantiate(path, engine.env("u", below), program)
+    res = engine.solve(f_and([matrix, _pin(pinned)]))
     if not res.is_sat:
         raise ProvenanceGap(f"fact {fact.fact_id} does not replay")
     model = total_model(res.model, proc.all_vars)
@@ -297,10 +269,8 @@ def _expand(rho, program, fact, pinned, nodes, envs, memo) -> CexNode:
         renamed_model = {
             formal: model[arg] for formal, arg in zip(callee.formals, call.args)
         }
-        child_fact = _fact_for(rho, call.callee, below, renamed_model)
-        children.append(
-            _expand(rho, program, child_fact, renamed_model, nodes, envs, memo)
-        )
+        child_fact = _fact_for(engine.rho, call.callee, below, renamed_model)
+        children.append(_expand(engine, child_fact, renamed_model, nodes))
     values = {v: model[v] for v in proc.all_vars}
     node = nodes[key] = CexNode(proc.name, fact.path_index, values, tuple(children))
     return node

@@ -29,10 +29,15 @@ set empties, always on a query of minimal bound (FIFO among ties):
 
 When the work set drains, the original query has been answered: unsafe
 if some reachability fact of main meets the negated property, safe
-otherwise.  Facts are never retracted; the maps persist across calls so
-an outer loop can deepen the bound incrementally.  So does the answer
-memo: every query the rules ask is solved once per memo, and a formula
-asked again, in this run or a later one, is answered from it.
+otherwise.  Facts are never retracted.
+
+One BndSafety is the whole state of one check, and the outer loop calls
+its run(bound) at growing bounds.  It keeps rho and sigma from one
+bound to the next, the answer memo (each distinct formula is solved once
+per check, by the rules, the inductiveness check or replay alike), the
+stats and rule trace, and one environment per (kind, bound), rebuilt
+only when its map has changed.  A run resets only the work set and the
+query ids.
 """
 
 from __future__ import annotations
@@ -75,7 +80,6 @@ log = logging.getLogger("recmc")
 class EngineConfig:
     proj: str = "mbp"  # "mbp" | "qe"
     step_budget: int = 100_000
-    check_level: int = 0  # 1: assert queue/progress invariants every step
 
 
 @dataclass
@@ -100,78 +104,58 @@ class TraceEvent:
         return f"{self.rule} q{self.qid} {self.proc} {self.bound} {self.outcome}"
 
 
-def new_stats() -> Dict[str, int]:
-    return {
-        "steps": 0,
-        "sum": 0,
-        "reach": 0,
-        "query": 0,
-        "mbp_calls": 0,
-        "solver_calls": 0,
-    }
-
-
-def solve(memo: Dict[Formula, SatResult], f: Formula, mode: Sort) -> SatResult:
-    """check_sat(f, mode), answered from memo when f was asked before.
-
-    check_sat is a function of its formula and mode, so one memo may
-    serve every query about one program, across bounds.  A miss calls
-    this module's binding of check_sat, which tracing wrappers replace.
-    """
-    res = memo.get(f)
-    if res is None:
-        res = memo[f] = check_sat(f, mode)
-    return res
-
-
 class BndSafety:
-    """One bounded run; rho and sigma are shared with the caller."""
+    """The state of one check; run(bound) is one bounded run."""
 
     def __init__(
-        self,
-        program: Program,
-        phi_safe: Formula,
-        bound: int,
-        rho: AssertionMap,
-        sigma: AssertionMap,
-        config: EngineConfig,
-        stats: Optional[dict] = None,
-        trace: Optional[list] = None,
-        memo: Optional[dict] = None,
+        self, program: Program, phi_safe: Formula, config: Optional[EngineConfig] = None
     ):
         self.program = program
         self.phi_safe = phi_safe
-        self.bound = bound
-        self.rho = rho
-        self.sigma = sigma
-        self.config = config
-        self.stats = stats if stats is not None else new_stats()
-        self.trace = trace if trace is not None else []
-        self.memo = memo if memo is not None else {}
+        self.config = config or EngineConfig()
+        self.rho, self.sigma = AssertionMap(), AssertionMap()
+        self.memo: Dict[Formula, SatResult] = {}
+        self.stats = dict.fromkeys(
+            ("steps", "sum", "reach", "query", "mbp_calls", "solver_calls"), 0
+        )
+        self.trace: List[TraceEvent] = []
         self.queue: List[BoundedQuery] = []
         self._next_qid = 0
-        self._env_cache: Dict[tuple, Dict[str, Formula]] = {}
+        self._envs: Dict[tuple, tuple] = {}  # (kind, bound) -> (map version, env)
 
     # -- helpers -------------------------------------------------------
 
-    def _sat(self, f: Formula):
-        self.stats["solver_calls"] += 1
-        res = solve(self.memo, f, self.program.mode)
+    def solve(self, f: Formula) -> SatResult:
+        """check_sat(f), answered from the memo when the check asked f
+        before; ResourceLimit when the solver gives up.
+
+        check_sat is a function of its formula and mode, so one memo
+        serves every query of the check, across bounds.  A miss calls
+        this module's binding of check_sat, which tracing wrappers replace.
+        """
+        res = self.memo.get(f)
+        if res is None:
+            res = self.memo[f] = check_sat(f, self.program.mode)
         if res.is_unknown:
             raise ResourceLimit(res.reason)
         return res
 
+    def _sat(self, f: Formula) -> SatResult:
+        """A query of the rules, counted in solver_calls."""
+        self.stats["solver_calls"] += 1
+        return self.solve(f)
+
     def _entails(self, a: Formula, b: Formula) -> bool:
         return self._sat(f_and([a, negate_nnf(b)])).is_unsat
 
-    def _env(self, kind: str, bound: int) -> Dict[str, Formula]:
+    def env(self, kind: str, bound: int) -> Dict[str, Formula]:
         """The under- ("u", from rho) or over-approximating ("o", from
-        sigma) environment at bound, cached per map version."""
+        sigma) environment at bound, rebuilt when the map has changed."""
         amap, build = (self.rho, under_env) if kind == "u" else (self.sigma, over_env)
-        key = (kind, bound, amap.version)
-        env = self._env_cache.get(key)
-        if env is None:
-            env = self._env_cache[key] = build(amap, bound, self.program)
+        version, env = self._envs.get((kind, bound), (None, None))
+        if version != amap.version:
+            env = build(amap, bound, self.program)
+            self._envs[(kind, bound)] = (amap.version, env)
         return env
 
     def _project(self, elim, matrix: Formula, model: Model, proc) -> Formula:
@@ -182,12 +166,10 @@ class BndSafety:
         model = total_model(model, proc.all_vars)
         return project(elim, matrix, model, strategy="mbp", stats=self.stats)
 
-    def _push(self, query: BoundedQuery):
-        self.queue.append(query)
-
-    def _new_query(self, proc, goal, bound) -> BoundedQuery:
+    def _push(self, proc: str, goal: Formula, bound: int) -> BoundedQuery:
         q = BoundedQuery(self._next_qid, proc, goal, bound)
         self._next_qid += 1
+        self.queue.append(q)
         return q
 
     def pick_next(self) -> BoundedQuery:
@@ -200,11 +182,14 @@ class BndSafety:
 
     # -- main loop -----------------------------------------------------
 
-    def run(self) -> Tuple[str, str]:
-        """Returns (verdict, reason); verdict SAFE | UNSAFE | UNKNOWN."""
-        main = self.program.proc(self.program.main)
+    def run(self, bound: int) -> Tuple[str, str]:
+        """One bounded run on the maps kept so far, with a fresh work set
+        and query ids.  Returns (verdict, reason); verdict SAFE | UNSAFE |
+        UNKNOWN."""
+        main = self.program.main
         init_goal = negate_nnf(self.phi_safe)
-        self._push(self._new_query(main.name, init_goal, self.bound))
+        self.queue, self._next_qid = [], 0
+        self._push(main, init_goal, bound)
         try:
             while self.queue:
                 if self.stats["steps"] >= self.config.step_budget:
@@ -212,34 +197,28 @@ class BndSafety:
                 self.step()
         except ResourceLimit as exc:
             return "UNKNOWN", f"solver resource limit: {exc}"
-        u_main = self._env("u", self.bound)[main.name]
-        if self._sat(f_and([u_main, init_goal])).is_sat:
+        if self._sat(f_and([self.env("u", bound)[main], init_goal])).is_sat:
             return "UNSAFE", ""
-        o_main = self._env("o", self.bound)[main.name]
-        if not self._entails(o_main, self.phi_safe):
+        if not self._entails(self.env("o", bound)[main], self.phi_safe):
             raise PreconditionFailed("empty work set but neither verdict premise holds")
         return "SAFE", ""
 
     def step(self) -> TraceEvent:
         q = self.pick_next()
         proc = self.program.proc(q.proc)
-        env_o = self._env("o", q.bound - 1)
-        env_u = self._env("u", q.bound - 1)
-        neg_goal = negate_nnf(q.goal)
-
+        env_o = self.env("o", q.bound - 1)
+        env_u = self.env("u", q.bound - 1)
         body_over = instantiate(proc.body, env_o, self.program)
-        sum_ok = self._entails(body_over, neg_goal)
+        sum_ok = self._entails(body_over, negate_nnf(q.goal))
 
         reach_hit = None
-        if not sum_ok or self.config.check_level >= 1:
+        if not sum_ok:
             for pidx, path in enumerate(proc.paths):
                 matrix = instantiate(path, env_u, self.program)
                 res = self._sat(f_and([matrix, q.goal]))
                 if res.is_sat:
                     reach_hit = (pidx, matrix, res.model)
                     break
-        if self.config.check_level >= 1 and sum_ok and reach_hit:
-            raise PreconditionFailed("sum and reach both applicable")
 
         self.stats["steps"] += 1
         if sum_ok:
@@ -251,8 +230,6 @@ class BndSafety:
         self.trace.append(event)
         if log.isEnabledFor(logging.DEBUG):
             log.debug("%s", event.line())
-        if self.config.check_level >= 1:
-            self._check_pending_invariant()
         return event
 
     # -- rules -----------------------------------------------------------
@@ -264,7 +241,7 @@ class BndSafety:
 
         def refuted(q2):  # answered negatively by the summaries
             return q2.bound <= q.bound and self._entails(
-                self._env("o", q2.bound)[q.proc], negate_nnf(q2.goal)
+                self.env("o", q2.bound)[q.proc], negate_nnf(q2.goal)
             )
 
         return self._answer(q, "sum", refuted, added, psi)
@@ -340,8 +317,7 @@ class BndSafety:
             child_goal = self._rename_to_formals(psi, args, callee.formals)
             if any(q2.bound == q.bound - 1 for q2 in self.queue):
                 raise PreconditionFailed("new query would overlap an existing bound level")
-            child = self._new_query(call.callee, child_goal, q.bound - 1)
-            self._push(child)
+            child = self._push(call.callee, child_goal, q.bound - 1)
             self.stats["query"] += 1
             return TraceEvent(
                 self.stats["steps"],
@@ -390,35 +366,7 @@ class BndSafety:
         renamed = rename_vars(psi, mapping)
         return f_and([renamed] + equalities)
 
-    # -- debug invariants -------------------------------------------------
 
-    def _check_pending_invariant(self):
-        """Every queued query can neither be refuted by summaries nor
-        witnessed by reachability facts."""
-        for q in self.queue:
-            o_formula = self._env("o", q.bound)[q.proc]
-            u_formula = self._env("u", q.bound)[q.proc]
-            if self._entails(o_formula, negate_nnf(q.goal)):
-                raise PreconditionFailed(f"queued query q{q.qid} already refuted by summaries")
-            if not self._entails(u_formula, negate_nnf(q.goal)):
-                raise PreconditionFailed(
-                    f"queued query q{q.qid} already witnessed by reachability facts"
-                )
-
-
-def bounded_safety(
-    program: Program,
-    phi_safe: Formula,
-    bound: int,
-    rho: AssertionMap,
-    sigma: AssertionMap,
-    config: Optional[EngineConfig] = None,
-    stats: Optional[dict] = None,
-    trace: Optional[list] = None,
-    memo: Optional[dict] = None,
-) -> Tuple[str, str, BndSafety]:
-    engine = BndSafety(
-        program, phi_safe, bound, rho, sigma, config or EngineConfig(), stats, trace, memo
-    )
-    verdict, reason = engine.run()
-    return verdict, reason, engine
+def bounded_safety(engine: BndSafety, bound: int) -> Tuple[str, str]:
+    """One bounded run of the check whose state is engine."""
+    return engine.run(bound)

@@ -19,8 +19,9 @@ only entry point that checks a program, and nothing downstream checks a
 rule again.  Each rule is checked where its text is read, in this order:
 
   - the top-level forms, then the procedure headers: a mode, a main and
-    an assert-safe are present, headers are well formed, no procedure
-    is declared twice; then main must be declared;
+    an assert-safe are present once each, headers are well formed with
+    each section at most once, no procedure is declared twice; then main
+    must be declared;
   - each body, in file order: variables are declared once, in scope and
     of the right sort; a call names a declared procedure with its arity
     and is not under a negation (reported with its position); a negated
@@ -367,11 +368,14 @@ def parse(text: str) -> SourceUnit:
     proc_forms = []
     main_name: Optional[str] = None
     safe_form = None
+    seen = set()
     for item in items:
         head = _head(item)
+        if head in seen:
+            raise _err(item, f"duplicate ({head} ...)")
+        if head != "procedure":
+            seen.add(head)
         if head == "mode":
-            if mode is not None:
-                raise _err(item, "duplicate (mode ...)")
             if len(item[1]) != 2 or not isinstance(item[1][1], _Tok):
                 raise _err(item, "(mode bool|rat|int)")
             m = _MODES.get(item[1][1].text)
@@ -447,6 +451,8 @@ def _proc_header(pf):
     sections = {}
     for sec in items[2:]:
         head = _head(sec)
+        if head in sections:
+            raise _err(sec, f"duplicate ({head} ...) in procedure {name}")
         if head in ("in", "out", "local"):
             vs = []
             for tok in sec[1][1:]:

@@ -1,8 +1,14 @@
-"""Shared test utilities: random formulas, models, and brute-force oracles."""
+"""Shared test utilities: random formulas, models, brute-force oracles,
+and an engine that checks its own invariants."""
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
+import recmc.driver
+from recmc.driver import check
+from recmc.engine import BndSafety
+from recmc.errors import PreconditionFailed
 from recmc.formula import (
     EQ,
     LE,
@@ -19,7 +25,9 @@ from recmc.formula import (
     f_or,
     mk_cmp,
     mk_lit,
+    negate_nnf,
 )
+from recmc.program import instantiate
 from recmc.project import project
 from recmc.solver import Model, entails
 
@@ -122,3 +130,36 @@ def fact_valuations(formula, formals):
 def qe_all(vars_, f):
     """Exact projection of all given variables (oracle side)."""
     return project(list(vars_), f, None, strategy="qe")
+
+
+class CheckedBndSafety(BndSafety):
+    """A BndSafety that checks the rules' invariants around every step:
+    sum and reach never both apply to the query picked, and no query left
+    queued is already refuted by summaries or witnessed by reachability
+    facts.  Its queries count in solver_calls."""
+
+    def step(self):
+        q = self.pick_next()
+        proc = self.program.proc(q.proc)
+        body_over = instantiate(proc.body, self.env("o", q.bound - 1), self.program)
+        env_u = self.env("u", q.bound - 1)
+        if self._entails(body_over, negate_nnf(q.goal)) and any(
+            self._sat(f_and([instantiate(path, env_u, self.program), q.goal])).is_sat
+            for path in proc.paths
+        ):
+            raise PreconditionFailed("sum and reach both applicable")
+        event = super().step()
+        for q2 in self.queue:
+            if self._entails(self.env("o", q2.bound)[q2.proc], negate_nnf(q2.goal)):
+                raise PreconditionFailed(f"queued query q{q2.qid} already refuted by summaries")
+            if not self._entails(self.env("u", q2.bound)[q2.proc], negate_nnf(q2.goal)):
+                raise PreconditionFailed(
+                    f"queued query q{q2.qid} already witnessed by reachability facts"
+                )
+        return event
+
+
+def checked_check(program, phi_safe, max_bound, config=None):
+    """driver.check, run on a CheckedBndSafety."""
+    with mock.patch.object(recmc.driver, "BndSafety", CheckedBndSafety):
+        return check(program, phi_safe, max_bound, config)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from helpers import equivalent, fact_valuations, mk_vars, random_nnf
 from recmc.driver import SafetyProof, check, validate_cex, validate_proof
-from recmc.engine import EngineConfig, bounded_safety, new_stats
+from recmc.engine import BndSafety, EngineConfig, bounded_safety
 from recmc.formula import (
     EQ,
     LE,
@@ -39,7 +39,7 @@ from recmc.generators import (
 )
 from recmc.interpolate import _strongest, itp
 from recmc.parser import parse
-from recmc.program import AssertionMap, bool_bounded_semantics, bool_unbounded_semantics
+from recmc.program import bool_bounded_semantics, bool_unbounded_semantics
 from recmc.project import _collect, lw_qe, project, split_weak_bounds
 from recmc.solver import check_sat, entails
 
@@ -73,11 +73,10 @@ def test_criterion_01_overview_end_to_end():
 
 def test_criterion_02_trace_regression_qe():
     unit = overview()
-    config = EngineConfig(proj="qe")
-    rho, sigma = AssertionMap(), AssertionMap()
-    stats, trace = new_stats(), []
-    assert bounded_safety(unit.program, unit.phi_safe, 0, rho, sigma, config, stats, trace)[0] == "SAFE"
-    assert bounded_safety(unit.program, unit.phi_safe, 1, rho, sigma, config, stats, trace)[0] == "SAFE"
+    engine = BndSafety(unit.program, unit.phi_safe, EngineConfig(proj="qe"))
+    assert bounded_safety(engine, 0)[0] == "SAFE"
+    assert bounded_safety(engine, 1)[0] == "SAFE"
+    trace = engine.trace
     program = unit.program
     d_fact = mk_cmp(EQ, _term(program, "D", "d").sub(_term(program, "D", "d0")).add(LinTerm.of_const(1)))
     reach_hits = [
@@ -261,10 +260,9 @@ def test_criterion_06_bebop_scaling():
 
 def test_criterion_07_gpdr_divergence_regression():
     unit = gen_gpdr_divergence()
-    stats = new_stats()
-    res, reason, _ = bounded_safety(
-        unit.program, unit.phi_safe, 2, AssertionMap(), AssertionMap(), EngineConfig(), stats
-    )
+    engine = BndSafety(unit.program, unit.phi_safe)
+    res, reason = bounded_safety(engine, 2)
+    stats = engine.stats
     assert res == "SAFE", reason
     assert stats["steps"] <= 50_000
     print(PASS.format(n=7, msg=f"bounded check at depth 2 is SAFE after {stats['steps']} rule applications"))

@@ -7,6 +7,7 @@ import pytest
 import recmc
 import recmc.cli
 import recmc.driver
+import recmc.engine
 from recmc.cli import (
     EXIT_ERROR,
     EXIT_INTERNAL,
@@ -119,6 +120,14 @@ class TestCheckCommand:
     def test_missing_file_exits_three(self, capsys):
         assert run_cli(["check", "/nonexistent.rpl"]) == 3
 
+    @pytest.mark.parametrize("flag", ["--witness", "--trace"])
+    def test_unwritable_output_exits_three(self, overview_file, flag, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.txt"
+        assert run_cli(["check", overview_file, flag, str(out)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"recmc: cannot write {out}: ")
+
     def test_mode_mismatch_exits_three(self, overview_file, capsys):
         assert run_cli(["check", overview_file, "--mode", "int"]) == 3
 
@@ -215,6 +224,13 @@ class TestGenCommand:
         assert run_cli(["gen", "random", "--mode", "int", "--seed", "4"]) == 0
         assert capsys.readouterr().out == first
 
+    def test_unwritable_output_exits_three(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "g.rpl"
+        assert run_cli(["gen", "gpdr", "-o", str(out)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"recmc: cannot write {out}: ")
+
     def test_bad_n_rejected(self, capsys):
         assert run_cli(["gen", "bebop", "--n", "0"]) == 3
 
@@ -299,7 +315,7 @@ class TestErrorsNeverReadAsVerdicts:
         def giving_up(*args):
             with monkeypatch.context() as inside:
                 inside.setattr(
-                    recmc.driver, "solve", lambda memo, f, mode: SatResult("unknown", reason="out")
+                    recmc.engine, "check_sat", lambda f, mode: SatResult("unknown", reason="out")
                 )
                 return real(*args)
 

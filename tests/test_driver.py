@@ -6,6 +6,7 @@ import pytest
 
 import recmc.driver
 import recmc.engine
+from helpers import checked_check
 from recmc.cli import run_cli
 from recmc.driver import (
     CexNode,
@@ -18,7 +19,7 @@ from recmc.driver import (
     validate_cex,
     validate_proof,
 )
-from recmc.engine import EngineConfig, solve
+from recmc.engine import BndSafety
 from recmc.errors import SelfCheckFailed
 from recmc.formula import (
     EQ,
@@ -33,7 +34,7 @@ from recmc.formula import (
 )
 from recmc.generators import gen_bebop, overview, overview_bad
 from recmc.parser import parse
-from recmc.program import AssertionMap, instantiate, over_env, under_env
+from recmc.program import instantiate, over_env, under_env
 from recmc.solver import Model, SatResult, check_sat, entails
 
 
@@ -48,7 +49,7 @@ def _term(program, proc, name):
 @pytest.fixture(scope="module")
 def safe_run():
     unit = overview()
-    verdict = check(unit.program, unit.phi_safe, max_bound=8, config=EngineConfig(check_level=1))
+    verdict = checked_check(unit.program, unit.phi_safe, max_bound=8)
     return unit, verdict
 
 
@@ -81,7 +82,7 @@ class TestOverviewEndToEnd:
 @pytest.fixture(scope="module")
 def bad_run():
     unit = overview_bad()
-    verdict = check(unit.program, unit.phi_safe, max_bound=8, config=EngineConfig(check_level=1))
+    verdict = checked_check(unit.program, unit.phi_safe, max_bound=8)
     return unit, verdict
 
 
@@ -168,7 +169,9 @@ class TestUnsafeChains:
         # replay solves through the answer memo, whose misses call the
         # engine module's binding of check_sat
         monkeypatch.setattr(recmc.engine, "check_sat", counting_check_sat)
-        tree = build_cex(verdict.rho, unit.program, unit.phi_safe, n)
+        engine = BndSafety(unit.program, unit.phi_safe)
+        engine.rho = verdict.rho
+        tree = build_cex(engine, n)
         assert calls[0] <= 4 * (n + 1)
         assert tree.root is not verdict.cex.root and tree == verdict.cex
 
@@ -219,28 +222,30 @@ class TestCheckInductive:
         levels by hand, push through and close at n = 1."""
         unit = overview()
         program = unit.program
-        sigma = AssertionMap()
+        engine = BndSafety(program, unit.phi_safe)
+        sigma = engine.sigma
         m0, m = _term(program, "M", "m0"), _term(program, "M", "m")
         t0, t = _term(program, "T", "t0"), _term(program, "T", "t")
         d0, d = _term(program, "D", "d0"), _term(program, "D", "d")
         sigma.add("M", 1, mk_cmp(LE, m.scale(2).add(LinTerm.of_const(4)).sub(m0)))
         sigma.add("T", 0, mk_cmp(LE, t.scale(2).sub(t0)))
         sigma.add("D", 0, mk_cmp(LE, d.sub(d0).add(LinTerm.of_const(1))))
-        assert check_inductive(program, sigma, 1)
+        assert check_inductive(engine, 1)
         # pushed copies landed one level up
         assert sigma.at("T", 1) and sigma.at("D", 1) and sigma.at("M", 2)
 
     def test_failing_fact_blocks_only_itself(self):
         unit = overview()
         program = unit.program
-        sigma = AssertionMap()
+        engine = BndSafety(program, unit.phi_safe)
+        sigma = engine.sigma
         t0, t = _term(program, "T", "t0"), _term(program, "T", "t")
         d0, d = _term(program, "D", "d0"), _term(program, "D", "d")
         good = mk_cmp(LE, d.sub(d0).add(LinTerm.of_const(1)))
         bad = mk_cmp(EQ, t0)  # "t0 = 0" is not preserved by T's body
         sigma.add("D", 0, good)
         sigma.add("T", 0, bad)
-        assert not check_inductive(program, sigma, 0)
+        assert not check_inductive(engine, 0)
         assert [f.formula for f in sigma.at("D", 1)] == [good]
         assert not sigma.at("T", 1)
 
@@ -258,16 +263,17 @@ class TestAnswerMemo:
         unit = make()
         asked, solved = [], []
 
-        def asking(memo, f, mode):
+        real = BndSafety.solve
+
+        def asking(engine, f):
             asked.append(f)
-            return solve(memo, f, mode)
+            return real(engine, f)
 
         def solving(f, mode):
             solved.append(f)
             return check_sat(f, mode)
 
-        monkeypatch.setattr(recmc.engine, "solve", asking)
-        monkeypatch.setattr(recmc.driver, "solve", asking)
+        monkeypatch.setattr(BndSafety, "solve", asking)
         monkeypatch.setattr(recmc.engine, "check_sat", solving)
         verdict = check(unit.program, unit.phi_safe, max_bound=max_bound)
         assert verdict.status in ("SAFE", "UNSAFE")
@@ -280,16 +286,17 @@ class TestAnswerMemo:
         real = recmc.driver.check_inductive
         lies = []
 
-        def lying(program, sigma, n, memo):
+        def lying(engine, n):
+            program, sigma = engine.program, engine.sigma
             env = over_env(sigma, n, program)
             for name, proc in program.procedures.items():
                 body = instantiate(proc.body, env, program)
                 for fact in sigma.at(name, n):
                     query = f_and([body, negate_nnf(fact.formula)])
                     if check_sat(query, program.mode).is_sat:
-                        memo[query] = SatResult("unsat")
+                        engine.memo[query] = SatResult("unsat")
                         lies.append(query)
-            return real(program, sigma, n, memo)
+            return real(engine, n)
 
         monkeypatch.setattr(recmc.driver, "check_inductive", lying)
         with pytest.raises(SelfCheckFailed, match="proof"):
@@ -303,17 +310,18 @@ class TestAnswerMemo:
         real = recmc.driver._expand
         lies = []
 
-        def lying(rho, program, fact, pinned, nodes, envs, memo):
+        def lying(engine, fact, pinned, nodes):
+            program = engine.program
             proc = program.proc(fact.proc)
             path = proc.paths[fact.path_index]
             if not path.calls and not lies:
-                env = under_env(rho, fact.bound - 1, program)
+                env = under_env(engine.rho, fact.bound - 1, program)
                 query = f_and([instantiate(path, env, program), _pin(pinned)])
                 res = check_sat(query, program.mode)
                 out = proc.formals[-1]
-                memo[query] = SatResult("sat", Model({**res.model, out: not res.model[out]}))
+                engine.memo[query] = SatResult("sat", Model({**res.model, out: not res.model[out]}))
                 lies.append(query)
-            return real(rho, program, fact, pinned, nodes, envs, memo)
+            return real(engine, fact, pinned, nodes)
 
         monkeypatch.setattr(recmc.driver, "_expand", lying)
         with pytest.raises(SelfCheckFailed, match="counterexample"):

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from helpers import equivalent, fact_valuations
-from recmc.engine import EngineConfig, bounded_safety, new_stats
+from helpers import CheckedBndSafety, equivalent, fact_valuations
+from recmc.engine import BndSafety, EngineConfig, bounded_safety
 from recmc.formula import (
     EQ,
     LT,
@@ -13,18 +13,13 @@ from recmc.formula import (
 )
 from recmc.generators import gen_bebop, overview, random_bool_program
 from recmc.parser import parse
-from recmc.program import AssertionMap, bool_bounded_semantics
+from recmc.program import bool_bounded_semantics
 from recmc.solver import check_sat, entails
 
 
 def _run(unit, bound, **cfg):
-    config = EngineConfig(check_level=1, **cfg)
-    rho, sigma = AssertionMap(), AssertionMap()
-    stats = new_stats()
-    trace = []
-    res, reason, engine = bounded_safety(
-        unit.program, unit.phi_safe, bound, rho, sigma, config, stats, trace
-    )
+    engine = CheckedBndSafety(unit.program, unit.phi_safe, EngineConfig(**cfg))
+    res, reason = bounded_safety(engine, bound)
     return res, engine
 
 
@@ -36,14 +31,12 @@ def _var(program, proc, name):
 def run():
     unit = overview()
     # mirror the outer loop: bound 0 first, then 1, with shared maps
-    config = EngineConfig(proj="qe", check_level=1)
-    rho, sigma = AssertionMap(), AssertionMap()
-    stats, trace = new_stats(), []
-    res0, _, _ = bounded_safety(unit.program, unit.phi_safe, 0, rho, sigma, config, stats, trace)
+    engine = CheckedBndSafety(unit.program, unit.phi_safe, EngineConfig(proj="qe"))
+    res0, _ = bounded_safety(engine, 0)
     assert res0 == "SAFE"
-    res1, _, engine = bounded_safety(unit.program, unit.phi_safe, 1, rho, sigma, config, stats, trace)
+    res1, _ = bounded_safety(engine, 1)
     assert res1 == "SAFE"
-    return unit, trace, rho, sigma
+    return unit, engine.trace, engine.rho, engine.sigma
 
 
 class TestOverviewTraceRegression:
@@ -91,11 +84,10 @@ class TestMbpQueries:
         """With model-based projection the pushed goal implies the exact one
         and is satisfiable."""
         unit = overview()
-        config = EngineConfig(proj="mbp", check_level=1)
-        rho, sigma = AssertionMap(), AssertionMap()
-        stats, trace = new_stats(), []
-        bounded_safety(unit.program, unit.phi_safe, 0, rho, sigma, config, stats, trace)
-        res, _, _ = bounded_safety(unit.program, unit.phi_safe, 1, rho, sigma, config, stats, trace)
+        engine = CheckedBndSafety(unit.program, unit.phi_safe, EngineConfig(proj="mbp"))
+        bounded_safety(engine, 0)
+        res, _ = bounded_safety(engine, 1)
+        trace = engine.trace
         assert res == "SAFE"
         program = unit.program
         t0 = LinTerm.of_var(_var(program, "T", "t0"))
@@ -132,22 +124,19 @@ class TestVerdicts:
 
     def test_step_budget_reports_unknown(self):
         unit = gen_bebop(4)
-        config = EngineConfig(step_budget=2)
-        res, reason, _ = bounded_safety(
-            unit.program, unit.phi_safe, 3, AssertionMap(), AssertionMap(), config
-        )
+        engine = BndSafety(unit.program, unit.phi_safe, EngineConfig(step_budget=2))
+        res, reason = bounded_safety(engine, 3)
         assert res == "UNKNOWN" and "budget" in reason
 
 
 class TestMapGrowth:
     def test_no_retraction_across_bounds(self):
         unit = overview()
-        config = EngineConfig(check_level=1)
-        rho, sigma = AssertionMap(), AssertionMap()
+        engine = CheckedBndSafety(unit.program, unit.phi_safe)
         seen = set()
         for n in range(3):
-            bounded_safety(unit.program, unit.phi_safe, n, rho, sigma, config)
-            ids = {f.fact_id for f in rho.items()} | {f.fact_id for f in sigma.items()}
+            bounded_safety(engine, n)
+            ids = {f.fact_id for f in engine.rho.items()} | {f.fact_id for f in engine.sigma.items()}
             assert seen <= ids
             seen = ids
 
@@ -159,21 +148,18 @@ class TestBooleanSandwich:
         for _ in range(25):
             unit = random_bool_program(rng)
             program = unit.program
-            config = EngineConfig(check_level=1)
-            rho, sigma = AssertionMap(), AssertionMap()
+            engine = CheckedBndSafety(unit.program, unit.phi_safe)
             for n in range(3):
-                res, _, _ = bounded_safety(
-                    unit.program, unit.phi_safe, n, rho, sigma, config
-                )
+                res, _ = bounded_safety(engine, n)
                 if res == "UNSAFE":
                     break
-            for fact in rho.items():
+            for fact in engine.rho.items():
                 formals = program.proc(fact.proc).formals
                 reach = fact_valuations(fact.formula, formals)
                 sem = bool_bounded_semantics(program, fact.proc, fact.bound)
                 assert reach <= sem
                 checked += 1
-            for fact in sigma.items():
+            for fact in engine.sigma.items():
                 formals = program.proc(fact.proc).formals
                 summ = fact_valuations(fact.formula, formals)
                 sem = bool_bounded_semantics(program, fact.proc, fact.bound)

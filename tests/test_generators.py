@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from helpers import fact_valuations
+from helpers import checked_check, fact_valuations
 from recmc.driver import check, validate_cex, validate_proof
-from recmc.engine import EngineConfig
 from recmc.generators import (
     gen_bebop,
     gen_gpdr_divergence,
@@ -27,16 +26,14 @@ class TestBebop:
     def test_safe_variant_verified(self):
         unit = gen_bebop(3)
         assert _oracle_verdict(unit) == "SAFE"
-        verdict = check(unit.program, unit.phi_safe, max_bound=16,
-                        config=EngineConfig(check_level=1))
+        verdict = checked_check(unit.program, unit.phi_safe, max_bound=16)
         assert verdict.status == "SAFE"
         assert validate_proof(unit.program, verdict.proof, unit.phi_safe)
 
     def test_unsafe_variant_refuted(self):
         unit = gen_bebop(3, safe=False)
         assert _oracle_verdict(unit) == "UNSAFE"
-        verdict = check(unit.program, unit.phi_safe, max_bound=16,
-                        config=EngineConfig(check_level=1))
+        verdict = checked_check(unit.program, unit.phi_safe, max_bound=16)
         assert verdict.status == "UNSAFE"
         assert validate_cex(unit.program, verdict.cex, unit.phi_safe)
 
@@ -71,8 +68,7 @@ class TestRandomGenerators:
         rng = random.Random(123)
         for _ in range(15):
             unit = random_bool_program(rng)
-            verdict = check(unit.program, unit.phi_safe, max_bound=3,
-                            config=EngineConfig(check_level=1))
+            verdict = checked_check(unit.program, unit.phi_safe, max_bound=3)
             assert verdict.status in ("SAFE", "UNSAFE", "UNKNOWN")
 
     @pytest.mark.parametrize("mode", ["rat", "int"])

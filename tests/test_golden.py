@@ -8,15 +8,23 @@ counterexample as its unfolded tree with every node's values sorted by
 Var.key(); an image as its (model, disjunct) pairs with each model
 sorted by Var.key().  None of these depend on PYTHONHASHSEED.
 
-A change meant to alter outputs regenerates the file with
+Each line of golden/traces.txt pins how a program case was checked:
+label, status, number of rule steps and the SHA-256 of its rule trace (one
+TraceEvent.line() per step) followed by its stats without wall_ms.  A
+refactor of the engine or driver keeps this file byte-identical.
+
+A change meant to alter outputs or traces regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden/outputs.txt
+    PYTHONPATH=src python tests/test_golden.py traces > tests/golden/traces.txt
 
-and says in its description why the outputs moved.
+and says in its description why they moved.
 """
 
+import functools
 import hashlib
 import random
+import sys
 from pathlib import Path
 
 from helpers import mk_vars, random_nnf
@@ -34,6 +42,7 @@ from recmc.project import project
 from recmc.solver import check_sat, total_model
 
 GOLDEN = Path(__file__).parent / "golden" / "outputs.txt"
+TRACES = Path(__file__).parent / "golden" / "traces.txt"
 
 BOOL_MAX_BOUND = 32
 ARITH_MAX_BOUND = 8
@@ -54,6 +63,15 @@ def _program_cases():
         rng = random.Random(seed)
         for i in range(30):
             yield f"{mode}-{seed}-{i}", random_arith_program(rng, mode), ARITH_MAX_BOUND
+
+
+@functools.cache
+def _program_verdicts():
+    """(label, verdict) for every program case, checked once per session."""
+    return [
+        (label, check(unit.program, unit.phi_safe, max_bound))
+        for label, unit, max_bound in _program_cases()
+    ]
 
 
 def _image_cases():
@@ -83,8 +101,7 @@ def _render_cex(node, out) -> None:
     out.append(")")
 
 
-def _program_line(label, unit, max_bound) -> str:
-    verdict = check(unit.program, unit.phi_safe, max_bound)
+def _program_line(label, verdict) -> str:
     if verdict.status == "SAFE":
         text = repr(verdict.proof.env)
     elif verdict.status == "UNSAFE":
@@ -112,26 +129,44 @@ def _image_line(label, f, x, mode) -> str:
     return _line(label, status, len(pairs), "\n".join(pairs))
 
 
+def _trace_line(label, verdict) -> str:
+    stats = sorted((k, v) for k, v in verdict.stats.items() if k != "wall_ms")
+    text = "\n".join([e.line() for e in verdict.trace] + [repr(stats)])
+    return _line(label, verdict.status, len(verdict.trace), text)
+
+
 def _line(label, status, bound, text) -> str:
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return f"{label} {status} {bound} {digest}"
 
 
 def golden_lines():
-    for case in _program_cases():
+    for case in _program_verdicts():
         yield _program_line(*case)
     for case in _image_cases():
         yield _image_line(*case)
 
 
-def test_outputs_match_golden():
-    expected = GOLDEN.read_text().splitlines()
-    got = list(golden_lines())
+def trace_lines():
+    for case in _program_verdicts():
+        yield _trace_line(*case)
+
+
+def _assert_lines_match(path, got):
+    expected = path.read_text().splitlines()
     for want, have in zip(expected, got):
         assert have == want, f"first differing case: {want.split()[0]}\n  want {want}\n  got  {have}"
     assert len(got) == len(expected), f"{len(got)} cases, golden file has {len(expected)}"
 
 
+def test_outputs_match_golden():
+    _assert_lines_match(GOLDEN, list(golden_lines()))
+
+
+def test_traces_match_golden():
+    _assert_lines_match(TRACES, list(trace_lines()))
+
+
 if __name__ == "__main__":
-    for line in golden_lines():
+    for line in trace_lines() if sys.argv[1:] == ["traces"] else golden_lines():
         print(line)

@@ -47,6 +47,31 @@ class TestParse:
             parse("(program\n  (mode rat)\n  (procedure P (in i) (out o) (body (< i o)))\n  (main P)\n  (assert-safe (< o undeclared)))")
         assert err.value.line == 5
 
+    @pytest.mark.parametrize(
+        "form, procedure, tail",
+        [
+            ("main", "(in a) (out o) (body (and o a))", "(main P) @(main P) (assert-safe true)"),
+            ("assert-safe", "(in a) (out o) (body (and o a))",
+             "(main P) (assert-safe true) @(assert-safe false)"),
+            ("in", "(in a) @(in b) (out o) (body (and o a))", "(main P) (assert-safe true)"),
+            ("out", "(in a) (out o) @(out p) (body (and o a))", "(main P) (assert-safe true)"),
+            ("local", "(in a) (out o) (local t) @(local u) (body (and o a))",
+             "(main P) (assert-safe true)"),
+            ("body", "(in a) (out o) (body (and o a)) @(body (and o (not o)))",
+             "(main P) (assert-safe true)"),
+        ],
+    )
+    def test_repeated_form_rejected_at_second(self, form, procedure, tail):
+        text = f"(program (mode bool)\n  (procedure P {procedure})\n  {tail})"
+        at = text.index("@")
+        line = text.count("\n", 0, at) + 1
+        col = at - text.rfind("\n", 0, at)
+        with pytest.raises(RplSyntaxError) as err:
+            parse(text.replace("@", ""))
+        assert (err.value.line, err.value.col) == (line, col)
+        where = "" if form in ("main", "assert-safe") else " in procedure P"
+        assert err.value.message == f"duplicate ({form} ...){where}"
+
     def test_unclosed_paren(self):
         with pytest.raises(RplSyntaxError):
             parse("(program (mode bool)")
