@@ -1,35 +1,42 @@
 """Bounded safety checking with under- and over-approximating summaries.
 
 Given a program, a property over the formals of main, and a stack bound
-n, the engine maintains a work set of bounded reachability queries
-(procedure, goal, bound) starting from (main, not property, n), plus two
-assertion maps: reachability facts (rho, under-approximations) and
-summary facts (sigma, over-approximations).  Three rules fire until the
-set empties, always on a query of minimal bound (FIFO among ties):
+n, the engine answers query 0, the bounded reachability query (main,
+not property, n), with two assertion maps: reachability facts (rho,
+under-approximations) and summary facts (sigma, over-approximations).
+Its work set is a stack of queries (procedure, goal, bound) with query 0
+at the bottom and bounds strictly decreasing toward the top, because the
+query rule pushes a child one bound below the query it refines.  The top
+is the query of least bound, and the three rules fire on it:
 
 * sum:   the body instantiated with callee summaries at bound-1 refutes
          the goal; an interpolant between the two becomes a new summary
-         fact, and every queued query of the procedure it now refutes is
-         answered negatively.
+         fact at the query's bound.  The interpolation contract says it
+         refutes the goal, so the query is popped.  No other queued
+         query has a bound that low, so none other is answered.
 
 * reach: some body path instantiated with callee reachability facts at
          bound-1 is consistent with the goal; projecting the locals out
          of the path instantiation (exact projection, or the disjunct
          picked by the satisfying model) becomes a new reachability
-         fact, stored with the index of the path, answering the query
-         and any other queued query of the procedure it meets.
+         fact, stored with the index of the path.  The fact and the goal
+         hold in that model, so the fact answers the query, which is
+         popped.  It also answers every queued query of the procedure
+         below it that it meets, one solver query each, and those are
+         removed too.
 
 * query: neither applies.  Walking the satisfiable path's calls from the
          right, replace under-approximations by over-approximations
          until the conjunction turns satisfiable; the call at the flip
          is the one whose reachability facts are too strong and whose
          summaries are too weak.  Project everything but that call's
-         arguments out of the mixed instantiation and push it down as a
-         new query for the callee at bound-1.
+         arguments out of the mixed instantiation and push it as a new
+         query for the callee at bound-1.
 
-When the work set drains, the original query has been answered: unsafe
-if some reachability fact of main meets the negated property, safe
-otherwise.  Facts are never retracted.
+A run steps while query 0 is on the stack, and the rule that removed it
+is the verdict: unsafe if it was reach, safe if it was sum.  Queries
+still above it were spawned to answer it and are dropped.  Facts are
+never retracted.
 
 One BndSafety is the whole state of one check, and the outer loop calls
 its run(bound) at growing bounds.  It keeps rho and sigma from one
@@ -55,6 +62,7 @@ from .formula import (
     Lit,
     Path,
     Sort,
+    eval_formula,
     f_and,
     f_or,
     mk_cmp,
@@ -119,7 +127,7 @@ class BndSafety:
             ("steps", "sum", "reach", "query", "mbp_calls", "solver_calls"), 0
         )
         self.trace: List[TraceEvent] = []
-        self.queue: List[BoundedQuery] = []
+        self.queue: List[BoundedQuery] = []  # a stack; the top is stepped
         self._next_qid = 0
         self._envs: Dict[tuple, tuple] = {}  # (kind, bound) -> (map version, env)
 
@@ -172,39 +180,25 @@ class BndSafety:
         self.queue.append(q)
         return q
 
-    def pick_next(self) -> BoundedQuery:
-        """Smallest bound first, FIFO among equal bounds."""
-        best = self.queue[0]
-        for q in self.queue[1:]:
-            if q.bound < best.bound:
-                best = q
-        return best
-
     # -- main loop -----------------------------------------------------
 
     def run(self, bound: int) -> Tuple[str, str]:
-        """One bounded run on the maps kept so far, with a fresh work set
+        """One bounded run on the maps kept so far, with a fresh stack
         and query ids.  Returns (verdict, reason); verdict SAFE | UNSAFE |
         UNKNOWN."""
-        main = self.program.main
-        init_goal = negate_nnf(self.phi_safe)
         self.queue, self._next_qid = [], 0
-        self._push(main, init_goal, bound)
+        root = self._push(self.program.main, negate_nnf(self.phi_safe), bound)
         try:
-            while self.queue:
+            while self.queue and self.queue[0] is root:
                 if self.stats["steps"] >= self.config.step_budget:
                     return "UNKNOWN", "step budget exhausted"
-                self.step()
+                event = self.step()
         except ResourceLimit as exc:
             return "UNKNOWN", f"solver resource limit: {exc}"
-        if self._sat(f_and([self.env("u", bound)[main], init_goal])).is_sat:
-            return "UNSAFE", ""
-        if not self._entails(self.env("o", bound)[main], self.phi_safe):
-            raise PreconditionFailed("empty work set but neither verdict premise holds")
-        return "SAFE", ""
+        return ("UNSAFE" if event.rule == "reach" else "SAFE"), ""
 
     def step(self) -> TraceEvent:
-        q = self.pick_next()
+        q = self.queue[-1]
         proc = self.program.proc(q.proc)
         env_o = self.env("o", q.bound - 1)
         env_u = self.env("u", q.bound - 1)
@@ -238,43 +232,28 @@ class BndSafety:
         proc = self.program.proc(q.proc)
         psi = itp(body_over, q.goal, frozenset(proc.formals), self.program.mode)
         _, added = self.sigma.add(q.proc, q.bound, psi)
-
-        def refuted(q2):  # answered negatively by the summaries
-            return q2.bound <= q.bound and self._entails(
-                self.env("o", q2.bound)[q.proc], negate_nnf(q2.goal)
-            )
-
-        return self._answer(q, "sum", refuted, added, psi)
+        self.queue.pop()
+        return self._event(q, "sum", "fact-added" if added else "fact-duplicate", psi)
 
     def apply_reach(
         self, q: BoundedQuery, pidx: int, matrix: Formula, model: Model
     ) -> TraceEvent:
         proc = self.program.proc(q.proc)
+        model = total_model(model, proc.all_vars)
         psi = self._project(proc.locals_, matrix, model, proc)
+        if not eval_formula(f_and([psi, q.goal]), model):
+            raise PreconditionFailed("reachability fact misses its query's goal")
         _, added = self.rho.add(q.proc, q.bound, psi, pidx)
+        self.queue = [  # without q, and without each query below it that psi meets
+            q2
+            for q2 in self.queue[:-1]
+            if q2.proc != q.proc or not self._sat(f_and([psi, q2.goal])).is_sat
+        ]
+        return self._event(q, "reach", "fact-added" if added else "fact-duplicate", psi)
 
-        def reached(q2):  # answered positively by the new fact
-            return q2.bound >= q.bound and self._sat(f_and([psi, q2.goal])).is_sat
-
-        return self._answer(q, "reach", reached, added, psi)
-
-    def _answer(self, q, rule, answered, added, psi) -> TraceEvent:
-        """Drop every queued query of q's procedure that answered accepts,
-        asked in queue order; q itself must be among them."""
-        removed = [q2 for q2 in self.queue if q2.proc == q.proc and answered(q2)]
-        if not any(q2.qid == q.qid for q2 in removed):
-            raise PreconditionFailed(f"{rule} did not answer its query")
-        self.queue = [q2 for q2 in self.queue if q2 not in removed]
+    def _event(self, q: BoundedQuery, rule: str, outcome: str, formula) -> TraceEvent:
         self.stats[rule] += 1
-        return TraceEvent(
-            self.stats["steps"],
-            rule,
-            q.qid,
-            q.proc,
-            q.bound,
-            "fact-added" if added else "fact-duplicate",
-            psi,
-        )
+        return TraceEvent(self.stats["steps"], rule, q.qid, q.proc, q.bound, outcome, formula)
 
     def apply_query(
         self, q: BoundedQuery, env_o: Dict[str, Formula], env_u: Dict[str, Formula]
@@ -315,18 +294,9 @@ class BndSafety:
             elim = [v for v in proc.all_vars if v not in keep]
             psi = self._project(elim, matrix, sat_model, proc)
             child_goal = self._rename_to_formals(psi, args, callee.formals)
-            if any(q2.bound == q.bound - 1 for q2 in self.queue):
-                raise PreconditionFailed("new query would overlap an existing bound level")
             child = self._push(call.callee, child_goal, q.bound - 1)
-            self.stats["query"] += 1
-            return TraceEvent(
-                self.stats["steps"],
-                "query",
-                q.qid,
-                q.proc,
-                q.bound,
-                f"child q{child.qid} {call.callee} {q.bound - 1}",
-                child_goal,
+            return self._event(
+                q, "query", f"child q{child.qid} {call.callee} {q.bound - 1}", child_goal
             )
         raise PreconditionFailed("no rule applicable (progress violation)")
 

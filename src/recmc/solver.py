@@ -1019,9 +1019,7 @@ def _atom_of(lit: Literal) -> Tuple[Literal, bool]:
 
 def literal_of(atom: Literal, value: bool) -> Literal:
     """The literal saying that the canonical atom takes value; the inverse
-    of _atom_of.  Comparison atoms are only ever true."""
-    if isinstance(atom, BoolLit):
-        return BoolLit(atom.var, value)
+    of _atom_of on theory literals.  Comparison atoms are only ever true."""
     if isinstance(atom, DivLit):
         return DivLit(atom.divisor, atom.term, value)
     return atom
@@ -1393,29 +1391,17 @@ def check_sat(f: Formula, mode: Sort) -> SatResult:
 
 
 def refute_conjunction(literals: Sequence[Tuple[Literal, bool]], mode: Sort):
-    """Theory-check a conjunction of valued literals directly.
+    """Theory-check a conjunction of valued theory literals directly.
 
-    Returns ("sat", values) | ("unsat", cert) | ("unknown", reason).
-    Boolean literals participate only through complementary pairs, which
-    are refuted before any theory literal is asserted.
+    Returns ("sat", values) | ("unsat", cert) | ("unknown", reason).  A
+    Boolean literal raises TypeError: interpolation calls this only in
+    rational and integer mode, where every variable is arithmetic.
     """
-    seen_bool = {}
     asserted = []
     for lit, val in literals:
         atom, sign = _atom_of(lit)
-        eff = val == sign
-        if isinstance(atom, BoolLit):
-            prev = seen_bool.get(atom.var)
-            if prev is not None and prev != eff:
-                return "unsat", ClausalCore(((atom, prev), (atom, eff)))
-            seen_bool[atom.var] = eff
-        else:
-            asserted.append((atom, eff))
-    status, payload = _TheoryCheck(mode).decide(asserted)
-    if status == "sat":
-        payload = dict(payload)
-        payload.update(seen_bool)
-    return status, payload
+        asserted.append((atom, val == sign))
+    return _TheoryCheck(mode).decide(asserted)
 
 
 def entails(a: Formula, b: Formula, mode: Sort) -> bool:

@@ -3,6 +3,7 @@ and an engine that checks its own invariants."""
 
 import itertools
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import recmc.driver
@@ -30,6 +31,8 @@ from recmc.formula import (
 from recmc.program import instantiate
 from recmc.project import project
 from recmc.solver import Model, entails
+
+DATA = Path(__file__).parent / "data"
 
 
 def mk_vars(names, sort, owner=""):
@@ -134,12 +137,14 @@ def qe_all(vars_, f):
 
 class CheckedBndSafety(BndSafety):
     """A BndSafety that checks the rules' invariants around every step:
-    sum and reach never both apply to the query picked, and no query left
-    queued is already refuted by summaries or witnessed by reachability
-    facts.  Its queries count in solver_calls."""
+    sum and reach never both apply to the query on top; the work set is a
+    stack with bounds strictly decreasing toward the top, and query 0
+    stays at its bottom until sum pops it or a reach fact meets it; and
+    no query left queued is already refuted by summaries or witnessed by
+    reachability facts.  Its queries count in solver_calls."""
 
     def step(self):
-        q = self.pick_next()
+        q = self.queue[-1]
         proc = self.program.proc(q.proc)
         body_over = instantiate(proc.body, self.env("o", q.bound - 1), self.program)
         env_u = self.env("u", q.bound - 1)
@@ -149,6 +154,11 @@ class CheckedBndSafety(BndSafety):
         ):
             raise PreconditionFailed("sum and reach both applicable")
         event = super().step()
+        stack = self.queue
+        if any(lo.bound <= hi.bound for lo, hi in zip(stack, stack[1:])):
+            raise PreconditionFailed("bounds on the stack do not decrease toward the top")
+        if stack and stack[0].qid != 0 and event.rule != "reach":
+            raise PreconditionFailed("query 0 is not at the bottom of the stack")
         for q2 in self.queue:
             if self._entails(self.env("o", q2.bound)[q2.proc], negate_nnf(q2.goal)):
                 raise PreconditionFailed(f"queued query q{q2.qid} already refuted by summaries")

@@ -8,6 +8,7 @@ import recmc
 import recmc.cli
 import recmc.driver
 import recmc.engine
+import recmc.solver
 from recmc.cli import (
     EXIT_ERROR,
     EXIT_INTERNAL,
@@ -18,7 +19,7 @@ from recmc.cli import (
 )
 from recmc.errors import ResourceLimit
 from recmc.generators import program_text
-from recmc.parser import MAX_NESTING
+from recmc.parser import MAX_NESTING, parse
 from recmc.solver import SatResult
 
 SRC = os.path.dirname(os.path.dirname(recmc.__file__))
@@ -167,7 +168,7 @@ class TestCheckCommand:
 
     @pytest.mark.parametrize(
         "name, solver_calls",
-        [("overview", 30), ("overview_bad", 24), ("gpdr_divergence", 28)],
+        [("overview", 21), ("overview_bad", 17), ("gpdr_divergence", 19)],
     )
     def test_solver_calls_count_queries_asked(self, name, solver_calls, tmp_path, capsys):
         # answers the check kept from earlier queries count as asked
@@ -322,6 +323,29 @@ class TestErrorsNeverReadAsVerdicts:
         monkeypatch.setattr(recmc.driver, "build_cex", giving_up)
         assert run_cli(["check", bad_file]) == EXIT_UNKNOWN
         assert capsys.readouterr().out == "UNKNOWN (solver resource limit: out)\n"
+
+    def test_solver_giving_up_in_engine_is_unknown(self, tmp_path, monkeypatch, capsys):
+        # without decisions the solver gives up on the first rule query of
+        # the chain that needs one, at bound 1
+        src, witness = tmp_path / "b3.rpl", tmp_path / "w.txt"
+        assert run_cli(["gen", "bebop", "--n", "3", "-o", str(src)]) == EXIT_SAFE
+        runs = []
+        real = recmc.driver.bounded_safety
+        monkeypatch.setattr(
+            recmc.driver, "bounded_safety", lambda *args: runs.append(real(*args)) or runs[-1]
+        )
+        monkeypatch.setattr(recmc.solver, "MAX_DECISIONS", 0)
+        reason = "solver resource limit: decision budget exhausted"
+        unit = parse(src.read_text())
+        verdict = recmc.driver.check(unit.program, unit.phi_safe)
+        assert (verdict.status, verdict.bound, verdict.reason) == ("UNKNOWN", 1, reason)
+        assert runs[-1] == ("UNKNOWN", reason)
+        capsys.readouterr()
+        assert run_cli(["check", str(src), "--witness", str(witness)]) == EXIT_UNKNOWN
+        assert capsys.readouterr().out == f"UNKNOWN ({reason})\n"
+        assert witness.read_text().splitlines() == [
+            "recmc-witness 1", "verdict UNKNOWN", "bound 1", f"reason {reason}"
+        ]
 
     def test_solver_giving_up_in_validation_is_unknown(self, overview_file, monkeypatch, capsys):
         def giving_up(a, b, mode):

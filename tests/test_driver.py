@@ -387,6 +387,38 @@ class TestValidationWalk:
         tree = CounterexampleTree(bad, verdict.cex.bound)
         assert not validate_cex(unit.program, tree, unit.phi_safe)
 
+    def test_failing_path_literal_rejected(self, bad_run):
+        # m = -1 still violates the property and the last D passes it on,
+        # but d = d0 - 1 fails in that D
+        unit, verdict = bad_run
+        root = verdict.cex.root
+        m, d = _var(unit.program, "M", "m"), _var(unit.program, "D", "d")
+        last = root.children[2]
+        bad = _with_values(root, {**root.values, m: Fraction(-1)})
+        bad = _replace_at(bad, (2,), _with_values(last, {**last.values, d: Fraction(-1)}))
+        tree = CounterexampleTree(bad, verdict.cex.bound)
+        assert not validate_cex(unit.program, tree, unit.phi_safe)
+
+    def test_missing_child_rejected(self, bad_run):
+        unit, verdict = bad_run
+        root = verdict.cex.root
+        bad = CexNode(root.proc, root.path_index, root.values, root.children[:2])
+        tree = CounterexampleTree(bad, verdict.cex.bound)
+        assert not validate_cex(unit.program, tree, unit.phi_safe)
+
+    def test_wrong_callee_rejected(self, bad_run):
+        unit, verdict = bad_run
+        root = verdict.cex.root
+        as_t = CexNode("T", 0, root.children[1].values, ())
+        tree = CounterexampleTree(_replace_at(root, (1,), as_t), verdict.cex.bound)
+        assert not validate_cex(unit.program, tree, unit.phi_safe)
+
+    def test_root_outside_main_rejected(self, bad_run):
+        # the property is over main's formals; a T node does not assign them
+        unit, verdict = bad_run
+        tree = CounterexampleTree(verdict.cex.root.children[0], verdict.cex.bound)
+        assert not validate_cex(unit.program, tree, unit.phi_safe)
+
     def test_fractional_integer_values_rejected(self):
         unit = parse(
             """

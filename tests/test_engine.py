@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from helpers import CheckedBndSafety, equivalent, fact_valuations
+from helpers import DATA, CheckedBndSafety, equivalent, fact_valuations
+from recmc.driver import check
 from recmc.engine import BndSafety, EngineConfig, bounded_safety
 from recmc.formula import (
     EQ,
@@ -166,3 +167,30 @@ class TestBooleanSandwich:
                 assert sem <= summ
                 checked += 1
         assert checked > 40
+
+
+class TestReachAnswersQueriesBelow:
+    def test_fact_answers_queued_query_of_its_procedure(self):
+        # at bound 4 the fact made for q3 (p1 at bound 1) also meets the
+        # goal of q2 (p1 at bound 2), which leaves the stack without a step
+        unit = parse((DATA / "reach_answers_parent.rpl").read_text())
+        verdict = check(unit.program, unit.phi_safe, max_bound=8)
+        assert (verdict.status, verdict.bound, len(verdict.trace)) == ("SAFE", 7, 45)
+        lines = [e.line() for e in verdict.trace]
+        start = lines.index("query q0 p0 4 child q1 p1 3")
+        assert lines[start : start + 14] == [
+            "query q0 p0 4 child q1 p1 3",
+            "query q1 p1 3 child q2 p1 2",
+            "query q2 p1 2 child q3 p1 1",
+            "query q3 p1 1 child q4 p2 0",
+            "reach q4 p2 0 fact-added",
+            "reach q3 p1 1 fact-added",
+            "reach q1 p1 3 fact-added",
+            "query q0 p0 4 child q5 p2 3",
+            "sum q5 p2 3 fact-added",
+            "query q0 p0 4 child q6 p1 3",
+            "query q6 p1 3 child q7 p0 2",
+            "sum q7 p0 2 fact-added",
+            "sum q6 p1 3 fact-added",
+            "sum q0 p0 4 fact-added",
+        ]

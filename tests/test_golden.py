@@ -29,7 +29,7 @@ import random
 import sys
 from pathlib import Path
 
-from helpers import mk_vars, random_nnf
+from helpers import DATA, checked_check, mk_vars, random_nnf
 from recmc.driver import check
 from recmc.formula import Sort, f_and, free_vars, negate_nnf
 from recmc.generators import (
@@ -40,6 +40,7 @@ from recmc.generators import (
     random_arith_program,
     random_bool_program,
 )
+from recmc.parser import parse
 from recmc.project import project
 from recmc.solver import check_sat, total_model
 
@@ -170,6 +171,20 @@ def test_outputs_match_golden():
 
 def test_traces_match_golden():
     _assert_lines_match(TRACES, list(trace_lines()))
+
+
+def test_checked_engine_agrees_with_plain():
+    """helpers.checked_check, whose engine checks the rules' invariants
+    and the stack's shape after every step, gives plain check's verdicts
+    and rule traces."""
+    plain = dict(_program_verdicts())
+    source = (DATA / "reach_answers_parent.rpl").read_text()
+    extra = ("reach_answers_parent", parse(source), ARITH_MAX_BOUND)
+    for label, unit, max_bound in [*_program_cases(), extra]:
+        want = plain.get(label) or check(unit.program, unit.phi_safe, max_bound)
+        got = checked_check(unit.program, unit.phi_safe, max_bound)
+        assert _program_line(label, got) == _program_line(label, want)
+        assert [e.line() for e in got.trace] == [e.line() for e in want.trace], label
 
 
 if __name__ == "__main__":

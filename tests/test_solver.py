@@ -408,6 +408,13 @@ class TestCertificates:
         status, values = refute_conjunction([(Cmp(LT, tx), True)], Sort.RAT)
         assert status == "sat" and values[x] < 0
 
+    @pytest.mark.parametrize("mode", [Sort.RAT, Sort.INT])
+    def test_refute_conjunction_rejects_boolean_literals(self, mode):
+        # interpolation refutes path pairs only in rational and integer
+        # mode, whose programs have no Boolean variables
+        with pytest.raises(TypeError, match="not a theory literal"):
+            refute_conjunction([(BoolLit(p), True), (BoolLit(p), False)], mode)
+
 
 def _simplex_numbers(simplex):
     """Every row coefficient, value and bound value held by a simplex."""
