@@ -169,6 +169,7 @@ class TestCheckCommand:
     @pytest.mark.parametrize(
         "name, solver_calls",
         [("overview", 21), ("overview_bad", 17), ("gpdr_divergence", 19)],
+        ids=["overview", "overview_bad", "gpdr_divergence"],
     )
     def test_solver_calls_count_queries_asked(self, name, solver_calls, tmp_path, capsys):
         # answers the check kept from earlier queries count as asked
