@@ -21,11 +21,18 @@ eliminates every equality as the Omega test does (Pugh, CACM 1992: the
 GCD test, substitution of a unit-coefficient variable, the mod-hat step
 otherwise), turns opposite inequalities into equalities, and divides
 each inequality by its coefficients' gcd, rounding its constant up.
-Branch-and-bound runs on the inequalities that remain, in a fresh
-simplex, and back-substitution gives the model.  Each row carries the
-literals it came from, so a conflict anywhere is a core of literals.
+The narrowest pair of opposite inequalities l <= t <= u left is then
+split exactly: each value t = v goes on a copy of the rows as an
+equality, and the copy is presolved again.  Such pairs come, for one,
+from the remainder of a negated divisibility literal, where
+branch-and-bound would walk the unbounded quotients instead.
+Branch-and-bound runs on the inequalities that remain once no pair fits
+in the node budget, in a fresh simplex, and back-substitution gives the
+model.  Each row carries the literals it came from, so a conflict
+anywhere is a core of literals; a split is refuted by the union of its
+branches' cores.
 Branch-and-bound alone is not a decision procedure for integer
-arithmetic, so when its node budget runs out the backstop is a complete
+arithmetic, so when the node budget runs out the backstop is a complete
 decision of the conjunction: a depth-first walk over the Cooper
 disjuncts that project.cooper_cases yields for one variable at a time,
 the same enumeration that exact elimination takes whole.  The first
@@ -48,6 +55,7 @@ Fractions: model values, Cooper witnesses and certificate multipliers.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -91,8 +99,9 @@ MAX_DECISIONS = 500_000
 # result is unknown.
 MAX_THEORY_CHECKS = 100_000
 # Branch-and-bound nodes of one integer theory check, and of each trial
-# of core minimization.  Exhausting it is not unknown by itself: the check
-# falls back to the Cooper decision, and the trial keeps its literal.
+# of core minimization; a split branch of the presolve is a node too.
+# Exhausting it is not unknown by itself: the check falls back to the
+# Cooper decision, and the trial keeps its literal.
 BB_NODE_BUDGET = 40
 # Cooper nodes of one complete integer decision; exhausting it gives
 # unknown.
@@ -713,7 +722,8 @@ class _Row:
 
 class _IntPresolve:
     """An integer conjunction as equalities and inequalities over integer
-    variables, reduced until no equality is left.
+    variables, reduced until no equality is left, then split on narrow
+    ranges.
 
     t < 0 becomes t + 1 <= 0, d | t becomes t = d*k and not d | t
     becomes t = d*k + r with 1 <= r <= d - 1, for fresh k and r (a term
@@ -721,6 +731,13 @@ class _IntPresolve:
     variables are named from a counter of this presolve, and rows and
     substitutions are kept in lists, so the result does not depend on
     set or hash order.
+
+    Once no equality is left, the narrowest pair l <= t <= u with u > l
+    whose u - l + 1 values fit in the node budget is split: t = v for v
+    = l, ..., u, each on a copy of the rows, presolved in turn, at one
+    node each.  The first satisfiable copy gives the model; if none is,
+    the union of their masks refutes the pair.  Branch-and-bound takes
+    the rest of the same budget.
     """
 
     def __init__(self, asserted):
@@ -729,6 +746,7 @@ class _IntPresolve:
         self.eqs: List[_Row] = []
         self.ineqs: List[_Row] = []
         self.defs: List[Tuple[Var, _Row]] = []  # in elimination order
+        self.narrowest: Optional[Tuple[int, _Row, _Row]] = None  # set by _tighten
         for i, (lit, value) in enumerate(asserted):
             scale = lcm(lit.term.const.denominator, *(c.denominator for _, c in lit.term.coeffs))
             coeffs = {v: int(c * scale) for v, c in lit.term.coeffs}
@@ -758,31 +776,55 @@ class _IntPresolve:
 
     def solve(self):
         """("sat", values), ("unsat", core) or ("budget", None)."""
+        status, payload = self._decide([BB_NODE_BUDGET])
+        if status == "unsat":
+            return status, self._core(payload)
+        if status == "budget":
+            return status, None
+        model = {}
+        for lit, _ in self.asserted:
+            for v in lit.term.vars:
+                model[v] = Fraction(payload.get(v, 0))
+        if not all(eval_literal(lit, model) == value for lit, value in self.asserted):
+            raise SelfCheckFailed(f"presolve model {model!r} fails {self.asserted!r}")
+        return "sat", model
+
+    def _decide(self, budget):
+        """Reduce, split the narrowest range l <= t <= u while its values
+        fit in budget[0], else branch-and-bound on what is left:
+        ("sat", values of every variable), ("unsat", mask) or ("budget",
+        None).  Each split branch is one node of budget."""
         mask = self._reduce()
         if mask is not None:
-            return "unsat", self._core(mask)
+            return "unsat", mask
+        if self.narrowest is not None and self.narrowest[0] < budget[0]:
+            _, row, other = self.narrowest  # row: t - u <= 0, other: l - t <= 0
+            mask = 0
+            for value in range(other.const, 1 - row.const):
+                budget[0] -= 1
+                branch = copy.copy(self)
+                branch.eqs = [_Row(dict(row.coeffs), -value, row.mask | other.mask)]
+                branch.ineqs = [_Row(dict(r.coeffs), r.const, r.mask) for r in self.ineqs]
+                branch.defs = list(self.defs)
+                status, payload = branch._decide(budget)
+                if status != "unsat":
+                    return status, payload
+                mask |= payload
+            return "unsat", mask
         values = {}
         if self.ineqs:
             simplex = Simplex()
             for row in self.ineqs:
                 conflict = simplex.add_constraint(LinTerm.make(row.coeffs, row.const), LE, row.mask)
                 if conflict is not None:
-                    return "unsat", self._core(_conflict_mask(simplex, conflict))
-            status, payload = _branch_and_bound(simplex, [BB_NODE_BUDGET])
-            if status == "unsat":
-                return status, self._core(payload)
-            if status == "budget":
-                return status, None
+                    return "unsat", _conflict_mask(simplex, conflict)
+            status, payload = _branch_and_bound(simplex, budget)
+            if status != "sat":
+                return status, payload
             values = {v: int(val) for v, val in payload.items()}
         for x, definition in reversed(self.defs):
             values[x] = definition.const + sum(c * values.get(v, 0) for v, c in definition.coeffs.items())
-        model = {}
-        for lit, _ in self.asserted:
-            for v in lit.term.vars:
-                model[v] = Fraction(values.get(v, 0))
-        if not all(eval_literal(lit, model) == value for lit, value in self.asserted):
-            raise SelfCheckFailed(f"presolve model {model!r} fails {self.asserted!r}")
-        return "sat", model
+        return "sat", values
 
     def _reduce(self) -> Optional[int]:
         """Eliminate every equality and tighten the inequalities; the mask
@@ -844,7 +886,9 @@ class _IntPresolve:
         """Divide each inequality by the gcd of its coefficients, rounding
         its constant up; keep the tightest of those with one left side and
         turn two with opposite left sides and constants into an equality.
-        The mask of a refuted inequality or pair, or None."""
+        Of the other opposite pairs, l <= t <= u with u > l, the narrowest
+        goes to self.narrowest as (u - l, row of t, row of -t).  The mask
+        of a refuted inequality or pair, or None."""
         best: Dict[tuple, Optional[_Row]] = {}
         for row in self.ineqs:
             if not row.coeffs:
@@ -860,6 +904,7 @@ class _IntPresolve:
             if cur is None or row.const > cur.const:
                 best[key] = row
         self.ineqs = []
+        self.narrowest = None
         for key, row in best.items():
             if row is None:
                 continue
@@ -872,6 +917,8 @@ class _IntPresolve:
                 self.eqs.append(_Row(dict(row.coeffs), row.const, mask))
                 best[neg] = None
                 continue
+            if other is not None and (self.narrowest is None or -(row.const + other.const) < self.narrowest[0]):
+                self.narrowest = (-(row.const + other.const), row, other)
             self.ineqs.append(row)
         return None
 

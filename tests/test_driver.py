@@ -413,6 +413,23 @@ class TestValidationWalk:
         tree = CounterexampleTree(_replace_at(root, (1,), as_t), verdict.cex.bound)
         assert not validate_cex(unit.program, tree, unit.phi_safe)
 
+    def test_wrong_callee_without_formals_rejected(self):
+        # neither Q nor R has variables, so no argument or variable check
+        # tells an R node from a Q node; only the callee's name does
+        unit = parse(
+            """
+            (program (mode bool)
+              (procedure M (out o) (body (and (call Q) o)))
+              (procedure Q (body false))
+              (procedure R (body true))
+              (main M)
+              (assert-safe (not o)))
+            """
+        )
+        o = _var(unit.program, "M", "o")
+        root = CexNode("M", 0, {o: True}, (CexNode("R", 0, {}, ()),))
+        assert not validate_cex(unit.program, CounterexampleTree(root, 1), unit.phi_safe)
+
     def test_root_outside_main_rejected(self, bad_run):
         # the property is over main's formals; a T node does not assign them
         unit, verdict = bad_run

@@ -109,10 +109,10 @@ class TestBasics:
 class TestIntegerPreChecks:
     """Conflicts that branch-and-bound cannot refute on an unbounded relaxation.
 
-    Under no_search both node budgets are zero, so branch-and-bound and
-    Cooper refute nothing: unsat can only come from the GCD test on
-    equalities, the residue check on divisibility literals, or equality
-    elimination.
+    Under no_search both node budgets are zero, so the presolve splits no
+    range and branch-and-bound and Cooper refute nothing: unsat can only
+    come from the GCD test on equalities, the residue check on
+    divisibility literals, or equality elimination.
     """
 
     @pytest.fixture()
@@ -217,6 +217,33 @@ class TestEqualityElimination:
         assert status == "unsat"
         assert sorted(core.literals, key=repr) == sorted([(line.lit, True), (odd, False)], key=repr)
 
+    def test_remainder_range_is_split(self):
+        # elimination leaves 2 <= 2*k4 + 3*k3 - 3*k1 <= 3 over unbounded
+        # quotients, along which branch-and-bound walks for its whole budget
+        f = f_and(
+            [
+                mk_lit(DivLit(3, txi, False)),
+                mk_lit(DivLit(3, txi.sub(tyi).add(LinTerm.of_const(1)))),
+                mk_lit(DivLit(2, tyi.add(LinTerm.of_const(1)), False)),
+            ]
+        )
+        res = check_sat(f, Sort.INT)
+        assert res.is_sat and eval_formula(f, res.model)
+
+    def test_every_remainder_refuted(self):
+        # x is 2 mod 3, so y is 0 mod 3: each remainder value is refuted
+        f = f_and(
+            [
+                mk_lit(DivLit(3, txi, False)),
+                mk_lit(DivLit(3, txi.sub(tyi).add(LinTerm.of_const(1)))),
+                mk_lit(DivLit(3, tyi, False)),
+                mk_lit(DivLit(3, txi.sub(LinTerm.of_const(1)), False)),
+            ]
+        )
+        assert check_sat(f, Sort.INT).is_unsat
+        status, core = refute_conjunction(conjuncts(f), Sort.INT)
+        assert status == "unsat"
+        assert solver.int_conjunction_sat([literal_of(atom, val) for atom, val in core.literals]) is None
 
     def test_model_check(self, monkeypatch):
         # the presolve's model is checked against every literal; the check
@@ -243,6 +270,34 @@ class TestEntailment:
         )
         with pytest.raises(ResourceLimit):
             entails(big, FALSE, Sort.INT)
+
+
+def _random_term(rng, k):
+    """A term over k of xi, yi, zi with small nonzero coefficients."""
+    picked = rng.sample([xi, yi, zi], k)
+    return LinTerm.make({v: rng.choice([-3, -2, -1, 1, 2, 3]) for v in picked}, rng.randint(-4, 4))
+
+
+def _decide_vs_cooper(lits):
+    """Decide the integer conjunction lits with the integer phase and with
+    Cooper's method alone, and check that they agree: a model satisfies
+    every literal and a core is refuted.  The status, or None when Cooper
+    runs out of budget."""
+    asserted = list(dict.fromkeys(solver._atom_of(lit) for lit in lits))
+    try:
+        oracle = solver.int_conjunction_sat(lits)
+    except solver._CooperBudget:
+        return None
+    status, payload = solver._TheoryCheck(Sort.INT).decide(asserted)
+    assert status == ("unsat" if oracle is None else "sat"), lits
+    if status == "sat":
+        model = {v: payload.get(v, Fraction(0)) for v in (xi, yi, zi)}
+        assert all(eval_literal(lit, model) for lit in lits), (lits, model)
+    else:
+        assert set(payload.literals) <= set(asserted)
+        core = [literal_of(atom, val) for atom, val in payload.literals]
+        assert solver.int_conjunction_sat(core) is None, (lits, core)
+    return status
 
 
 class TestDifferential:
@@ -287,15 +342,11 @@ class TestDifferential:
         # conjunctions with equalities and divisibility literals of both
         # signs, decided by the integer phase and by Cooper's method alone
         rng = random.Random(53)
-        vs = [xi, yi, zi]
         decided = {"sat": 0, "unsat": 0}
         for _ in range(400):
             lits = []
             for _ in range(rng.randint(2, 5)):
-                picked = rng.sample(vs, rng.randint(1, 3))
-                term = LinTerm.make(
-                    {v: rng.choice([-3, -2, -1, 1, 2, 3]) for v in picked}, rng.randint(-4, 4)
-                )
+                term = _random_term(rng, rng.randint(1, 3))
                 kind = rng.choice([LT, LE, EQ, "div", "not div"])
                 if kind in (LT, LE, EQ):
                     g = mk_cmp(kind, term)
@@ -303,22 +354,38 @@ class TestDifferential:
                     g = mk_lit(DivLit(rng.randint(2, 4), term, kind == "div"))
                 if isinstance(g, Lit):
                     lits.append(g.lit)
-            asserted = list(dict.fromkeys(solver._atom_of(lit) for lit in lits))
-            try:
-                oracle = solver.int_conjunction_sat(lits)
-            except solver._CooperBudget:
-                continue
-            status, payload = solver._TheoryCheck(Sort.INT).decide(asserted)
-            assert status == ("unsat" if oracle is None else "sat"), lits
-            decided[status] += 1
-            if status == "sat":
-                model = {v: payload.get(v, Fraction(0)) for v in vs}
-                assert all(eval_literal(lit, model) for lit in lits), (lits, model)
-            else:
-                assert set(payload.literals) <= set(asserted)
-                core = [literal_of(atom, val) for atom, val in payload.literals]
-                assert solver.int_conjunction_sat(core) is None, (lits, core)
+            status = _decide_vs_cooper(lits)
+            if status is not None:
+                decided[status] += 1
         assert decided["sat"] > 100 and decided["unsat"] > 50
+
+    def test_narrow_ranges_vs_cooper(self, monkeypatch):
+        # l <= t <= u of width 1 to 4 on a form over two or three
+        # variables, with 2 | and 3 | literals of both signs: the integer
+        # phase splits the range and never needs the Cooper fallback
+        fallbacks = []
+        real = solver._TheoryCheck._cooper_fallback
+
+        def counted(check, asserted):
+            fallbacks.append(asserted)
+            return real(check, asserted)
+
+        monkeypatch.setattr(solver._TheoryCheck, "_cooper_fallback", counted)
+        rng = random.Random(61)
+        decided = {"sat": 0, "unsat": 0}
+        for _ in range(300):
+            t = _random_term(rng, rng.randint(2, 3))
+            width = rng.randint(1, 4)
+            lits = [mk_cmp(LE, t).lit, mk_cmp(LE, LinTerm.of_const(-width).sub(t)).lit]
+            for _ in range(rng.randint(2, 4)):
+                g = mk_lit(DivLit(rng.choice([2, 3]), _random_term(rng, rng.randint(1, 3)), rng.random() < 0.5))
+                if isinstance(g, Lit):
+                    lits.append(g.lit)
+            status = _decide_vs_cooper(lits)
+            if status is not None:
+                decided[status] += 1
+        assert decided["sat"] > 100 and decided["unsat"] > 20
+        assert fallbacks == []
 
     def test_integer_rational_agreement(self):
         # formulas whose rational solutions happen to be integral
