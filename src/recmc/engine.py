@@ -153,9 +153,6 @@ class BndSafety:
         self.stats["solver_calls"] += 1
         return self.solve(f)
 
-    def _entails(self, a: Formula, b: Formula) -> bool:
-        return self._sat(f_and([a, negate_nnf(b)])).is_unsat
-
     def env(self, kind: str, bound: int) -> Dict[str, Formula]:
         """The under- ("u", from rho) or over-approximating ("o", from
         sigma) environment at bound, rebuilt when the map has changed."""
@@ -203,7 +200,7 @@ class BndSafety:
         env_o = self.env("o", q.bound - 1)
         env_u = self.env("u", q.bound - 1)
         body_over = instantiate(proc.body, env_o, self.program)
-        sum_ok = self._entails(body_over, negate_nnf(q.goal))
+        sum_ok = self._sat(f_and([body_over, q.goal])).is_unsat
 
         reach_hit = None
         if not sum_ok:

@@ -8,18 +8,16 @@ method after rescaling coefficients to +-1; divisibility literals give
 the period D over which the test points are repeated.  Boolean
 variables use Shannon expansion.
 
-One enumeration, cooper_cases, yields Cooper's disjuncts in a fixed
-order, each with a witness for x.  Exact elimination (cooper_qe) takes
-all of them; the solver's complete integer decision walks them depth
-first and keeps the first satisfiable one with its witness.
-
-Model-based projection picks, for a model M of the matrix, the single
-disjunct of the elimination that M witnesses, computed from M's values
-of the bound terms rather than by enumeration; the image over all
-models is finite and covers the full elimination, while each output is
-an under-approximation satisfied by its own model.  Ties between equal
-bound terms are broken by a fixed syntactic term ordering, so identical
-inputs always produce identical outputs.
+Each arithmetic theory has one enumeration of its disjuncts, in a fixed
+order with terms sorted by a syntactic term ordering: _lw_cases for
+rationals, cooper_cases for integers.  Exact elimination takes all of
+them.  Model-based projection takes, for a model M of the matrix, the
+first disjunct in that order that M satisfies.  Each such disjunct is
+satisfied by M, implies the exact elimination, and is one of finitely
+many, so the image over all models is finite and covers the
+elimination.  The solver's complete integer decision walks
+cooper_cases depth first and keeps the first satisfiable disjunct with
+its witness.  Identical inputs always produce identical outputs.
 
 The virtual values epsilon and minus infinity never appear in outputs;
 they exist only through the substitution tables below.
@@ -31,7 +29,7 @@ from fractions import Fraction
 from math import ceil, lcm
 from typing import Dict, List, Optional, Sequence
 
-from .errors import ModelMismatch, WrongMode
+from .errors import ModelMismatch, SelfCheckFailed, WrongMode
 from .formula import (
     EQ,
     FALSE,
@@ -165,43 +163,47 @@ def _subst_minus_inf_int(x: Var, f: Formula, i: int) -> Formula:
     return _map_literals(f, fn)
 
 
+def _lw_cases(x: Var, f: Formula):
+    """Loos-Weispfenning disjuncts of exists x. f (weak bounds on x
+    split), in order: x := each equality term, x := l + epsilon for each
+    lower bound l, then x := minus infinity, terms in _collect's order."""
+    eqs, lows, _, _ = _collect(x, f, Sort.RAT)
+    for e in eqs:
+        yield subst_arith(f, {x: e})
+    for l in lows:
+        yield _subst_lower_eps(x, f, l)
+    yield _subst_minus_inf(x, f)
+
+
+def _first_holding(x: Var, cases, model) -> Formula:
+    """The first of cases that the model satisfies."""
+    for case in cases:
+        if eval_formula(case, model):
+            return case
+    raise SelfCheckFailed(f"no disjunct of the elimination of {x!r} holds in the model")
+
+
 def lw_qe(x: Var, matrix: Formula) -> Formula:
     """Loos-Weispfenning elimination of a rational variable."""
     if x.sort is not Sort.RAT:
         raise WrongMode(f"{x!r} is not rational")
     f = split_weak_bounds(x, matrix)
-    eqs, lows, _, _ = _collect(x, f, Sort.RAT)
     if x not in free_vars(f):
         return f
-    parts = [subst_arith(f, {x: e}) for e in eqs]
-    parts += [_subst_lower_eps(x, f, l) for l in lows]
-    parts.append(_subst_minus_inf(x, f))
-    return f_or(parts)
+    return f_or(_lw_cases(x, f))
 
 
 def lra_proj(x: Var, matrix: Formula, model) -> Formula:
-    """The disjunct of lw_qe(x, matrix) witnessed by the model."""
+    """The first disjunct of lw_qe(x, matrix), in _lw_cases order, that
+    the model satisfies."""
     if x.sort is not Sort.RAT:
         raise WrongMode(f"{x!r} is not rational")
     if not eval_formula(matrix, model):
         raise ModelMismatch(f"model does not satisfy matrix")
     f = split_weak_bounds(x, matrix)
-    eqs, lows, _, _ = _collect(x, f, Sort.RAT)
     if x not in free_vars(f):
         return f
-    xval = Fraction(model[x])
-    for e in eqs:  # already in term order
-        if e.evaluate(model) == xval:
-            return subst_arith(f, {x: e})
-    best = None
-    best_val = None
-    for l in lows:
-        v = l.evaluate(model)
-        if v < xval and (best_val is None or v > best_val):
-            best, best_val = l, v
-    if best is not None:
-        return _subst_lower_eps(x, f, best)
-    return _subst_minus_inf(x, f)
+    return _first_holding(x, _lw_cases(x, f), model)
 
 
 def _value(term: LinTerm, model) -> Fraction:
@@ -221,6 +223,10 @@ def cooper_cases(x: Var, g: Formula):
     disjunct (absent variables read as 0) to a value of x that satisfies
     g.  When a literal conjunct of g is an equality or lower bound on x,
     every minus-infinity disjunct is false and none is yielded.
+
+    The one integer enumeration: cooper_qe takes every disjunct,
+    lia_proj the first its model satisfies, and the solver's Cooper
+    decision the first satisfiable one together with its witness.
     """
     eqs, lows, highs, period = _collect(x, g, Sort.INT)
     for e in eqs:
@@ -261,29 +267,15 @@ def cooper_qe(x: Var, matrix: Formula) -> Formula:
 
 
 def lia_proj(x: Var, matrix: Formula, model) -> Formula:
-    """The disjunct of cooper_qe(x, matrix) witnessed by the model."""
+    """The first disjunct of cooper_qe(x, matrix), in cooper_cases order,
+    that the model satisfies."""
     if x.sort is not Sort.INT:
         raise WrongMode(f"{x!r} is not integer")
     if not eval_formula(matrix, model):
         raise ModelMismatch("model does not satisfy matrix")
     if x not in free_vars(matrix):
         return matrix
-    eqs, lows, _, period = _collect(x, matrix, Sort.INT)
-    xval = Fraction(model[x])
-    for e in eqs:
-        if e.evaluate(model) == xval:
-            return subst_arith(matrix, {x: e})
-    best = None
-    best_val = None
-    for l in lows:
-        v = l.evaluate(model)
-        if v < xval and (best_val is None or v > best_val):
-            best, best_val = l, v
-    if best is not None:
-        i = int((xval - best_val - 1) % period)
-        return subst_arith(matrix, {x: best.add(LinTerm.of_const(1 + i))})
-    i = int(xval % period)
-    return _subst_minus_inf_int(x, matrix, i)
+    return _first_holding(x, (case for case, _ in cooper_cases(x, matrix)), model)
 
 
 def project(
@@ -295,14 +287,17 @@ def project(
 ) -> Formula:
     """Eliminate variables one at a time, in reverse of the given order.
 
-    strategy "qe" computes the exact existential projection; "mbp" picks
-    per-variable disjuncts using the model, which must satisfy the
-    matrix.  With "mbp" the model keeps satisfying every intermediate
-    result, so the output is satisfied by the model and implies the QE
-    result.  stats, passed only with "mbp", counts the eliminations in
-    stats["mbp_calls"].
+    strategy "qe" computes the exact existential projection; "mbp" takes,
+    per variable, the first disjunct of its elimination that the model
+    satisfies (for a Boolean, the Shannon case of its value).  The model
+    must satisfy the matrix.  With "mbp" the model keeps satisfying every
+    intermediate result, so the output is satisfied by the model and
+    implies the QE result.  stats, passed only with "mbp", counts the
+    eliminations in stats["mbp_calls"].  Any other strategy raises
+    ValueError.
     """
-    assert strategy in ("mbp", "qe")
+    if strategy not in ("mbp", "qe"):
+        raise ValueError(f"unknown projection strategy {strategy!r}")
     cur = matrix
     work = model
     if strategy == "mbp" and not eval_formula(matrix, model):

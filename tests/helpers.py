@@ -143,6 +143,9 @@ class CheckedBndSafety(BndSafety):
     no query left queued is already refuted by summaries or witnessed by
     reachability facts.  Its queries count in solver_calls."""
 
+    def _entails(self, a, b):
+        return self._sat(f_and([a, negate_nnf(b)])).is_unsat
+
     def step(self):
         q = self.queue[-1]
         proc = self.program.proc(q.proc)

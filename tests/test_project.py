@@ -12,7 +12,8 @@ from helpers import (
     random_nnf,
     window_sat_int,
 )
-from recmc.errors import ModelMismatch, NotNormalized, WrongMode
+import recmc.project
+from recmc.errors import ModelMismatch, NotNormalized, SelfCheckFailed, WrongMode
 from recmc.formula import (
     EQ,
     FALSE,
@@ -51,8 +52,22 @@ from recmc.solver import (
 x, y, z, e, l, u = mk_vars(["x", "y", "z", "e", "l", "u"], Sort.RAT)
 tx, ty, tz, te, tl, tu = (LinTerm.of_var(v) for v in (x, y, z, e, l, u))
 p1, p2 = mk_vars(["p1", "p2"], Sort.BOOL)
-xi, yi, li = mk_vars(["x", "y", "l"], Sort.INT)
-txi, tyi, tli = (LinTerm.of_var(v) for v in (xi, yi, li))
+xi, yi, zi, li = mk_vars(["x", "y", "z", "l"], Sort.INT)
+txi, tyi, tzi, tli = (LinTerm.of_var(v) for v in (xi, yi, zi, li))
+
+
+def c(k):
+    return LinTerm.of_const(k)
+
+
+def two_intervals(tx_, ty_, tz_):
+    """(y < x and x < 5) or (z < x and x < 10)"""
+    return f_or(
+        [
+            f_and([mk_cmp(LT, ty_.sub(tx_)), mk_cmp(LT, tx_.sub(c(5)))]),
+            f_and([mk_cmp(LT, tz_.sub(tx_)), mk_cmp(LT, tx_.sub(c(10)))]),
+        ]
+    )
 
 
 def worked_matrix():
@@ -160,6 +175,25 @@ class TestLraProj:
         with pytest.raises(ModelMismatch):
             lra_proj(x, mk_cmp(LT, tx), Model({x: Fraction(1)}))
 
+    def test_first_holding_lower_bound_wins(self):
+        # y + eps comes before z + eps and holds, although z is the
+        # greater lower bound below x
+        m = Model({x: Fraction(4), y: Fraction(0), z: Fraction(3)})
+        got = lra_proj(x, two_intervals(tx, ty, tz), m)
+        want = f_or(
+            [
+                mk_cmp(LT, ty.sub(c(5))),
+                f_and([mk_cmp(LE, tz.sub(ty)), mk_cmp(LT, ty.sub(c(10)))]),
+            ]
+        )
+        assert got == want
+        assert eval_formula(got, m)
+
+    def test_no_holding_case_is_a_self_check_failure(self, monkeypatch):
+        monkeypatch.setattr(recmc.project, "_lw_cases", lambda x_, f: iter([FALSE]))
+        with pytest.raises(SelfCheckFailed, match="of x"):
+            lra_proj(x, mk_cmp(LT, tx), Model({x: Fraction(-1)}))
+
 
 class TestCooper:
     def test_even_point_in_interval(self):
@@ -230,11 +264,48 @@ class TestLiaProj:
         got = lia_proj(xi, f, m)
         assert equivalent(got, mk_cmp(LT, tli.sub(tyi)), Sort.INT)
 
+    def test_first_holding_lower_bound_wins(self):
+        # x := y + 1 comes before x := z + 1 and holds, although z is the
+        # greater lower bound below x
+        f = two_intervals(txi, tyi, tzi)
+        m = Model({xi: Fraction(4), yi: Fraction(0), zi: Fraction(3)})
+        got = lia_proj(xi, f, m)
+        assert eval_formula(got, m)
+        assert equivalent(
+            got,
+            f_or(
+                [
+                    mk_cmp(LT, tyi.sub(c(4))),
+                    f_and([mk_cmp(LE, tzi.sub(tyi)), mk_cmp(LT, tyi.sub(c(9)))]),
+                ]
+            ),
+            Sort.INT,
+        )
+        z_case = f_or(
+            [
+                f_and([mk_cmp(LE, tyi.sub(tzi)), mk_cmp(LT, tzi.sub(c(4)))]),
+                mk_cmp(LT, tzi.sub(c(9))),
+            ]
+        )
+        assert not equivalent(got, z_case, Sort.INT)
+
+    def test_no_holding_case_is_a_self_check_failure(self, monkeypatch):
+        monkeypatch.setattr(
+            recmc.project, "cooper_cases", lambda x_, g: iter([(FALSE, None)])
+        )
+        with pytest.raises(SelfCheckFailed, match="of x"):
+            lia_proj(xi, mk_cmp(LT, txi), Model({xi: Fraction(-1)}))
+
 
 class TestProject:
     def test_empty_vars_identity(self):
         f = mk_cmp(LT, tx.sub(ty))
         assert project([], f, None, strategy="qe") is f
+
+    def test_unknown_strategy_raises(self):
+        f = mk_cmp(LT, tx.sub(ty))
+        with pytest.raises(ValueError, match="MBP"):
+            project([x], f, Model({x: Fraction(0), y: Fraction(1)}), strategy="MBP")
 
     def test_boolean_mbp_substitutes(self):
         f = f_or([Lit(BoolLit(p1)), Lit(BoolLit(p2))])
