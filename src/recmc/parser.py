@@ -187,16 +187,22 @@ def _err(node, msg) -> RplSyntaxError:
 # -- numbers and terms -------------------------------------------------------
 
 
+def _is_numeral(s: str) -> bool:
+    """A nonempty run of ASCII digits.  str.isdigit alone also accepts
+    superscripts, which int rejects, and other scripts' digits."""
+    return s.isascii() and s.isdigit()
+
+
 def _parse_number(tok: _Tok) -> Optional[Number]:
     s = tok.text
     neg = s.startswith("-")
     body = s[1:] if neg else s
     if "/" in body:
         p, _, q = body.partition("/")
-        if p.isdigit() and q.isdigit() and int(q) != 0:
+        if _is_numeral(p) and _is_numeral(q) and int(q) != 0:
             return _div(-int(p) if neg else int(p), int(q))
         return None
-    if body.isdigit():
+    if _is_numeral(body):
         return -int(body) if neg else int(body)
     return None
 

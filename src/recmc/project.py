@@ -195,11 +195,10 @@ def lw_qe(x: Var, matrix: Formula) -> Formula:
 
 def lra_proj(x: Var, matrix: Formula, model) -> Formula:
     """The first disjunct of lw_qe(x, matrix), in _lw_cases order, that
-    the model satisfies."""
+    the model satisfies.  The model must satisfy the matrix: project()
+    checks that once, and this function does not check it again."""
     if x.sort is not Sort.RAT:
         raise WrongMode(f"{x!r} is not rational")
-    if not eval_formula(matrix, model):
-        raise ModelMismatch(f"model does not satisfy matrix")
     f = split_weak_bounds(x, matrix)
     if x not in free_vars(f):
         return f
@@ -268,11 +267,11 @@ def cooper_qe(x: Var, matrix: Formula) -> Formula:
 
 def lia_proj(x: Var, matrix: Formula, model) -> Formula:
     """The first disjunct of cooper_qe(x, matrix), in cooper_cases order,
-    that the model satisfies."""
+    that the model satisfies.  The model must satisfy the matrix:
+    project() checks that once, and this function does not check it
+    again."""
     if x.sort is not Sort.INT:
         raise WrongMode(f"{x!r} is not integer")
-    if not eval_formula(matrix, model):
-        raise ModelMismatch("model does not satisfy matrix")
     if x not in free_vars(matrix):
         return matrix
     return _first_holding(x, (case for case, _ in cooper_cases(x, matrix)), model)

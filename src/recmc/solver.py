@@ -10,37 +10,35 @@ conjunction of a path pair directly with refute_conjunction.
 
 Integer mode first solves the rational relaxation, which holds the
 comparison literals only: a divisibility literal constrains nothing over
-the rationals.  A relaxation conflict keeps its Farkas certificate.  The
-integer phase then runs in order: the residue check, which rejects
-divisibility literals on one linear form that no residue modulo the lcm
-of their divisors satisfies; the root test, which takes the relaxation's
-values when they are integral and satisfy every literal; and an exact
-presolve over the integers.  The presolve writes t < 0 as t + 1 <= 0,
-d | t as t = d*k and not d | t as t = d*k + r with 1 <= r <= d - 1,
-eliminates every equality as the Omega test does (Pugh, CACM 1992: the
-GCD test, substitution of a unit-coefficient variable, the mod-hat step
-otherwise), turns opposite inequalities into equalities, and divides
-each inequality by its coefficients' gcd, rounding its constant up.
-The narrowest pair of opposite inequalities l <= t <= u left is then
-split exactly: each value t = v goes on a copy of the rows as an
-equality, and the copy is presolved again.  Such pairs come, for one,
-from the remainder of a negated divisibility literal, where
-branch-and-bound would walk the unbounded quotients instead.
+the rationals.  An equality whose coefficients' gcd does not divide its
+constant is refuted alone before it reaches the simplex, and a
+relaxation conflict keeps its Farkas certificate.  Then the root test
+takes the relaxation's values when they are integral and satisfy every
+literal; otherwise an exact presolve over the integers decides the
+conjunction.  It writes t < 0 as t + 1 <= 0, d | t as t = d*k and
+not d | t as t = d*k + r with 1 <= r <= d - 1, eliminates every equality
+as the Omega test does (Pugh, CACM 1992: the GCD test, substitution of a
+unit-coefficient variable, the mod-hat step otherwise), turns opposite
+inequalities into equalities, and divides each inequality by its
+coefficients' gcd, rounding its constant up.  The narrowest pair of
+opposite inequalities l <= t <= u left is then split exactly: each value
+t = v goes on a copy of the rows as an equality, and the copy is
+presolved again.  Such pairs come, for one, from the remainder of a
+negated divisibility literal, where branch-and-bound would walk the
+unbounded quotients instead.
 Branch-and-bound runs on the inequalities that remain once no pair fits
 in the node budget, in a fresh simplex, and back-substitution gives the
 model.  Each row carries the literals it came from, so a conflict
-anywhere is a core of literals; a split is refuted by the union of its
-branches' cores.
+anywhere is a core of literals, returned as it is; a split is refuted by
+the union of its branches' cores.
 Branch-and-bound alone is not a decision procedure for integer
 arithmetic, so when the node budget runs out the backstop is a complete
 decision of the conjunction: a depth-first walk over the Cooper
 disjuncts that project.cooper_cases yields for one variable at a time,
 the same enumeration that exact elimination takes whole.  The first
 satisfiable disjunct gives the model, through the witness that comes
-with it.  Only if the walk exceeds its node budget does the solver
-report unknown.  An integer core is shrunk by deleting literals one at
-a time; each trial is decided by the steps above up to a bounded
-branch-and-bound, and a literal goes only when the rest is refuted.
+with it; if none is, the core is the whole conjunction.  Only if the
+walk exceeds its node budget does the solver report unknown.
 
 The budgets are the module constants below.  They are read at call
 time, so a test can lower them with monkeypatch.
@@ -98,10 +96,9 @@ MAX_DECISIONS = 500_000
 # Full assignments theory-checked in one check_sat search; past it the
 # result is unknown.
 MAX_THEORY_CHECKS = 100_000
-# Branch-and-bound nodes of one integer theory check, and of each trial
-# of core minimization; a split branch of the presolve is a node too.
-# Exhausting it is not unknown by itself: the check falls back to the
-# Cooper decision, and the trial keeps its literal.
+# Branch-and-bound nodes of one integer theory check; a split branch of
+# the presolve is a node too.  Exhausting it is not unknown by itself:
+# the check falls back to the Cooper decision.
 BB_NODE_BUDGET = 40
 # Cooper nodes of one complete integer decision; exhausting it gives
 # unknown.
@@ -537,34 +534,6 @@ def _gcd_feasible(term: LinTerm) -> bool:
     return term.const.numerator % gcd(*(c.numerator for _, c in term.coeffs)) == 0
 
 
-def _residue_conflict(asserted) -> Optional[ClausalCore]:
-    """Divisibility literals on one linear form that no residue satisfies.
-
-    The literals (d_i | s + k_i) with the same linear part s depend only
-    on s modulo the lcm L of the d_i, and s takes every multiple of
-    gcd(L, coefficients of s) there.  If none of those residues makes
-    every literal take its asserted value, the literals form a core.
-    """
-    groups: Dict[object, Tuple[LinTerm, list]] = {}
-    for lit, val in asserted:
-        if not isinstance(lit, DivLit) or lit.term.is_const() or not lit.term.is_integral():
-            continue
-        linear = lit.term.sub(LinTerm.of_const(lit.term.const))
-        const = lit.term.const.numerator
-        if linear.coeffs[0][1] < 0:  # d | t iff d | -t
-            linear, const = linear.scale(-1), -const
-        groups.setdefault(linear.key(), (linear, []))[1].append((lit, val, const))
-    for linear, members in groups.values():
-        period = lcm(*(lit.divisor for lit, _, _ in members))
-        step = gcd(period, *(c.numerator for _, c in linear.coeffs))
-        if not any(
-            all(((r + k) % lit.divisor == 0) == (lit.positive == val) for lit, val, k in members)
-            for r in range(0, period, step)
-        ):
-            return ClausalCore(tuple((lit, val) for lit, val, _ in members))
-    return None
-
-
 class _TheoryCheck:
     """One conjunction of valued literals, checked over LRA or LIA."""
 
@@ -578,11 +547,17 @@ class _TheoryCheck:
         cert = self._relax(asserted)
         if cert is not None:
             return "unsat", cert
+        values = self.simplex.concrete_values()
         if self.mode is not Sort.INT:
-            return "sat", self.simplex.concrete_values()
-        status, payload = self._solve_int(asserted)
-        if status == "unsat":
-            return status, _minimize_core(payload)
+            return "sat", values
+        if all(val.denominator == 1 for val in values.values()):
+            # the root test: the relaxation's values are an integer model
+            for lit, _ in asserted:
+                for v in lit.term.vars:
+                    values.setdefault(v, Fraction(0))
+            if all(eval_literal(lit, values) == value for lit, value in asserted):
+                return "sat", values
+        status, payload = _IntPresolve(asserted).solve()
         if status == "budget":
             return self._cooper_fallback(asserted)
         return status, payload
@@ -624,22 +599,6 @@ class _TheoryCheck:
         # an integer conflict through a tightened strict literal
         return ClausalCore(tuple(dict.fromkeys((lit, True) for lit, _, _ in by_cid.values())))
 
-    def _solve_int(self, asserted):
-        """The integer phase, once the relaxation is satisfiable:
-        ("sat", values), ("unsat", core), or ("budget", None) when
-        branch-and-bound runs out of nodes."""
-        core = _residue_conflict(asserted)
-        if core is not None:
-            return "unsat", core
-        values = self.simplex.concrete_values()
-        if all(val.denominator == 1 for val in values.values()):
-            for lit, _ in asserted:
-                for v in lit.term.vars:
-                    values.setdefault(v, Fraction(0))
-            if all(eval_literal(lit, values) == value for lit, value in asserted):
-                return "sat", values
-        return _IntPresolve(asserted).solve()
-
     def _cooper_fallback(self, asserted):
         try:
             model = int_conjunction_sat(_literals(asserted))
@@ -647,39 +606,7 @@ class _TheoryCheck:
             return "unknown", "integer decision budget exhausted"
         if model is not None:
             return "sat", model
-        return "unsat", _minimize_core(ClausalCore(tuple(asserted)))
-
-
-def _refutation(pairs):
-    """The certificate of the bounded integer decision of pairs (the
-    relaxation, the residue check, the presolve and branch-and-bound
-    within its budget), or None when that decision does not refute them."""
-    check = _TheoryCheck(Sort.INT)
-    cert = check._relax(pairs)
-    if cert is None:
-        status, cert = check._solve_int(pairs)
-        if status != "unsat":
-            return None
-    return cert
-
-
-def _minimize_core(core: ClausalCore) -> ClausalCore:
-    """Deletion-based shrinking: a literal goes only when _refutation
-    refutes the rest, whose own core then replaces the rest."""
-    pairs = list(core.literals)
-    if len(pairs) <= 2:
-        return core
-    i = 0
-    while i < len(pairs):
-        trial = pairs[:i] + pairs[i + 1 :]
-        cert = _refutation(trial)
-        if cert is None:
-            i += 1
-            continue
-        kept = set(cert.literals)
-        i = sum(pair in kept for pair in pairs[:i])
-        pairs = [pair for pair in trial if pair in kept]
-    return ClausalCore(tuple(pairs))
+        return "unsat", ClausalCore(tuple(asserted))
 
 
 # --------------------------------------------------------------------------

@@ -118,6 +118,18 @@ class TestCheckCommand:
         src.write_text("(program (mode rat)")
         assert run_cli(["check", str(src)]) == 3
 
+    @pytest.mark.parametrize("token", ["²", "1/²", "٣"])
+    def test_non_ascii_numeral_exits_three(self, tmp_path, token, capsys):
+        # each token passes str.isdigit, but only ASCII digits make a
+        # numeral: an input error, not an internal one or a number
+        line = f"  (procedure P (in x) (out o) (body (= o (+ x {token}))))"
+        src = tmp_path / "numeral.rpl"
+        src.write_text(f"(program (mode rat)\n{line}\n  (main P) (assert-safe true))", encoding="utf-8")
+        assert run_cli(["check", str(src)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"recmc: {src}: 2:{line.index(token) + 1}: unknown variable '{token}'\n"
+
     def test_missing_file_exits_three(self, capsys):
         assert run_cli(["check", "/nonexistent.rpl"]) == 3
 

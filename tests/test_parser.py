@@ -72,6 +72,15 @@ class TestParse:
         where = "" if form in ("main", "assert-safe") else " in procedure P"
         assert err.value.message == f"duplicate ({form} ...){where}"
 
+    @pytest.mark.parametrize("token", ["²", "1/²", "٣"])
+    def test_non_ascii_numeral_rejected_at_its_position(self, token):
+        # str.isdigit accepts each; a numeral has ASCII digits only
+        line = f"  (procedure P (in x) (out o) (body (= o (+ x {token}))))"
+        with pytest.raises(RplSyntaxError) as err:
+            parse(f"(program (mode rat)\n{line}\n  (main P) (assert-safe true))")
+        assert (err.value.line, err.value.col) == (2, line.index(token) + 1)
+        assert err.value.message == f"unknown variable '{token}'"
+
     def test_unclosed_paren(self):
         with pytest.raises(RplSyntaxError):
             parse("(program (mode bool)")

@@ -172,8 +172,9 @@ class TestLraProj:
         assert eval_formula(got, m)
 
     def test_model_mismatch(self):
+        # the one model check of a projection is project()'s
         with pytest.raises(ModelMismatch):
-            lra_proj(x, mk_cmp(LT, tx), Model({x: Fraction(1)}))
+            project([x], mk_cmp(LT, tx), Model({x: Fraction(1)}))
 
     def test_first_holding_lower_bound_wins(self):
         # y + eps comes before z + eps and holds, although z is the

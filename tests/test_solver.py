@@ -111,8 +111,9 @@ class TestIntegerPreChecks:
 
     Under no_search both node budgets are zero, so the presolve splits no
     range and branch-and-bound and Cooper refute nothing: unsat can only
-    come from the GCD test on equalities, the residue check on
-    divisibility literals, or equality elimination.
+    come from the GCD pre-test on equalities or from the presolve's
+    equality elimination, into which divisibility literals go as
+    equalities.
     """
 
     @pytest.fixture()
@@ -164,10 +165,8 @@ class TestIntegerPreChecks:
         assert check_sat(f, Sort.INT).is_sat
 
     def test_fallback_core_across_linear_forms(self, monkeypatch):
-        # 4 | 2y - z + 3 makes z odd, which is asserted false; the residue
-        # check does not see this since the two literals have different
-        # linear forms, but equality elimination finds the core without
-        # branching
+        # 4 | 2y - z + 3 makes z odd, which is asserted false; equality
+        # elimination finds the core without branching
         div4 = DivLit(4, tyi.scale(2).sub(tzi).add(LinTerm.of_const(3)))
         z_odd = DivLit(2, tzi.add(LinTerm.of_const(1)))
         bound = mk_cmp(LE, txi.sub(LinTerm.of_const(5)))
@@ -300,6 +299,20 @@ def _decide_vs_cooper(lits):
     return status
 
 
+@pytest.fixture()
+def cooper_fallbacks(monkeypatch):
+    """The conjunctions that go to the Cooper fallback, in order."""
+    fallbacks = []
+    real = solver._TheoryCheck._cooper_fallback
+
+    def counted(check, asserted):
+        fallbacks.append(asserted)
+        return real(check, asserted)
+
+    monkeypatch.setattr(solver._TheoryCheck, "_cooper_fallback", counted)
+    return fallbacks
+
+
 class TestDifferential:
     def test_boolean_vs_truth_table(self):
         rng = random.Random(11)
@@ -338,9 +351,16 @@ class TestDifferential:
                     assert eval_formula(f, res.model)
             assert sats > 0
 
-    def test_theory_check_vs_cooper(self):
+    @pytest.mark.parametrize(
+        "bb_nodes",
+        [pytest.param(solver.BB_NODE_BUDGET, id="branch-and-bound"), pytest.param(0, id="cooper-fallback")],
+    )
+    def test_theory_check_vs_cooper(self, bb_nodes, cooper_fallbacks, monkeypatch):
         # conjunctions with equalities and divisibility literals of both
-        # signs, decided by the integer phase and by Cooper's method alone
+        # signs, decided by the integer phase and by Cooper's method alone;
+        # with no nodes, what the presolve leaves open goes to the Cooper
+        # fallback, whose core is the whole conjunction
+        monkeypatch.setattr(solver, "BB_NODE_BUDGET", bb_nodes)
         rng = random.Random(53)
         decided = {"sat": 0, "unsat": 0}
         for _ in range(400):
@@ -358,19 +378,12 @@ class TestDifferential:
             if status is not None:
                 decided[status] += 1
         assert decided["sat"] > 100 and decided["unsat"] > 50
+        assert (len(cooper_fallbacks) > 100) == (bb_nodes == 0)
 
-    def test_narrow_ranges_vs_cooper(self, monkeypatch):
+    def test_narrow_ranges_vs_cooper(self, cooper_fallbacks):
         # l <= t <= u of width 1 to 4 on a form over two or three
         # variables, with 2 | and 3 | literals of both signs: the integer
         # phase splits the range and never needs the Cooper fallback
-        fallbacks = []
-        real = solver._TheoryCheck._cooper_fallback
-
-        def counted(check, asserted):
-            fallbacks.append(asserted)
-            return real(check, asserted)
-
-        monkeypatch.setattr(solver._TheoryCheck, "_cooper_fallback", counted)
         rng = random.Random(61)
         decided = {"sat": 0, "unsat": 0}
         for _ in range(300):
@@ -385,7 +398,7 @@ class TestDifferential:
             if status is not None:
                 decided[status] += 1
         assert decided["sat"] > 100 and decided["unsat"] > 20
-        assert fallbacks == []
+        assert cooper_fallbacks == []
 
     def test_integer_rational_agreement(self):
         # formulas whose rational solutions happen to be integral
