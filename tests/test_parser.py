@@ -81,6 +81,32 @@ class TestParse:
         assert (err.value.line, err.value.col) == (2, line.index(token) + 1)
         assert err.value.message == f"unknown variable '{token}'"
 
+    @pytest.mark.parametrize(
+        "text, line, col, message",
+        [
+            # \r counts as a column, \n alone ends a line
+            ("(program (mode rat)\r\n  (procedure P (in x) (out y)\r\n    (body (< x zz)))\r\n"
+             "  (main P) (assert-safe true))", 3, 16, "unknown variable 'zz'"),
+            # a tab counts as one column
+            ("(program (mode rat)\n\t(procedure P (in x) (out y)\n\t\t(body\t(<\tx\tzz)))\n"
+             "\t(main P) (assert-safe true))", 3, 14, "unknown variable 'zz'"),
+            # the token right after a comment
+            ("(program (mode rat) ; a comment\n  (procedure P (in x) (out y) ; (body\n"
+             "    (body (< x y)))\n  ;; (main P)\n   zz (main P) (assert-safe true))",
+             5, 4, "unexpected form ''"),
+            # parentheses in comments are not read
+            ("(program (mode rat)\n  (procedure P (in x) (out y) (body (< x zz))) ; ) ((\n"
+             "  (main P) (assert-safe true))", 2, 42, "unknown variable 'zz'"),
+            ("(program (mode rat) ; (((\n  (procedure P (in x) (out y) (body (< x y)))\n"
+             "  (main P) (assert-safe true)) ; )\n)", 4, 1, "unmatched ')'"),
+        ],
+        ids=["crlf", "tabs", "after-comment", "comment-parens", "comment-unbalanced"],
+    )
+    def test_error_position(self, text, line, col, message):
+        with pytest.raises(RplSyntaxError) as err:
+            parse(text)
+        assert (err.value.line, err.value.col, err.value.message) == (line, col, message)
+
     def test_unclosed_paren(self):
         with pytest.raises(RplSyntaxError):
             parse("(program (mode bool)")
