@@ -59,7 +59,6 @@ from .formula import (
     eval_literal,
     f_and,
     mk_cmp,
-    negate_nnf,
 )
 from .program import AssertionMap, Program, instantiate
 from .solver import entails, total_model
@@ -161,9 +160,9 @@ def check_inductive(engine: BndSafety, n: int) -> bool:
     once per level and each body instantiated once per level.
 
     Each push is the query "body and not fact", asked through
-    engine.solve: a push asked at an earlier bound, or by the engine's
-    sum rule, is not solved again.  validate_proof re-solves the proof
-    from scratch.
+    engine.solve with the fact negated once per check (engine.negate):
+    a push asked at an earlier bound, or by the engine's sum rule, is
+    not solved again.  validate_proof re-solves the proof from scratch.
     """
     program, sigma = engine.program, engine.sigma
     inductive = True
@@ -175,7 +174,7 @@ def check_inductive(engine: BndSafety, n: int) -> bool:
                 continue
             body = instantiate(proc.body, env, program)
             for fact in facts:
-                if engine.solve(f_and([body, negate_nnf(fact.formula)])).is_unsat:
+                if engine.solve(f_and([body, engine.negate(fact.formula)])).is_unsat:
                     sigma.add(name, b + 1, fact.formula)
                 elif b == n:
                     inductive = False
@@ -229,7 +228,7 @@ def build_cex(engine: BndSafety, n: int) -> CounterexampleTree:
     program = engine.program
     main = program.proc(program.main)
     u_main = engine.env("u", n)[main.name]
-    res = engine.solve(f_and([u_main, negate_nnf(engine.phi_safe)]))
+    res = engine.solve(f_and([u_main, engine.negate(engine.phi_safe)]))
     if not res.is_sat:
         raise ProvenanceGap("unsafe verdict but no violating model")
     model = total_model(res.model, main.formals)

@@ -42,6 +42,7 @@ One BndSafety is the whole state of one check, and the outer loop calls
 its run(bound) at growing bounds.  It keeps rho and sigma from one
 bound to the next, the answer memo (each distinct formula is solved once
 per check, by the rules, the inductiveness check or replay alike), the
+negations of the property and of the facts, each computed once, the
 stats and rule trace, and one environment per (kind, bound), rebuilt
 only when its map has changed.  A run resets only the work set and the
 query ids.
@@ -123,6 +124,7 @@ class BndSafety:
         self.config = config or EngineConfig()
         self.rho, self.sigma = AssertionMap(), AssertionMap()
         self.memo: Dict[Formula, SatResult] = {}
+        self.negations: Dict[Formula, Formula] = {}
         self.stats = dict.fromkeys(
             ("steps", "sum", "reach", "query", "mbp_calls", "solver_calls"), 0
         )
@@ -147,6 +149,15 @@ class BndSafety:
         if res.is_unknown:
             raise ResourceLimit(res.reason)
         return res
+
+    def negate(self, f: Formula) -> Formula:
+        """negate_nnf(f), computed once per check: the property at every
+        bound, and each fact at every level the inductiveness check
+        pushes it from."""
+        neg = self.negations.get(f)
+        if neg is None:
+            neg = self.negations[f] = negate_nnf(f)
+        return neg
 
     def _sat(self, f: Formula) -> SatResult:
         """A query of the rules, counted in solver_calls."""
@@ -184,7 +195,7 @@ class BndSafety:
         and query ids.  Returns (verdict, reason); verdict SAFE | UNSAFE |
         UNKNOWN."""
         self.queue, self._next_qid = [], 0
-        root = self._push(self.program.main, negate_nnf(self.phi_safe), bound)
+        root = self._push(self.program.main, self.negate(self.phi_safe), bound)
         try:
             while self.queue and self.queue[0] is root:
                 if self.stats["steps"] >= self.config.step_budget:

@@ -38,17 +38,24 @@ A formula is built in NNF as it is read: (not ...) flips the polarity of
 its argument, and and or swap under a negation, and a literal leaf under
 a negation is negated as it is built (negate_nnf).
 
+The text is read in one regex scan, with its comments blanked, and one
+loop over the tokens that keeps the open lists on a stack.  A token
+holds its index, not its line and column: a position is computed, by
+scanning the text again, only for an error message.
+
 Parentheses may nest at most MAX_NESTING = 256 deep, counting the
 (program ...) form itself; a deeper '(' is an RplSyntaxError at its
-position.  The checker walks formulas recursively, up to three Python
-frames per level for an alternating (and i (or i ...)) body, so at the
-limit the deepest walk takes about 770 frames: within Python's default
-recursion limit of 1000.
+position.  The formula walkers recurse, up to three Python frames per
+level for an alternating (and i (or i ...)) body, so at the limit the
+deepest walk takes about 770 frames: within Python's default recursion
+limit of 1000.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ArityMismatch, RplSyntaxError, ValidationError
@@ -92,80 +99,53 @@ class SourceUnit:
     phi_safe: Formula
 
 
-# -- tokenizer ---------------------------------------------------------------
+# -- reader ------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class _Tok:
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> List[_Tok]:
-    toks = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            col += 1
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            toks.append(_Tok(c, line, col))
-            col += 1
-            i += 1
-        else:
-            j = i
-            while j < n and text[j] not in " \t\r\n();":
-                j += 1
-            toks.append(_Tok(text[i:j], line, col))
-            col += j - i
-            i = j
-    return toks
-
-
+_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+")
+_COMMENT = re.compile(r";[^\n]*")
 MAX_NESTING = 256
 
 
-def _read_sexprs(toks: List[_Tok]):
-    pos = 0
+class _Tok:
+    """An atom, or the '(' that opens a list: its text, and its index
+    among the tokens of src, the source with its comments blanked."""
 
-    def read(depth):
-        nonlocal pos
-        if pos >= len(toks):
-            last = toks[-1] if toks else _Tok("", 1, 1)
-            raise RplSyntaxError(last.line, last.col, "unexpected end of input")
-        tok = toks[pos]
-        pos += 1
-        if tok.text == "(":
-            if depth == MAX_NESTING:
-                raise RplSyntaxError(
-                    tok.line, tok.col, f"parentheses nested deeper than {MAX_NESTING}"
-                )
-            items = []
-            while True:
-                if pos >= len(toks):
-                    raise RplSyntaxError(tok.line, tok.col, "unclosed '('")
-                if toks[pos].text == ")":
-                    pos += 1
-                    return (tok, items)
-                items.append(read(depth + 1))
-        if tok.text == ")":
-            raise RplSyntaxError(tok.line, tok.col, "unmatched ')'")
-        return tok
+    __slots__ = ("text", "src", "index")
 
-    out = []
-    while pos < len(toks):
-        out.append(read(0))
+    def __init__(self, text: str, src: str, index: int):
+        self.text = text
+        self.src = src
+        self.index = index
+
+    def pos(self) -> Tuple[int, int]:
+        """(line, col), found by scanning src again: only a newline ends
+        a line, and every other character is one column."""
+        off = next(islice(_TOKEN.finditer(self.src), self.index, None)).start()
+        return self.src.count("\n", 0, off) + 1, off - self.src.rfind("\n", 0, off)
+
+
+def _read_sexprs(text: str) -> list:
+    """The forms of text.  A list is a pair ('(' token, items)."""
+    src = _COMMENT.sub(lambda m: " " * len(m[0]), text)  # keeps every offset
+    out, stack = [], []
+    items = out
+    for i, t in enumerate(_TOKEN.findall(src)):
+        if t == "(":
+            node = (_Tok(t, src, i), [])
+            if len(stack) == MAX_NESTING:
+                raise _err(node, f"parentheses nested deeper than {MAX_NESTING}")
+            items.append(node)
+            stack.append(node)
+            items = node[1]
+        elif t == ")":
+            if not stack:
+                raise _err(_Tok(t, src, i), "unmatched ')'")
+            stack.pop()
+            items = stack[-1][1] if stack else out
+        else:
+            items.append(_Tok(t, src, i))
+    if stack:
+        raise _err(stack[-1], "unclosed '('")
     return out
 
 
@@ -181,7 +161,7 @@ def _head(node) -> str:
 
 def _err(node, msg) -> RplSyntaxError:
     tok = node[0] if _is_list(node) else node
-    return RplSyntaxError(tok.line, tok.col, msg)
+    return RplSyntaxError(*tok.pos(), msg)
 
 
 # -- numbers and terms -------------------------------------------------------
@@ -223,7 +203,7 @@ class _Scope:
     def lookup(self, tok: _Tok) -> Var:
         v = self.vars.get(tok.text)
         if v is None:
-            raise RplSyntaxError(tok.line, tok.col, f"unknown variable '{tok.text}'")
+            raise _err(tok, f"unknown variable '{tok.text}'")
         return v
 
 
@@ -232,11 +212,11 @@ def _parse_term(node, scope: _Scope) -> LinTerm:
         num = _parse_number(node)
         if num is not None:
             if scope.mode is Sort.INT and num.denominator != 1:
-                raise RplSyntaxError(node.line, node.col, "non-integer constant in integer mode")
+                raise _err(node, "non-integer constant in integer mode")
             return LinTerm.of_const(num)
         v = scope.lookup(node)
         if v.sort is Sort.BOOL:
-            raise RplSyntaxError(node.line, node.col, f"boolean variable '{node.text}' in a term")
+            raise _err(node, f"boolean variable '{node.text}' in a term")
         return LinTerm.of_var(v)
     head = _head(node)
     items = node[1]
@@ -294,7 +274,7 @@ def _parse_expr(node, scope: _Scope, negated: bool = False) -> Formula:
             return TRUE if negated else FALSE
         v = scope.lookup(node)
         if v.sort is not Sort.BOOL:
-            raise RplSyntaxError(node.line, node.col, f"'{node.text}' is not boolean")
+            raise _err(node, f"'{node.text}' is not boolean")
         return Lit(BoolLit(v, not negated))
     head = _head(node)
     items = node[1]
@@ -346,8 +326,8 @@ def _parse_call(node, scope: _Scope, negated: bool) -> Call:
     if not scope.proc:
         raise ValidationError("assert-safe must not call procedures")
     if negated:
-        tok = node[0]
-        raise ValidationError(f"{tok.line}:{tok.col}: call to {callee} under a negation")
+        line, col = node[0].pos()
+        raise ValidationError(f"{line}:{col}: call to {callee} under a negation")
     arity = scope.arities.get(callee)
     if arity is None:
         raise ValidationError(f"{scope.proc} calls undeclared procedure {callee!r}")
@@ -364,10 +344,10 @@ _MODES = {"bool": Sort.BOOL, "rat": Sort.RAT, "int": Sort.INT}
 
 
 def parse(text: str) -> SourceUnit:
-    forms = _read_sexprs(_tokenize(text))
+    forms = _read_sexprs(text)
     if len(forms) != 1 or _head(forms[0]) != "program":
-        tok = forms[0][0] if forms and _is_list(forms[0]) else _Tok("", 1, 1)
-        raise RplSyntaxError(tok.line, tok.col, "expected a single (program ...) form")
+        msg = "expected a single (program ...) form"
+        raise _err(forms[0], msg) if forms and _is_list(forms[0]) else RplSyntaxError(1, 1, msg)
     items = forms[0][1][1:]
 
     mode: Optional[Sort] = None
@@ -429,9 +409,7 @@ def parse(text: str) -> SourceUnit:
             vs = []
             for tok in sections.get(role_name, ()):
                 if tok.text in declared:
-                    raise RplSyntaxError(
-                        tok.line, tok.col, f"duplicate variable '{tok.text}' in {name}"
-                    )
+                    raise _err(tok, f"duplicate variable '{tok.text}' in {name}")
                 v = Var(tok.text, mode, role, name)
                 declared[tok.text] = v
                 vs.append(v)
