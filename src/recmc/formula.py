@@ -8,15 +8,18 @@ negated comparisons are rewritten at construction time
 (not(a < b) becomes b <= a, not(a = b) becomes a < b or b < a).
 
 One number rule holds throughout the arithmetic layer (terms, normal
-forms, Cooper and model-based projection, the simplex): a number is a
-Python int when it is integral and a Fraction only when it is not, so
-the common small-integer term costs no gcd per operation.  _num restores
-the rule after an operation that may leave an integral Fraction, and
-_div is the one exact division (/ between two ints would give a float).
-Values that leave the layer are Fractions: LinTerm.evaluate, Cooper
-witnesses, models and certificate multipliers.  An integral number
-compares, hashes and prints alike as an int and as a Fraction, so keys,
-set orders and printed formulas do not depend on which of the two it is.
+forms, Cooper and model-based projection, the simplex) and for every
+value it hands out (LinTerm.evaluate, Cooper witnesses, models): a
+number is a Python int when it is integral and a Fraction only when it
+is not, so the common small-integer term or model costs no gcd per
+operation.  _num restores the rule after an operation that may leave an
+integral Fraction, and _div is the one exact division (/ between two
+ints would give a float).  Only certificate multipliers are handed out
+as Fractions.  An integral number compares and hashes alike as an int
+and as a Fraction, and str prints it alike, so keys, set orders and
+printed formulas do not depend on which of the two it is; repr does not
+print it alike, so a renderer that uses repr on values takes them
+through Fraction first.
 
 Everything here is an immutable value; no operation mutates its input.
 Nodes are slotted frozen dataclasses that hash once: the first hash of a
@@ -96,8 +99,8 @@ class Var:
 
 # A number inside the arithmetic layer: an int when integral, else a Fraction.
 Number = Union[int, Fraction]
-# A model's value: a bool, or an arithmetic value handed out as a Fraction.
-Value = Union[bool, Fraction]
+# A model's value: a bool, or an arithmetic value under the number rule.
+Value = Union[bool, Number]
 
 
 def _num(x: Number) -> Number:
@@ -196,13 +199,13 @@ class LinTerm:
                 const += c * rep.const
         return LinTerm.make(acc, const)
 
-    def evaluate(self, model: Mapping[Var, Value]) -> Fraction:
+    def evaluate(self, model: Mapping[Var, Value]) -> Number:
         total = self.const
         for v, c in self.coeffs:
             if v not in model:
                 raise UnassignedVar(repr(v))
             total += c * model[v]
-        return total if type(total) is Fraction else Fraction(total)
+        return total if type(total) is int else _num(total)
 
     def key(self):
         return (

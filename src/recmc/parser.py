@@ -214,10 +214,7 @@ def _parse_term(node, scope: _Scope) -> LinTerm:
             if scope.mode is Sort.INT and num.denominator != 1:
                 raise _err(node, "non-integer constant in integer mode")
             return LinTerm.of_const(num)
-        v = scope.lookup(node)
-        if v.sort is Sort.BOOL:
-            raise _err(node, f"boolean variable '{node.text}' in a term")
-        return LinTerm.of_var(v)
+        return LinTerm.of_var(scope.lookup(node))
     head = _head(node)
     items = node[1]
     if head == "+":

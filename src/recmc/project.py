@@ -15,7 +15,9 @@ them.  Model-based projection takes, for a model M of the matrix, the
 first disjunct in that order that M satisfies.  Each such disjunct is
 satisfied by M, implies the exact elimination, and is one of finitely
 many, so the image over all models is finite and covers the
-elimination.  The solver's complete integer decision walks
+elimination.  A substitution case x := t holds in M exactly when the
+matrix holds at x = t(M), so projection tests it there and builds only
+the disjunct it picks.  The solver's complete integer decision walks
 cooper_cases depth first and keeps the first satisfiable disjunct with
 its witness.  Identical inputs always produce identical outputs.
 
@@ -25,7 +27,6 @@ they exist only through the substitution tables below.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import ceil, lcm
 from typing import Dict, List, Optional, Sequence
 
@@ -42,9 +43,12 @@ from .formula import (
     Formula,
     LinTerm,
     Lit,
+    Number,
     Or,
     Sort,
     Var,
+    _div,
+    _num,
     eval_formula,
     f_and,
     f_or,
@@ -166,18 +170,28 @@ def _subst_minus_inf_int(x: Var, f: Formula, i: int) -> Formula:
 def _lw_cases(x: Var, f: Formula):
     """Loos-Weispfenning disjuncts of exists x. f (weak bounds on x
     split), in order: x := each equality term, x := l + epsilon for each
-    lower bound l, then x := minus infinity, terms in _collect's order."""
+    lower bound l, then x := minus infinity, terms in _collect's order.
+
+    Yields (t, build) pairs: t is the term of a case x := t, None for a
+    virtual one, and build() makes the disjunct."""
     eqs, lows, _, _ = _collect(x, f, Sort.RAT)
     for e in eqs:
-        yield subst_arith(f, {x: e})
+        yield e, lambda e=e: subst_arith(f, {x: e})
     for l in lows:
-        yield _subst_lower_eps(x, f, l)
-    yield _subst_minus_inf(x, f)
+        yield None, lambda l=l: _subst_lower_eps(x, f, l)
+    yield None, lambda: _subst_minus_inf(x, f)
 
 
-def _first_holding(x: Var, cases, model) -> Formula:
-    """The first of cases that the model satisfies."""
-    for case in cases:
+def _first_holding(x: Var, f: Formula, cases, model) -> Formula:
+    """The first disjunct of the elimination of x from f that the model
+    satisfies, of cases as _lw_cases yields them.  A case x := t is tested
+    as f at x = t(model), and built only when it holds."""
+    for t, build in cases:
+        if t is not None:
+            if eval_formula(f, {**model, x: t.evaluate(model)}):
+                return build()
+            continue
+        case = build()
         if eval_formula(case, model):
             return case
     raise SelfCheckFailed(f"no disjunct of the elimination of {x!r} holds in the model")
@@ -190,7 +204,7 @@ def lw_qe(x: Var, matrix: Formula) -> Formula:
     f = split_weak_bounds(x, matrix)
     if x not in free_vars(f):
         return f
-    return f_or(_lw_cases(x, f))
+    return f_or(build() for _, build in _lw_cases(x, f))
 
 
 def lra_proj(x: Var, matrix: Formula, model) -> Formula:
@@ -202,15 +216,15 @@ def lra_proj(x: Var, matrix: Formula, model) -> Formula:
     f = split_weak_bounds(x, matrix)
     if x not in free_vars(f):
         return f
-    return _first_holding(x, _lw_cases(x, f), model)
+    return _first_holding(x, f, _lw_cases(x, f), model)
 
 
-def _value(term: LinTerm, model) -> Fraction:
+def _value(term: LinTerm, model) -> Number:
     """term under model, reading variables the model leaves out as 0."""
     total = term.const
     for v, c in term.coeffs:
         total += c * model.get(v, 0)
-    return Fraction(total)
+    return _num(total)
 
 
 def cooper_cases(x: Var, g: Formula):
@@ -227,13 +241,21 @@ def cooper_cases(x: Var, g: Formula):
     lia_proj the first its model satisfies, and the solver's Cooper
     decision the first satisfiable one together with its witness.
     """
+    for _, build, witness in _cooper_cases(x, g):
+        yield build(), witness
+
+
+def _cooper_cases(x: Var, g: Formula):
+    """cooper_cases as (t, build, witness) triples: t is the term of a
+    case x := t, None for a minus-infinity one, and build() makes the
+    disjunct."""
     eqs, lows, highs, period = _collect(x, g, Sort.INT)
     for e in eqs:
-        yield subst_arith(g, {x: e}), lambda m, e=e: _value(e, m)
+        yield e, lambda e=e: subst_arith(g, {x: e}), lambda m, e=e: _value(e, m)
     for l in lows:
         for i in range(period):
             t = l.add(LinTerm.of_const(1 + i))
-            yield subst_arith(g, {x: t}), lambda m, t=t: _value(t, m)
+            yield t, lambda t=t: subst_arith(g, {x: t}), lambda m, t=t: _value(t, m)
     conjuncts = g.args if isinstance(g, And) else (g,)
     if any(
         isinstance(a, Lit) and normalize_for(x, a.lit, Sort.INT)[0] in ("eq", "lo")
@@ -245,15 +267,15 @@ def cooper_cases(x: Var, g: Formula):
     def below(m, i):
         # x = i (mod D), below every bound term so that each literal
         # takes its minus-infinity value
-        v = Fraction(i)
+        v = i
         if bounds:
             ub = min(_value(t, m) for t in bounds)
             if v >= ub:
-                v -= period * ceil((v - ub + 1) / period)
+                v -= period * ceil(_div(v - ub + 1, period))
         return v
 
     for i in range(period):
-        yield _subst_minus_inf_int(x, g, i), lambda m, i=i: below(m, i)
+        yield None, lambda i=i: _subst_minus_inf_int(x, g, i), lambda m, i=i: below(m, i)
 
 
 def cooper_qe(x: Var, matrix: Formula) -> Formula:
@@ -274,7 +296,7 @@ def lia_proj(x: Var, matrix: Formula, model) -> Formula:
         raise WrongMode(f"{x!r} is not integer")
     if x not in free_vars(matrix):
         return matrix
-    return _first_holding(x, (case for case, _ in cooper_cases(x, matrix)), model)
+    return _first_holding(x, matrix, ((t, build) for t, build, _ in _cooper_cases(x, matrix)), model)
 
 
 def project(
@@ -317,7 +339,7 @@ def project(
             g, mult, y = lia_normalize(x, cur)
             if strategy == "mbp":
                 if y is not x:
-                    work = {**work, y: mult * Fraction(work[x])}
+                    work = {**work, y: _num(mult * work[x])}
                 cur = lia_proj(y, g, work)
             else:
                 cur = cooper_qe(y, g)

@@ -4,9 +4,12 @@ Lazy SMT in the classic shape: a DPLL search over the boolean skeleton
 of the formula, with conjunctions of arithmetic literals checked by an
 exact simplex procedure in the style of Dutertre and de Moura (general
 simplex over delta-rationals, Bland's rule for termination).  Theory
-conflicts come back as blocking clauses.  A rational conflict carries
-its Farkas multipliers; interpolation gets them by refuting the
-conjunction of a path pair directly with refute_conjunction.
+conflicts come back as blocking clauses, and a conflict's explanation
+is its set of bounds: the search reads only the literals they came
+from.  Farkas multipliers are needed only for interpolation, which
+refutes the conjunction of a path pair directly with
+refute_conjunction; only there is a rational conflict's certificate
+built and replayed.
 
 Integer mode first solves the rational relaxation, which holds the
 comparison literals only: a divisibility literal constrains nothing over
@@ -45,10 +48,10 @@ time, so a test can lower them with monkeypatch.
 
 Everything is exact, with no floats.  Numbers follow the rule of the
 whole arithmetic layer (see formula): tableau coefficients, values and
-bounds, like term coefficients, are Python ints when integral and
-Fractions only when not, so the common small-integer tableau costs no
-gcd or allocation per operation.  What the solver hands out is
-Fractions: model values, Cooper witnesses and certificate multipliers.
+bounds, like term coefficients, model values and Cooper witnesses, are
+Python ints when integral and Fractions only when not, so the common
+small-integer tableau or model costs no gcd or allocation per
+operation.  Only certificate multipliers are handed out as Fractions.
 """
 
 from __future__ import annotations
@@ -119,7 +122,7 @@ class Model(dict):
 
 
 def default_value(sort: Sort):
-    return False if sort is Sort.BOOL else Fraction(0)
+    return False if sort is Sort.BOOL else 0
 
 
 def total_model(model: Model, vars_) -> Model:
@@ -226,7 +229,6 @@ def dr_scale(a, k):
 class _Bound:
     val: tuple  # delta-rational
     cid: int
-    scale: Number  # constraint term = scale * (v - val) resp. (val - v)
     negated: bool  # equality used in the lower-bound direction
 
 
@@ -240,6 +242,11 @@ class _Constraint:
         # the asserted literal; in branch-and-bound after the presolve, the
         # mask of the literals the row follows from (0 for a branch)
         self.source = source
+
+    def scale(self) -> Number:
+        """|lead coefficient| of the term: the term is scale times
+        (v - val) or (val - v) for the variable v that its bound is on."""
+        return abs(self.term.coeffs[0][1]) if self.term.coeffs else 1
 
 
 def _beyond(kind, a, b) -> bool:
@@ -262,10 +269,12 @@ class Simplex:
     are one routine each for both sides ("lo" and "hi"), as in Dutertre
     and de Moura.
 
-    Row coefficients, values and bound values are ints where integral
-    (_num) and every quotient is taken by _div; concrete_values and
-    certificate multipliers are Fractions.  A bound keeps its
-    constraint's scale, and only a conflict divides by it.
+    Row coefficients, values and bound values, and concrete_values, are
+    ints where integral (_num) and every quotient is taken by _div.  A
+    conflict is a list of (constraint id, weight, negated) rows, one per
+    bound: the weight is the row coefficient that the bound enters the
+    conflict with, and a Farkas multiplier is built from it only for a
+    certificate (_Conflict.certificate).
     """
 
     def __init__(self):
@@ -337,7 +346,7 @@ class Simplex:
     # -- asserting ---------------------------------------------------------
 
     def add_constraint(self, term: LinTerm, op: str, source) -> Optional[list]:
-        """Assert term op 0.  Returns a conflict (list of cert rows) or None."""
+        """Assert term op 0.  Returns a conflict (list of rows) or None."""
         cid = len(self.constraints)
         self.constraints.append(_Constraint(cid, term, op, source))
         coeffs = term.coeffs
@@ -347,48 +356,44 @@ class Simplex:
                 if op == LT
                 else (term.const <= 0 if op == LE else term.const == 0)
             )
-            return None if ok else [(cid, Fraction(1), False)]
+            return None if ok else [(cid, 1, False)]
         if len(coeffs) == 1:
             v, c = coeffs[0]
             vid = self.var_id(v)
-            scale = abs(c)
             q = _div(-term.const, c)
             bound = (q, 0)
             if op == LT:
                 bound = (q, -1 if c > 0 else 1)
             if op == EQ:
-                conflict = self._assert(vid, "hi", bound, cid, scale, c < 0)
+                conflict = self._assert(vid, "hi", bound, cid, c < 0)
                 if conflict:
                     return conflict
-                return self._assert(vid, "lo", bound, cid, scale, c > 0)
+                return self._assert(vid, "lo", bound, cid, c > 0)
             kind = "hi" if c > 0 else "lo"
-            return self._assert(vid, kind, bound, cid, scale, False)
+            return self._assert(vid, kind, bound, cid, False)
         sid, lead = self._slack_for(coeffs)
         # term = lead * slack + const  (slack's definition has lead +-1 sign folded in)
         bound_q = _div(-term.const, lead)
         if op == EQ:
-            conflict = self._assert(sid, "hi", (bound_q, 0), cid, lead, False)
+            conflict = self._assert(sid, "hi", (bound_q, 0), cid, False)
             if conflict:
                 return conflict
-            return self._assert(sid, "lo", (bound_q, 0), cid, lead, True)
+            return self._assert(sid, "lo", (bound_q, 0), cid, True)
         bound = (bound_q, -1 if op == LT else 0)
-        return self._assert(sid, "hi", bound, cid, lead, False)
+        return self._assert(sid, "hi", bound, cid, False)
 
     def _side(self, kind) -> Dict[int, _Bound]:
         return self.lo if kind == "lo" else self.hi
 
-    def _assert(self, vid, kind, val, cid, scale, negated) -> Optional[list]:
+    def _assert(self, vid, kind, val, cid, negated) -> Optional[list]:
         own, other = self._side(kind), self._side("hi" if kind == "lo" else "lo")
         cur = own.get(vid)
         if cur is not None and not _beyond(kind, cur.val, val):
             return None
         opp = other.get(vid)
         if opp is not None and _beyond(kind, opp.val, val):
-            return [
-                (cid, Fraction(1, scale), negated),
-                (opp.cid, Fraction(1, opp.scale), opp.negated),
-            ]
-        own[vid] = _Bound(val, cid, scale, negated)
+            return [(cid, 1, negated), (opp.cid, 1, opp.negated)]
+        own[vid] = _Bound(val, cid, negated)
         if vid not in self.rows and _beyond(kind, self.values[vid], val):
             self._update(vid, val)
         return None
@@ -463,8 +468,8 @@ class Simplex:
         self._pivot(bid, nid)
 
     def check(self) -> Optional[list]:
-        """Returns None when feasible, otherwise a conflict certificate
-        as a list of (constraint id, multiplier, negated) rows."""
+        """Returns None when feasible, otherwise a conflict as a list of
+        (constraint id, weight, negated) rows."""
         while True:
             broken = None
             for vid in sorted(self.rows):  # Bland: smallest id first
@@ -494,17 +499,17 @@ class Simplex:
         """The violated bound of vid and, for each nonbasic variable of its
         row, the bound that stops it from moving toward repair."""
         b = self._side(kind)[vid]
-        cert = [(b.cid, Fraction(1, b.scale), b.negated)]
+        rows = [(b.cid, 1, b.negated)]
         for j, a in self.rows[vid].items():
             bj = self._side(_toward(kind, a))[j]
-            cert.append((bj.cid, Fraction(abs(a), bj.scale), bj.negated))
-        return cert
+            rows.append((bj.cid, abs(a), bj.negated))
+        return rows
 
     # -- models ------------------------------------------------------------
 
-    def concrete_values(self) -> Dict[Var, Fraction]:
+    def concrete_values(self) -> Dict[Var, Number]:
         """Pick a concrete positive value for delta and read off values."""
-        delta = Fraction(1)
+        delta = 1
         for vid, val in self.values.items():
             for bound, sense in ((self.lo.get(vid), 1), (self.hi.get(vid), -1)):
                 if bound is None or bound.val[1] == val[1]:
@@ -513,11 +518,11 @@ class Simplex:
                 dq = sense * (val[0] - bound.val[0])
                 dd = sense * (val[1] - bound.val[1])
                 if dd < 0 and dq > 0:
-                    delta = min(delta, Fraction(dq, -dd) / 2)
+                    delta = min(delta, _div(dq, -2 * dd))
         out = {}
         for v, vid in self.var_ids.items():
             q, d = self.values[vid]
-            out[v] = q + d * delta if d else Fraction(q)
+            out[v] = _num(q + d * delta) if d else q
         return out
 
 
@@ -534,6 +539,33 @@ def _gcd_feasible(term: LinTerm) -> bool:
     return term.const.numerator % gcd(*(c.numerator for _, c in term.coeffs)) == 0
 
 
+class _Conflict:
+    """A conflict of the rational relaxation: the simplex's conflict rows,
+    each with the constraint it bounds.  The search reads only its
+    literals; certificate() builds and replays the Farkas multipliers,
+    which interpolation alone needs."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, simplex: Simplex, rows):
+        self.rows = [(simplex.constraints[cid], weight, negated) for cid, weight, negated in rows]
+
+    @property
+    def literals(self) -> tuple:
+        """The refuted conjunction as (literal, True) pairs, each once, in
+        the order of the rows."""
+        return tuple(dict.fromkeys((con.source, True) for con, _, _ in self.rows))
+
+    def certificate(self):
+        """A FarkasCert that replays, else (an integer conflict through a
+        tightened strict literal) the ClausalCore of the literals."""
+        by_cid = {}
+        for con, weight, negated in self.rows:
+            by_cid.setdefault(con.cid, (con.source, Fraction(weight, con.scale()), negated))
+        cert = FarkasCert(tuple(by_cid.values()))
+        return cert if cert.replay() else ClausalCore(self.literals)
+
+
 class _TheoryCheck:
     """One conjunction of valued literals, checked over LRA or LIA."""
 
@@ -543,18 +575,20 @@ class _TheoryCheck:
 
     def decide(self, asserted) -> Tuple[str, object]:
         """Decide the conjunction of canonical (atom, value) pairs.
-        Returns ("sat", values), ("unsat", cert) or ("unknown", reason)."""
-        cert = self._relax(asserted)
-        if cert is not None:
-            return "unsat", cert
+        Returns ("sat", values), ("unsat", conflict) or ("unknown",
+        reason).  A conflict is a ClausalCore or a _Conflict; both name
+        the refuted literals in .literals."""
+        conflict = self._relax(asserted)
+        if conflict is not None:
+            return "unsat", conflict
         values = self.simplex.concrete_values()
         if self.mode is not Sort.INT:
             return "sat", values
-        if all(val.denominator == 1 for val in values.values()):
+        if all(type(val) is int for val in values.values()):
             # the root test: the relaxation's values are an integer model
             for lit, _ in asserted:
                 for v in lit.term.vars:
-                    values.setdefault(v, Fraction(0))
+                    values.setdefault(v, 0)
             if all(eval_literal(lit, values) == value for lit, value in asserted):
                 return "sat", values
         status, payload = _IntPresolve(asserted).solve()
@@ -564,8 +598,7 @@ class _TheoryCheck:
 
     def _relax(self, asserted):
         """Assert the comparison literals in order and check their
-        relaxation over the rationals; the certificate of the first
-        conflict, or None."""
+        relaxation over the rationals; the first conflict, or None."""
         for lit, value in asserted:
             if isinstance(lit, DivLit):
                 if self.mode is not Sort.INT:
@@ -585,19 +618,9 @@ class _TheoryCheck:
                 return ClausalCore(((lit, True),))
             rows = self.simplex.add_constraint(term, op, lit)
             if rows is not None:
-                return self._cert_from(rows)
+                return _Conflict(self.simplex, rows)
         rows = self.simplex.check()
-        return None if rows is None else self._cert_from(rows)
-
-    def _cert_from(self, rows) -> object:
-        by_cid = {}
-        for cid, mu, negated in rows:
-            by_cid.setdefault(cid, (self.simplex.constraints[cid].source, mu, negated))
-        cert = FarkasCert(tuple(by_cid.values()))
-        if cert.replay():
-            return cert
-        # an integer conflict through a tightened strict literal
-        return ClausalCore(tuple(dict.fromkeys((lit, True) for lit, _, _ in by_cid.values())))
+        return None if rows is None else _Conflict(self.simplex, rows)
 
     def _cooper_fallback(self, asserted):
         try:
@@ -711,7 +734,7 @@ class _IntPresolve:
         model = {}
         for lit, _ in self.asserted:
             for v in lit.term.vars:
-                model[v] = Fraction(payload.get(v, 0))
+                model[v] = payload.get(v, 0)
         if not all(eval_literal(lit, model) == value for lit, value in self.asserted):
             raise SelfCheckFailed(f"presolve model {model!r} fails {self.asserted!r}")
         return "sat", model
@@ -972,7 +995,7 @@ def int_conjunction_sat(lits) -> Optional[dict]:
     out = {}
     for lit in lits:
         for v in (lit.term.vars if not isinstance(lit, BoolLit) else ()):
-            out[v] = Fraction(model.get(v, 0))
+            out[v] = model.get(v, 0)
     if not all(eval_formula(mk_lit(l), out) for l in lits):
         raise SelfCheckFailed(f"Cooper model {out!r} fails {lits!r}")
     return out
@@ -1354,7 +1377,7 @@ def check_sat(f: Formula, mode: Sort) -> SatResult:
         if v.sort is Sort.BOOL:
             values[v] = bool_vals.get(v, False)
         else:
-            values[v] = arith_vals.get(v, Fraction(0))
+            values[v] = arith_vals.get(v, 0)
             if mode is Sort.INT and values[v].denominator != 1:
                 raise SelfCheckFailed(f"non-integral value {values[v]} for {v!r}")
     model = Model(values)
@@ -1367,15 +1390,19 @@ def check_sat(f: Formula, mode: Sort) -> SatResult:
 def refute_conjunction(literals: Sequence[Tuple[Literal, bool]], mode: Sort):
     """Theory-check a conjunction of valued theory literals directly.
 
-    Returns ("sat", values) | ("unsat", cert) | ("unknown", reason).  A
-    Boolean literal raises TypeError: interpolation calls this only in
-    rational and integer mode, where every variable is arithmetic.
+    Returns ("sat", values) | ("unsat", cert) | ("unknown", reason),
+    where cert is a FarkasCert or a ClausalCore.  A Boolean literal
+    raises TypeError: interpolation calls this only in rational and
+    integer mode, where every variable is arithmetic.
     """
     asserted = []
     for lit, val in literals:
         atom, sign = _atom_of(lit)
         asserted.append((atom, val == sign))
-    return _TheoryCheck(mode).decide(asserted)
+    status, payload = _TheoryCheck(mode).decide(asserted)
+    if isinstance(payload, _Conflict):
+        payload = payload.certificate()
+    return status, payload
 
 
 def entails(a: Formula, b: Formula, mode: Sort) -> bool:

@@ -70,6 +70,27 @@ class TestCheckCommand:
         assert any(l.strip().startswith("node 0 proc M") for l in lines)
         assert lines[-1] == "end"
 
+    def test_witness_prints_integral_and_fractional_values(self, tmp_path, capsys):
+        # model values are ints where integral and Fractions where not;
+        # the witness prints both as numerals
+        src, witness = tmp_path / "half.rpl", tmp_path / "w.txt"
+        src.write_text(
+            "(program (mode rat)\n"
+            "  (procedure P (in x) (out y) (body (and (= (* 2 x) 1) (= y 3))))\n"
+            "  (main P) (assert-safe (< y 3)))\n"
+        )
+        assert run_cli(["check", str(src), "--witness", str(witness)]) == 1
+        assert witness.read_text().splitlines() == [
+            "recmc-witness 1",
+            "verdict UNSAFE",
+            "bound 0",
+            "counterexample",
+            "  node 0 proc P path 0 children 0",
+            "    value x 1/2",
+            "    value y 3",
+            "end",
+        ]
+
     def test_unsafe_witness_unfolds_shared_subtrees(self, tmp_path, capsys):
         src, witness = tmp_path / "b4.rpl", tmp_path / "w.txt"
         assert run_cli(["gen", "bebop", "--n", "4", "--unsafe", "-o", str(src)]) == 0

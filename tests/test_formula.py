@@ -570,14 +570,14 @@ class TestSubst:
         assert set(got.vars) <= set(rest.vars)
 
 
-def _number_ok(n) -> bool:
+def _int_where_integral(n) -> bool:
     """An int where integral, a Fraction where not, never a float."""
     return type(n) is int or (type(n) is Fraction and n.denominator != 1)
 
 
 def _assert_term_numbers(term):
     numbers = [term.const] + [c for _, c in term.coeffs]
-    assert all(_number_ok(n) for n in numbers), repr(term)
+    assert all(_int_where_integral(n) for n in numbers), repr(term)
 
 
 def _term_literals(f):
@@ -593,8 +593,8 @@ def _assert_formula_numbers(f):
 
 class TestNumberRule:
     """Terms and everything built from them store an int where a number is
-    integral and a Fraction where it is not; evaluate, Cooper witnesses
-    and model values are Fractions."""
+    integral and a Fraction where it is not, and evaluate, Cooper
+    witnesses and model values follow the same rule."""
 
     @given(_terms(), _terms(), _coeff, st.dictionaries(st.sampled_from(_pool), _terms(), max_size=3))
     @settings(max_examples=300, deadline=None)
@@ -604,10 +604,11 @@ class TestNumberRule:
             _assert_term_numbers(term)
         _assert_term_numbers(LinTerm.of_const(Fraction(4, 2)))
         _assert_term_numbers(LinTerm.of_var(x))
-        assert all(_number_ok(t.coeff(v)) for v in _pool)  # an absent variable gives int 0
+        assert all(_int_where_integral(t.coeff(v)) for v in _pool)  # an absent variable gives int 0
         model = {v: Fraction(i) for i, v in enumerate(_pool)}
-        assert type(t.evaluate(model)) is Fraction
-        assert type(LinTerm.of_const(3).evaluate({})) is Fraction
+        assert _int_where_integral(t.evaluate(model))
+        assert _int_where_integral(t.evaluate({v: i for i, v in enumerate(_pool)}))
+        assert type(LinTerm.of_const(3).evaluate({})) is int
 
     @pytest.mark.parametrize("mode", [Sort.RAT, Sort.INT])
     def test_normal_forms(self, mode):
@@ -654,9 +655,9 @@ class TestNumberRule:
                 _assert_formula_numbers(case)
                 # the Cooper walk reads its own models with int values
                 for m in ({u: Fraction(rng.randint(-4, 4)) for u in xs}, {u: 1 for u in xs}, {}):
-                    assert type(witness(m)) is Fraction
+                    assert _int_where_integral(witness(m))
             model = int_conjunction_sat(lits)
             if model is not None:
                 sat += 1
-                assert all(type(val) is Fraction for val in model.values())
+                assert all(type(val) is int for val in model.values())
         assert sat > 10

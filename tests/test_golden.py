@@ -27,6 +27,7 @@ import functools
 import hashlib
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from helpers import DATA, checked_check, mk_vars, random_nnf
@@ -94,7 +95,10 @@ def _image_cases():
 
 
 def _sorted_values(values) -> str:
-    return repr(sorted(values.items(), key=lambda it: it[0].key()))
+    # a value is an int where integral; repr shows it as the Fraction the
+    # files were first written with
+    items = sorted(values.items(), key=lambda it: it[0].key())
+    return repr([(v, val if isinstance(val, bool) else Fraction(val)) for v, val in items])
 
 
 def _render_cex(node, out) -> None:

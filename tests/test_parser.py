@@ -72,6 +72,28 @@ class TestParse:
         where = "" if form in ("main", "assert-safe") else " in procedure P"
         assert err.value.message == f"duplicate ({form} ...){where}"
 
+    @pytest.mark.parametrize(
+        "body, safe",
+        [
+            ("(and o @(<= a o))", "true"),
+            ("(not @(= a 1))", "true"),
+            ("(or o (and a @(> o b)))", "true"),
+            ("(and o a)", "(not @(< o 2))"),
+        ],
+    )
+    def test_comparison_in_boolean_program_rejected_at_its_position(self, body, safe):
+        # rejected before either side is read, so a term never holds a
+        # Boolean variable
+        text = (f"(program (mode bool)\n  (procedure P (in a b) (out o) (body {body}))\n"
+                f"  (main P) (assert-safe {safe}))")
+        at = text.index("@")
+        line = text.count("\n", 0, at) + 1
+        col = at - text.rfind("\n", 0, at)
+        with pytest.raises(RplSyntaxError) as err:
+            parse(text.replace("@", ""))
+        assert (err.value.line, err.value.col) == (line, col)
+        assert err.value.message == "comparison in a boolean program"
+
     @pytest.mark.parametrize("token", ["²", "1/²", "٣"])
     def test_non_ascii_numeral_rejected_at_its_position(self, token):
         # str.isdigit accepts each; a numeral has ASCII digits only

@@ -191,7 +191,10 @@ class TestLraProj:
         assert eval_formula(got, m)
 
     def test_no_holding_case_is_a_self_check_failure(self, monkeypatch):
-        monkeypatch.setattr(recmc.project, "_lw_cases", lambda x_, f: iter([FALSE]))
+        # a case x := t is judged by the matrix at x = t(M), here false,
+        # and not by its disjunct
+        cases = [(LinTerm.of_const(0), lambda: TRUE), (None, lambda: FALSE)]
+        monkeypatch.setattr(recmc.project, "_lw_cases", lambda x_, f: iter(cases))
         with pytest.raises(SelfCheckFailed, match="of x"):
             lra_proj(x, mk_cmp(LT, tx), Model({x: Fraction(-1)}))
 
@@ -291,9 +294,10 @@ class TestLiaProj:
         assert not equivalent(got, z_case, Sort.INT)
 
     def test_no_holding_case_is_a_self_check_failure(self, monkeypatch):
-        monkeypatch.setattr(
-            recmc.project, "cooper_cases", lambda x_, g: iter([(FALSE, None)])
-        )
+        # a case x := t is judged by the matrix at x = t(M), here false,
+        # and not by its disjunct
+        cases = [(LinTerm.of_const(0), lambda: TRUE, None), (None, lambda: FALSE, None)]
+        monkeypatch.setattr(recmc.project, "_cooper_cases", lambda x_, g: iter(cases))
         with pytest.raises(SelfCheckFailed, match="of x"):
             lia_proj(xi, mk_cmp(LT, txi), Model({xi: Fraction(-1)}))
 

@@ -271,10 +271,30 @@ class TestEntailment:
             entails(big, FALSE, Sort.INT)
 
 
-def _random_term(rng, k):
-    """A term over k of xi, yi, zi with small nonzero coefficients."""
-    picked = rng.sample([xi, yi, zi], k)
+def _random_term(rng, k, vars_=(xi, yi, zi)):
+    """A term over k of the three vars_ with small nonzero coefficients."""
+    picked = rng.sample(vars_, k)
     return LinTerm.make({v: rng.choice([-3, -2, -1, 1, 2, 3]) for v in picked}, rng.randint(-4, 4))
+
+
+def _random_lits(rng, mode=Sort.INT):
+    """Two to five literals over xi, yi, zi, with equalities and
+    divisibility literals of both signs, or comparisons over x, y, z in
+    rational mode."""
+    vars_, kinds = (xi, yi, zi), [LT, LE, EQ, "div", "not div"]
+    if mode is Sort.RAT:
+        vars_, kinds = (x, y, z), [LT, LE, EQ]
+    lits = []
+    for _ in range(rng.randint(2, 5)):
+        term = _random_term(rng, rng.randint(1, 3), vars_)
+        kind = rng.choice(kinds)
+        if kind in (LT, LE, EQ):
+            g = mk_cmp(kind, term)
+        else:
+            g = mk_lit(DivLit(rng.randint(2, 4), term, kind == "div"))
+        if isinstance(g, Lit):
+            lits.append(g.lit)
+    return lits
 
 
 def _decide_vs_cooper(lits):
@@ -364,21 +384,55 @@ class TestDifferential:
         rng = random.Random(53)
         decided = {"sat": 0, "unsat": 0}
         for _ in range(400):
-            lits = []
-            for _ in range(rng.randint(2, 5)):
-                term = _random_term(rng, rng.randint(1, 3))
-                kind = rng.choice([LT, LE, EQ, "div", "not div"])
-                if kind in (LT, LE, EQ):
-                    g = mk_cmp(kind, term)
-                else:
-                    g = mk_lit(DivLit(rng.randint(2, 4), term, kind == "div"))
-                if isinstance(g, Lit):
-                    lits.append(g.lit)
-            status = _decide_vs_cooper(lits)
+            status = _decide_vs_cooper(_random_lits(rng))
             if status is not None:
                 decided[status] += 1
         assert decided["sat"] > 100 and decided["unsat"] > 50
         assert (len(cooper_fallbacks) > 100) == (bb_nodes == 0)
+
+    @pytest.mark.parametrize(
+        "mode, kinds", [(Sort.RAT, {FarkasCert}), (Sort.INT, {FarkasCert, ClausalCore})]
+    )
+    def test_blocked_literals_are_refuted_literals(self, mode, kinds, monkeypatch):
+        # check_sat reads only a conflict's literals for its blocking
+        # clause; they are, in order, the literals of the certificate or
+        # core that refute_conjunction gives for the same conjunction
+        skeletons, blocked = [], []
+        finalize, add_blocking = solver._Skeleton.finalize, solver._CDCL.add_blocking
+
+        def recorded_finalize(skel):
+            skeletons.append(skel)
+            return finalize(skel)
+
+        def recorded_blocking(cdcl, clause):
+            blocked.append(list(clause))
+            return add_blocking(cdcl, clause)
+
+        monkeypatch.setattr(solver._Skeleton, "finalize", recorded_finalize)
+        monkeypatch.setattr(solver._CDCL, "add_blocking", recorded_blocking)
+        rng = random.Random(53)
+        seen = set()
+        for _ in range(400):
+            f = f_and([mk_lit(lit) for lit in _random_lits(rng, mode)])
+            lits = conjuncts(f)
+            if lits is None:
+                continue
+            skeletons.clear()
+            blocked.clear()
+            res = check_sat(f, mode)
+            status, payload = refute_conjunction(lits, mode)
+            assert status == res.status, f
+            atoms = [solver._atom_of(lit) for lit, _ in lits]
+            if status != "unsat" or len({atom for atom, _ in atoms}) < len(atoms):
+                # sat, or an atom asserted both ways: no theory conflict
+                assert blocked == []
+                continue
+            # one full assignment, refuted at level 0 by one blocking clause
+            ((clause,), (skel,)) = blocked, skeletons
+            got = [(skel.atoms[abs(l) - 1], l < 0) for l in clause]
+            assert got == list(payload.literals), f
+            seen.add(type(payload))
+        assert seen == kinds
 
     def test_narrow_ranges_vs_cooper(self, cooper_fallbacks):
         # l <= t <= u of width 1 to 4 on a form over two or three
@@ -513,7 +567,8 @@ def _int_where_integral(n) -> bool:
 
 class TestSimplexNumbers:
     """The simplex holds an int where a number is integral and a Fraction
-    where it is not, never a float, and hands out Fractions."""
+    where it is not, never a float, and hands out values by the same
+    rule; only certificate multipliers are Fractions."""
 
     @pytest.mark.parametrize("mode, vars_", [(Sort.RAT, [x, y, z]), (Sort.INT, [xi, yi])])
     def test_decide_on_random_conjunctions(self, mode, vars_):
@@ -532,9 +587,9 @@ class TestSimplexNumbers:
             assert all(_int_where_integral(n) for n in numbers), f
             fractional += any(type(n) is Fraction for n in numbers)
             if status == "sat":
-                assert all(type(val) is Fraction for val in payload.values())
-            elif isinstance(payload, FarkasCert):
-                assert all(type(mu) is Fraction for _, mu, _ in payload.entries)
+                assert all(_int_where_integral(val) for val in payload.values())
+            elif isinstance(payload, solver._Conflict) and isinstance(cert := payload.certificate(), FarkasCert):
+                assert all(type(mu) is Fraction for _, mu, _ in cert.entries)
                 farkas += 1
         assert statuses == {"sat", "unsat"}
         assert farkas > 10 and fractional > 10
@@ -547,7 +602,7 @@ class TestSimplexNumbers:
         cover = Cmp(LE, LinTerm.of_const(1).sub(tx).sub(ty.scale(k)))
         status, values = check.decide([(Cmp(EQ, tx), True), (cover, True)])
         assert status == "sat" and values == {x: 0, y: Fraction(1, k)}
-        assert all(type(val) is Fraction for val in values.values())
+        assert all(_int_where_integral(val) for val in values.values())
         simplex = check.simplex
         xid, yid = simplex.var_ids[x], simplex.var_ids[y]
         (sid,) = simplex.slack_by_key.values()
