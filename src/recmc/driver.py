@@ -18,10 +18,10 @@ distinct nodes.
 
 One check has one state object, an engine.BndSafety built once and
 run at every bound.  check_inductive and counterexample replay read
-their environments from it and ask their queries through its solve, as
-the engine's rules do, so a distinct formula is solved once per check
-and an environment is built once per map version.  Validation and
-interpolation never read that state.
+their environments and instantiations from it and ask their queries
+through its solve, as the engine's rules do, so a distinct formula is
+solved once per check and an environment entry is built again only when
+a fact changed it.  Validation and interpolation never read that state.
 
 Both witnesses are validated before being returned, so a verdict is
 never emitted on the engine's say-so alone.  The proof is re-solved
@@ -137,7 +137,8 @@ def _check_loop(engine: BndSafety, max_bound: int) -> Verdict:
                     raise SelfCheckFailed("counterexample failed validation")
                 return Verdict("UNSAFE", n, cex=tree)
             if check_inductive(engine, n):
-                proof = SafetyProof(engine.env("o", n), n)
+                env = engine.env("o", n)
+                proof = SafetyProof({name: env[name] for name in program.procedures}, n)
                 if not validate_proof(program, proof, phi_safe):
                     raise SelfCheckFailed("proof failed validation")
                 return Verdict("SAFE", n, proof=proof)
@@ -159,26 +160,37 @@ def check_inductive(engine: BndSafety, n: int) -> bool:
     leaves the level-b conjunction unchanged, so the environment is read
     once per level and each body instantiated once per level.
 
+    At level b the sweep revisits only the procedures P with facts at b
+    that engine.revisits(b) names: those whose facts at b, or whose
+    callees' over entries at b, changed since the sweep last visited
+    (P, b).  A fact that failed to push from unchanged inputs fails
+    again, and one that moved is already at b + 1, so sigma grows
+    exactly as under a sweep of every (P, b); engine.unpushed keeps,
+    per level, the procedures whose last visit left a fact behind, which
+    answers for level n.
+
     Each push is the query "body and not fact", asked through
     engine.solve with the fact negated once per check (engine.negate):
     a push asked at an earlier bound, or by the engine's sum rule, is
-    not solved again.  validate_proof re-solves the proof from scratch.
+    not solved again.  validate_proof instantiates and re-solves the
+    proof from scratch.
     """
-    program, sigma = engine.program, engine.sigma
-    inductive = True
+    program, sigma, unpushed = engine.program, engine.sigma, engine.unpushed
     for b in range(n + 1):
         env = engine.env("o", b)
-        for name, proc in program.procedures.items():
+        for name in engine.revisits(b):
             facts = sigma.at(name, b)
             if not facts:
                 continue
-            body = instantiate(proc.body, env, program)
+            body = engine.instantiated(program.proc(name).body, env)
+            kept = unpushed.setdefault(b, set())
+            kept.discard(name)
             for fact in facts:
                 if engine.solve(f_and([body, engine.negate(fact.formula)])).is_unsat:
                     sigma.add(name, b + 1, fact.formula)
-                elif b == n:
-                    inductive = False
-    return inductive
+                else:
+                    kept.add(name)
+    return not unpushed.get(n)
 
 
 def validate_proof(program: Program, proof: SafetyProof, phi_safe: Formula) -> bool:
@@ -257,7 +269,7 @@ def _expand(engine: BndSafety, fact, pinned, nodes) -> CexNode:
         raise ProvenanceGap(f"fact {fact.fact_id} has no path index")
     path = proc.paths[fact.path_index]
     below = fact.bound - 1
-    matrix = instantiate(path, engine.env("u", below), program)
+    matrix = engine.instantiated(path, engine.env("u", below))
     res = engine.solve(f_and([matrix, _pin(pinned)]))
     if not res.is_sat:
         raise ProvenanceGap(f"fact {fact.fact_id} does not replay")

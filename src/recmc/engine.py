@@ -18,10 +18,10 @@ is the query of least bound, and the three rules fire on it:
 * reach: some body path instantiated with callee reachability facts at
          bound-1 is consistent with the goal; projecting the locals out
          of the path instantiation (exact projection, or the disjunct
-         picked by the satisfying model) becomes a new reachability
-         fact, stored with the index of the path.  The fact and the goal
-         hold in that model, so the fact answers the query, which is
-         popped.  It also answers every queued query of the procedure
+         that the satisfying model picks from the projection of its
+         implicant, a cube) becomes a new reachability fact, stored with
+         the index of the path.  The fact and the goal hold in that
+         model, so the fact answers the query, which is popped.  It also answers every queued query of the procedure
          below it that it meets, one solver query each, and those are
          removed too.
 
@@ -43,9 +43,21 @@ its run(bound) at growing bounds.  It keeps rho and sigma from one
 bound to the next, the answer memo (each distinct formula is solved once
 per check, by the rules, the inductiveness check or replay alike), the
 negations of the property and of the facts, each computed once, the
-stats and rule trace, and one environment per (kind, bound), rebuilt
-only when its map has changed.  A run resets only the work set and the
-query ids.
+stats and rule trace, and the environments.  A run resets only the work
+set and the query ids.
+
+There is one environment per (kind, bound), and in it one entry per
+procedure, built through under_env or over_env when it is first read.
+Before an environment is handed out, the facts added to rho and sigma
+since the last time are read from the maps' logs, and the entries they
+change are dropped.  A reachability fact at level l changes its
+procedure's under entries at every bound >= l.  A summary fact changes
+its procedure's over entries from the lowest level whose conjunction
+it changed up to l (AssertionMap.changed_from), so pushing a fact one
+level up drops one entry.  Each environment memoises the instantiation
+of bodies and paths in it until one of its entries is dropped.  The
+same reading marks the (procedure, level) pairs whose summary facts, or
+whose callees' over entries, changed, for check_inductive to revisit.
 """
 
 from __future__ import annotations
@@ -66,6 +78,7 @@ from .formula import (
     eval_formula,
     f_and,
     f_or,
+    implicant,
     mk_cmp,
     negate_nnf,
     rename_vars,
@@ -113,6 +126,25 @@ class TraceEvent:
         return f"{self.rule} q{self.qid} {self.proc} {self.bound} {self.outcome}"
 
 
+class _Env(dict):
+    """One environment of a check, from procedure name to formula.
+
+    An entry is built when it is first read, by build (under_env or
+    over_env) for that procedure alone, and kept until BndSafety drops
+    it.  `instances` memoises instantiation in this environment by body
+    or path; it is emptied whenever an entry is dropped."""
+
+    __slots__ = ("amap", "bound", "program", "build", "instances")
+
+    def __missing__(self, name: str) -> Formula:
+        f = self[name] = self.build(self.amap, self.bound, self.program, (name,))[name]
+        return f
+
+    def drop(self, name: str) -> None:
+        if self.pop(name, None) is not None:
+            self.instances = {}
+
+
 class BndSafety:
     """The state of one check; run(bound) is one bounded run."""
 
@@ -131,7 +163,10 @@ class BndSafety:
         self.trace: List[TraceEvent] = []
         self.queue: List[BoundedQuery] = []  # a stack; the top is stepped
         self._next_qid = 0
-        self._envs: Dict[tuple, tuple] = {}  # (kind, bound) -> (map version, env)
+        self._envs: Dict[tuple, _Env] = {}  # (kind, bound) -> environment
+        self._synced_u = self._synced_o = 0  # facts of rho's and sigma's logs read
+        self._dirty: Dict[int, set] = {}  # level -> procedures check_inductive revisits
+        self.unpushed: Dict[int, set] = {}  # level -> procedures whose last visit kept a fact
 
     # -- helpers -------------------------------------------------------
 
@@ -164,23 +199,75 @@ class BndSafety:
         self.stats["solver_calls"] += 1
         return self.solve(f)
 
-    def env(self, kind: str, bound: int) -> Dict[str, Formula]:
+    def env(self, kind: str, bound: int) -> _Env:
         """The under- ("u", from rho) or over-approximating ("o", from
-        sigma) environment at bound, rebuilt when the map has changed."""
-        amap, build = (self.rho, under_env) if kind == "u" else (self.sigma, over_env)
-        version, env = self._envs.get((kind, bound), (None, None))
-        if version != amap.version:
-            env = build(amap, bound, self.program)
-            self._envs[(kind, bound)] = (amap.version, env)
+        sigma) environment at bound: a mapping from procedure name to
+        formula whose entries are built when read and kept until a fact
+        changes them."""
+        self._sync()
+        env = self._envs.get((kind, bound))
+        if env is None:
+            env = _Env()
+            env.amap, env.build = (self.rho, under_env) if kind == "u" else (self.sigma, over_env)
+            env.bound, env.program, env.instances = bound, self.program, {}
+            if bound < 0:  # every entry is false, for good, in both kinds
+                env.update(env.build(env.amap, bound, self.program))
+                self._envs[("u", bound)] = self._envs[("o", bound)] = env
+            self._envs[(kind, bound)] = env
         return env
 
+    def _sync(self) -> None:
+        """Read the facts added to rho and sigma since the last call: drop
+        the entries they change and mark the (procedure, level) pairs
+        whose facts or callee over entries they change."""
+        if self._synced_u < len(self.rho.log):
+            for fact in self.rho.log[self._synced_u :]:
+                for (kind, bound), env in self._envs.items():
+                    if kind == "u" and bound >= fact.bound:
+                        env.drop(fact.proc)
+            self._synced_u = len(self.rho.log)
+        if self._synced_o < len(self.sigma.log):
+            dirty = self._dirty
+            for fact, lowest in self.sigma.changed_from(self._synced_o):
+                name, callers = fact.proc, self.program.callers[fact.proc]
+                dirty.setdefault(fact.bound, set()).add(name)
+                for bound in range(lowest, fact.bound + 1):
+                    env = self._envs.get(("o", bound))
+                    if env is not None:
+                        env.drop(name)
+                    dirty.setdefault(bound, set()).update(callers)
+            self._synced_o = len(self.sigma.log)
+
+    def revisits(self, level: int) -> List[str]:
+        """The procedures, in program order, whose summary facts at level
+        or whose callees' over entries at level changed since the last
+        call for level (since the first fact, on the first call)."""
+        self._sync()
+        return sorted(self._dirty.pop(level, ()), key=self.program.rank.__getitem__)
+
+    def instantiated(self, target, env: _Env) -> Formula:
+        """instantiate(target, env) for a body or a path, memoised in env
+        until one of env's entries changes."""
+        f = env.instances.get(target)
+        if f is None:
+            f = env.instances[target] = instantiate(target, env, self.program)
+        return f
+
     def _project(self, elim, matrix: Formula, model: Model, proc) -> Formula:
-        """Eliminate elim from matrix: exactly (qe), or the disjunct that
-        model, completed over the procedure's variables, picks (mbp)."""
+        """Eliminate elim from matrix: exactly (qe), or, for the model
+        completed over the procedure's variables, the disjunct it picks
+        from the projection of matrix's implicant in it (mbp).
+
+        The implicant is a conjunction that implies matrix and holds in
+        the model, so its projection is still an under-approximation that
+        contains the model; it is a cube, so a fact projected from the
+        callee facts below it does not nest them."""
         if self.config.proj == "qe":
             return project(elim, matrix, None, strategy="qe")
         model = total_model(model, proc.all_vars)
-        return project(elim, matrix, model, strategy="mbp", stats=self.stats)
+        return project(
+            elim, implicant(matrix, model), model, strategy="mbp", stats=self.stats
+        )
 
     def _push(self, proc: str, goal: Formula, bound: int) -> BoundedQuery:
         q = BoundedQuery(self._next_qid, proc, goal, bound)
@@ -210,13 +297,13 @@ class BndSafety:
         proc = self.program.proc(q.proc)
         env_o = self.env("o", q.bound - 1)
         env_u = self.env("u", q.bound - 1)
-        body_over = instantiate(proc.body, env_o, self.program)
+        body_over = self.instantiated(proc.body, env_o)
         sum_ok = self._sat(f_and([body_over, q.goal])).is_unsat
 
         reach_hit = None
         if not sum_ok:
             for pidx, path in enumerate(proc.paths):
-                matrix = instantiate(path, env_u, self.program)
+                matrix = self.instantiated(path, env_u)
                 res = self._sat(f_and([matrix, q.goal]))
                 if res.is_sat:
                     reach_hit = (pidx, matrix, res.model)

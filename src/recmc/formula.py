@@ -415,43 +415,40 @@ def mk_cmp(op: str, term: LinTerm) -> Formula:
 
 
 def f_and(args: Iterable[Formula]) -> Formula:
+    """Conjunction, flattened, with TRUE dropped, FALSE absorbing and
+    repeated arguments dropped in first-occurrence order."""
     flat = []
-    seen = set()
     for a in args:
-        if isinstance(a, Top):
+        if isinstance(a, And):
+            flat.extend(a.args)
+        elif isinstance(a, Top):
             continue
-        if isinstance(a, Bottom):
+        elif isinstance(a, Bottom):
             return FALSE
-        sub = a.args if isinstance(a, And) else (a,)
-        for s in sub:
-            if s not in seen:
-                seen.add(s)
-                flat.append(s)
-    if not flat:
-        return TRUE
-    if len(flat) == 1:
-        return flat[0]
-    return And(tuple(flat))
+        else:
+            flat.append(a)
+    if len(flat) > 1:
+        flat = tuple(dict.fromkeys(flat))  # one hash per argument
+        return And(flat) if len(flat) > 1 else flat[0]
+    return flat[0] if flat else TRUE
 
 
 def f_or(args: Iterable[Formula]) -> Formula:
+    """Disjunction, the dual of f_and."""
     flat = []
-    seen = set()
     for a in args:
-        if isinstance(a, Bottom):
+        if isinstance(a, Or):
+            flat.extend(a.args)
+        elif isinstance(a, Bottom):
             continue
-        if isinstance(a, Top):
+        elif isinstance(a, Top):
             return TRUE
-        sub = a.args if isinstance(a, Or) else (a,)
-        for s in sub:
-            if s not in seen:
-                seen.add(s)
-                flat.append(s)
-    if not flat:
-        return FALSE
-    if len(flat) == 1:
-        return flat[0]
-    return Or(tuple(flat))
+        else:
+            flat.append(a)
+    if len(flat) > 1:
+        flat = tuple(dict.fromkeys(flat))
+        return Or(flat) if len(flat) > 1 else flat[0]
+    return flat[0] if flat else FALSE
 
 
 def negate_literal(lit: Literal) -> Formula:
@@ -518,6 +515,35 @@ def eval_formula(f: Formula, model: Mapping[Var, Value]) -> bool:
     if isinstance(f, Or):
         return any(eval_formula(a, model) for a in f.args)
     raise TypeError(f"cannot evaluate {type(f).__name__}")
+
+
+def implicant(f: Formula, model: Mapping[Var, Value]) -> Formula:
+    """The conjunction of the literals through which model satisfies f:
+    every conjunct of an And, and the first disjunct of an Or that model
+    satisfies.  It implies f and holds in model; FALSE when model
+    falsifies f."""
+    lits: list = []
+    return f_and(lits) if _implicant_lits(f, model, lits) else FALSE
+
+
+def _implicant_lits(f: Formula, model, out: list) -> bool:
+    """Whether model satisfies f; if so, f's implicant literals are
+    appended to out, else out is left as it was."""
+    if isinstance(f, Lit):
+        if eval_literal(f.lit, model):
+            out.append(f)
+            return True
+        return False
+    if isinstance(f, And):
+        mark = len(out)
+        for a in f.args:
+            if not _implicant_lits(a, model, out):
+                del out[mark:]
+                return False
+        return True
+    if isinstance(f, Or):
+        return any(_implicant_lits(a, model, out) for a in f.args)
+    return isinstance(f, Top)
 
 
 # --------------------------------------------------------------------------

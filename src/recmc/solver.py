@@ -1007,11 +1007,13 @@ def int_conjunction_sat(lits) -> Optional[dict]:
 
 
 def _atom_of(lit: Literal) -> Tuple[Literal, bool]:
+    """The positive atom of a literal and the literal's sign; a positive
+    literal is its own atom."""
+    if isinstance(lit, Cmp) or lit.positive:
+        return lit, True
     if isinstance(lit, BoolLit):
-        return BoolLit(lit.var, True), lit.positive
-    if isinstance(lit, DivLit):
-        return DivLit(lit.divisor, lit.term, True), lit.positive
-    return lit, True
+        return BoolLit(lit.var, True), False
+    return DivLit(lit.divisor, lit.term, True), False
 
 
 def literal_of(atom: Literal, value: bool) -> Literal:
@@ -1026,6 +1028,7 @@ class _Skeleton:
     def __init__(self):
         self.atom_ids: Dict[Literal, int] = {}
         self.atoms: List[Literal] = []
+        self.negated: Dict[Literal, int] = {}  # negative literal -> its atom's id
         self.clauses: List[List[int]] = []
         self.n_aux = 0
 
@@ -1041,9 +1044,13 @@ class _Skeleton:
         """Clausify an NNF formula (Plaisted-Greenbaum, positive side)."""
         def lit_of(g) -> int:
             if isinstance(g, Lit):
-                atom, sign = _atom_of(g.lit)
-                aid = self.atom(atom)
-                return aid + 1 if sign else -(aid + 1)
+                lit = g.lit
+                if isinstance(lit, Cmp) or lit.positive:
+                    return self.atom(lit) + 1  # its own atom
+                aid = self.negated.get(lit)
+                if aid is None:
+                    aid = self.negated[lit] = self.atom(_atom_of(lit)[0])
+                return -(aid + 1)
             if isinstance(g, And):
                 aux = self._aux()
                 for a in g.args:
@@ -1085,9 +1092,10 @@ class _CDCL:
 
     Two watched literals per clause, first-UIP learning with
     non-chronological backjumping, deterministic decisions (smallest
-    unassigned variable, false first).  Theory conflicts arrive as
-    blocking clauses through the on_full callback and are treated like
-    learned clauses.
+    unassigned variable, false first, read from a cursor that moves up
+    past assigned variables and down on backjumps).  Theory conflicts
+    arrive as blocking clauses through the on_full callback and are
+    treated like learned clauses.
     """
 
     def __init__(self, nvars: int, clauses: List[List[int]]):
@@ -1100,6 +1108,7 @@ class _CDCL:
         self.trail: List[int] = []  # assigned literals in order
         self.trail_lim: List[int] = []
         self.qhead = 0
+        self.cursor = 1  # every variable below it is assigned
         self.decisions = 0
         self.ok = True
         for c in clauses:
@@ -1155,11 +1164,15 @@ class _CDCL:
         if len(self.trail_lim) <= target_level:
             return
         cut = self.trail_lim[target_level]
+        cursor = self.cursor
         for lit in self.trail[cut:]:
             var = abs(lit)
             del self.assign[var]
             del self.level[var]
             del self.reason[var]
+            if var < cursor:
+                cursor = var
+        self.cursor = cursor
         del self.trail[cut:]
         del self.trail_lim[target_level:]
         self.qhead = min(self.qhead, len(self.trail))
@@ -1290,12 +1303,11 @@ class _CDCL:
                 if not self._learn(learned, back):
                     return "unsat", None
                 continue
-            var = None
-            for v in range(1, self.nvars + 1):
-                if v not in self.assign:
-                    var = v
-                    break
-            if var is None:
+            var, assign = self.cursor, self.assign
+            while var in assign:
+                var += 1
+            self.cursor = var
+            if var > self.nvars:
                 block = on_full(self.assign)
                 if block is None:
                     return "sat", dict(self.assign)

@@ -7,7 +7,7 @@ from pathlib import Path
 from unittest import mock
 
 import recmc.driver
-from recmc.driver import check
+from recmc.driver import check, check_inductive
 from recmc.engine import BndSafety
 from recmc.errors import PreconditionFailed
 from recmc.formula import (
@@ -28,7 +28,7 @@ from recmc.formula import (
     mk_lit,
     negate_nnf,
 )
-from recmc.program import instantiate
+from recmc.program import AssertionMap, instantiate, over_env, under_env
 from recmc.project import project
 from recmc.solver import Model, entails
 
@@ -141,7 +141,24 @@ class CheckedBndSafety(BndSafety):
     stack with bounds strictly decreasing toward the top, and query 0
     stays at its bottom until sum pops it or a reach fact meets it; and
     no query left queued is already refuted by summaries or witnessed by
-    reachability facts.  Its queries count in solver_calls."""
+    reachability facts.  Its queries count in solver_calls.
+
+    After every step it also checks the state kept across steps: every
+    kept environment entry equals a fresh under_env or over_env entry,
+    and every memoised instantiation a fresh instantiate in a fresh
+    environment."""
+
+    def check_kept_state(self):
+        for kind, bound in list(self._envs):
+            env = self.env(kind, bound)  # reads the facts added since the last step
+            build, amap = (under_env, self.rho) if kind == "u" else (over_env, self.sigma)
+            fresh = build(amap, bound, self.program)
+            for name, entry in env.items():
+                if entry != fresh[name]:
+                    raise PreconditionFailed(f"stale {kind} entry of {name} at {bound}")
+            for target, instance in env.instances.items():
+                if instance != instantiate(target, fresh, self.program):
+                    raise PreconditionFailed(f"stale instance at {kind} {bound}: {target!r}")
 
     def _entails(self, a, b):
         return self._sat(f_and([a, negate_nnf(b)])).is_unsat
@@ -169,10 +186,49 @@ class CheckedBndSafety(BndSafety):
                 raise PreconditionFailed(
                     f"queued query q{q2.qid} already witnessed by reachability facts"
                 )
+        self.check_kept_state()
         return event
 
 
+def full_sweep(engine, n):
+    """check_inductive's push sweep over every (procedure, level) with
+    facts, on a copy of engine's summary map; returns the copy and
+    whether every level-n fact moved."""
+    sigma = AssertionMap()
+    for fact in engine.sigma.log:
+        sigma.add(fact.proc, fact.bound, fact.formula)
+    program, inductive = engine.program, True
+    for b in range(n + 1):
+        env = over_env(sigma, b, program)
+        for name, proc in program.procedures.items():
+            body = instantiate(proc.body, env, program)
+            for fact in sigma.at(name, b):
+                if engine.solve(f_and([body, negate_nnf(fact.formula)])).is_unsat:
+                    sigma.add(name, b + 1, fact.formula)
+                elif b == n:
+                    inductive = False
+    return sigma, inductive
+
+
+def checked_check_inductive(engine, n):
+    """check_inductive, which revisits only the (procedure, level) whose
+    inputs changed, compared with a full sweep: the same answer, and the
+    same summary facts added in the same order."""
+    want, want_inductive = full_sweep(engine, n)
+    got_inductive = check_inductive(engine, n)
+    if got_inductive != want_inductive:
+        raise PreconditionFailed(f"check_inductive answered {got_inductive} at {n}")
+    got = [(f.proc, f.bound, f.formula) for f in engine.sigma.log]
+    if got != [(f.proc, f.bound, f.formula) for f in want.log]:
+        raise PreconditionFailed(f"check_inductive pushed other facts than a full sweep at {n}")
+    if isinstance(engine, CheckedBndSafety):
+        engine.check_kept_state()
+    return got_inductive
+
+
 def checked_check(program, phi_safe, max_bound, config=None):
-    """driver.check, run on a CheckedBndSafety."""
-    with mock.patch.object(recmc.driver, "BndSafety", CheckedBndSafety):
+    """driver.check, run on a CheckedBndSafety, with checked_check_inductive."""
+    with mock.patch.object(recmc.driver, "BndSafety", CheckedBndSafety), mock.patch.object(
+        recmc.driver, "check_inductive", checked_check_inductive
+    ):
         return check(program, phi_safe, max_bound, config)

@@ -8,14 +8,19 @@ from recmc.engine import BndSafety, EngineConfig, bounded_safety
 from recmc.formula import (
     EQ,
     LT,
+    And,
     LinTerm,
+    Lit,
     Sort,
+    eval_formula,
+    formula_size,
     mk_cmp,
 )
 from recmc.generators import gen_bebop, overview, random_bool_program
 from recmc.parser import parse
 from recmc.program import bool_bounded_semantics
-from recmc.solver import check_sat, entails
+from recmc.project import project
+from recmc.solver import check_sat, entails, total_model
 
 
 def _run(unit, bound, **cfg):
@@ -194,3 +199,48 @@ class TestReachAnswersQueriesBelow:
             "sum q6 p1 3 fact-added",
             "sum q0 p0 4 fact-added",
         ]
+
+
+class TestCubeFacts:
+    def test_countdown_facts_are_cubes_that_do_not_nest(self):
+        """Each reachability fact of the countdown (tests/data/countdown30.rpl
+        at K = 20) is a conjunction of literals.  A fact projected from the
+        whole path instantiation nested every fact below it and doubled in
+        size with each level; a cube grows by one literal per level, the
+        bound n > k that each level below contributes."""
+        source = (DATA / "countdown30.rpl").read_text().replace("(= n 30)", "(= n 20)")
+        unit = parse(source)
+        verdict = check(unit.program, unit.phi_safe, max_bound=25)
+        assert (verdict.status, verdict.bound, verdict.stats["steps"]) == ("UNSAFE", 21, 104)
+        facts = list(verdict.rho.items())
+        assert {f.bound for f in facts} == set(range(22))
+        for fact in facts:
+            f = fact.formula
+            assert isinstance(f, Lit) or all(isinstance(a, Lit) for a in f.args), f
+            assert isinstance(f, (Lit, And))
+            assert formula_size(f) <= fact.bound + 3, (fact.bound, f)
+
+    @pytest.mark.parametrize("bound", [0, 1, 2])
+    def test_projected_fact_holds_in_model_and_implies_exact_projection(self, bound, monkeypatch):
+        """On the runs the qe tests make, model-based projection of the
+        model's implicant gives a formula that holds in the model and
+        implies the exact projection of the whole matrix."""
+        seen = []
+        real = BndSafety._project
+
+        def spying(engine, elim, matrix, model, proc):
+            got = real(engine, elim, matrix, model, proc)
+            seen.append((elim, matrix, model, proc, got))
+            return got
+
+        monkeypatch.setattr(BndSafety, "_project", spying)
+        unit = overview()
+        engine = CheckedBndSafety(unit.program, unit.phi_safe, EngineConfig(proj="mbp"))
+        for n in range(bound + 1):
+            bounded_safety(engine, n)
+        if bound:
+            assert seen
+        for elim, matrix, model, proc, got in seen:
+            assert eval_formula(got, total_model(model, proc.all_vars))
+            exact = project(list(elim), matrix, None, strategy="qe")
+            assert entails(got, exact, unit.program.mode)

@@ -36,6 +36,7 @@ from recmc.formula import (
     eval_literal,
     f_and,
     f_or,
+    implicant,
     lia_normalize,
     mk_cmp,
     mk_lit,
@@ -345,6 +346,29 @@ class TestEval:
             eval_formula(mk_cmp(LT, tx), {})
 
 
+class TestImplicant:
+    def test_first_holding_disjunct_and_every_conjunct(self):
+        f = f_and([lit(p), f_or([lit(q), lit(p, False), f_and([lit(q, False), lit(p)])])])
+        assert implicant(f, {p: True, q: False}) == f_and([lit(p), lit(q, False)])
+        assert implicant(f, {p: True, q: True}) == f_and([lit(p), lit(q)])
+        assert implicant(f, {p: False, q: True}) == FALSE
+
+    def test_holds_in_model_and_implies_formula(self):
+        rng = random.Random(11)
+        for mode in (Sort.RAT, Sort.INT):
+            vars_ = [p, q, x, y] if mode is Sort.RAT else [p, q, Var("xi", Sort.INT)]
+            for _ in range(150):
+                f = random_nnf(rng, vars_, mode, rng.randint(1, 6))
+                m = random_model(rng, vars_)
+                cube = implicant(f, m)
+                if not eval_formula(f, m):
+                    assert cube == FALSE
+                    continue
+                assert eval_formula(cube, m)
+                assert all(isinstance(a, Lit) for a in getattr(cube, "args", (cube,))) or cube == TRUE
+                assert entails(cube, f, mode)
+
+
 class TestSmartConstructors:
     def test_constant_folding(self):
         assert mk_cmp(LT, LinTerm.of_const(-1)) == TRUE
@@ -357,6 +381,12 @@ class TestSmartConstructors:
         assert f == And((lit(p), lit(q)))
         assert f_or([FALSE, lit(p)]) == lit(p)
         assert f_and([lit(p), FALSE]) == FALSE
+        # first occurrences, in order
+        assert f_or([lit(q), f_or([lit(p), lit(q)]), lit(p, False)]) == Or(
+            (lit(q), lit(p), lit(p, False))
+        )
+        assert f_and([lit(q), lit(q)]) == lit(q)
+        assert f_or([TRUE, lit(p)]) == TRUE and f_and([]) == TRUE and f_or([]) == FALSE
 
     @given(st.integers(-5, 5), st.integers(-5, 5), st.integers(1, 4))
     @settings(max_examples=60, deadline=None)

@@ -137,15 +137,60 @@ class TestAssertionMap:
         f1 = f_and([mk_cmp(LT, d0), mk_cmp(LT, d)])
         f2 = f_and([mk_cmp(LT, d), mk_cmp(LT, d0)])  # same conjuncts, other order
         fact1, added1 = m.add("D", 0, f1)
-        version = m.version
+        logged = len(m.log)
         fact2, added2 = m.add("D", 0, f2)
         assert added1 and not added2
         assert fact2 is fact1
-        assert m.version == version
+        assert len(m.log) == logged
         assert len(m.at("D", 0)) == 1 and len(m) == 1
         # same formula at a different bound is a separate fact
         _, added3 = m.add("D", 1, f1)
         assert added3
+
+    def test_changed_from_names_the_lowest_changed_conjunction(self, unit):
+        program = unit.program
+        d0, d = _linterm(program, "D", "d0"), _linterm(program, "D", "d")
+        a, b = mk_cmp(LT, d0), mk_cmp(LT, d)
+        m = AssertionMap()
+        for bound, formula in [
+            (2, a),  # new at 0..2
+            (3, a),  # a push: a is already at 2, so only 3 changes
+            (1, f_and([a, b])),  # b is new
+            (0, a),  # a now comes first at 0, where it came after b
+            (1, a),  # a is a conjunct of a fact at 1 already: nothing changes
+            (4, FALSE),
+            (2, b),  # below a false level: nothing changes
+        ]:
+            m.add("D", bound, formula)
+        assert [lowest for _, lowest in m.changed_from(0)] == [0, 3, 0, 0, 2, 0, 3]
+        assert [fact.bound for fact, _ in m.changed_from(5)] == [4, 2]
+
+    def test_changed_from_covers_every_changed_over_env(self, unit):
+        """Adding a fact at level l changes over_env only at levels from
+        changed_from's lowest to l, on random additions.  (It may name a
+        level whose conjunction did not change: a conjunct that moves to
+        an earlier level past only repeated conjuncts.)"""
+        program = unit.program
+        d0, d = _linterm(program, "D", "d0"), _linterm(program, "D", "d")
+        lits = [mk_cmp(LT, d0), mk_cmp(LT, d), mk_cmp(LE, d.sub(d0)), mk_cmp(EQ, d)]
+        rng = random.Random(23)
+        for _ in range(40):
+            m = AssertionMap()
+            for _ in range(12):
+                bound = rng.randint(0, 4)
+                pick = rng.random()
+                if pick < 0.1:
+                    formula = rng.choice([TRUE, FALSE])
+                else:
+                    formula = f_and(rng.sample(lits, rng.randint(1, 3)))
+                before = [over_env(m, b, program)["D"] for b in range(6)]
+                _, added = m.add("D", bound, formula)
+                if not added:
+                    continue
+                after = [over_env(m, b, program)["D"] for b in range(6)]
+                (_, lowest), = m.changed_from(len(m.log) - 1)
+                changed = {b for b in range(6) if before[b] != after[b]}
+                assert changed <= set(range(lowest, bound + 1)), (formula, bound)
 
 
 def _bool_program(bodies, main="P"):
