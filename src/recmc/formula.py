@@ -12,7 +12,7 @@ forms, Cooper and model-based projection, the simplex) and for every
 value it hands out (LinTerm.evaluate, Cooper witnesses, models): a
 number is a Python int when it is integral and a Fraction only when it
 is not, so the common small-integer term or model costs no gcd per
-operation.  _num restores the rule after an operation that may leave an
+operation.  _num reasserts the rule after an operation that may leave an
 integral Fraction, and _div is the one exact division (/ between two
 ints would give a float).  Only certificate multipliers are handed out
 as Fractions.  An integral number compares and hashes alike as an int

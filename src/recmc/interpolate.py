@@ -17,9 +17,9 @@ and psi ∧ b unsatisfiable.  The mode alone picks the method:
   integers too.  In integer mode it is scaled by the lcm of its
   denominators, so that the interpolant keeps integral coefficients.
   A clausal conflict contributes the literals of a that it names.  A
-  path falls back to its strongest interpolant when the solver cannot
-  refute it, or when the combination or the named literals mention
-  a-local variables.
+  path falls back to its strongest interpolant when the combination or
+  the named literals mention a-local variables, or when its pair with a
+  path of b is satisfiable, which only a satisfiable a ∧ b allows.
 
 The contract (a => psi, psi ∧ b unsat, vars ⊆ shared) is re-checked
 with the solver on every call.  When it holds, a ∧ b is unsat, so that
@@ -106,7 +106,8 @@ def _farkas_itp(a, b, shared, mode) -> Formula:
             valued = [(l, True) for l in pa.literals] + [(l, True) for l in pb.literals]
             status, cert = refute_conjunction(valued, mode)
             if status != "unsat":
-                # unknown, or a solver gap: the exact projection still works
+                # a satisfiable pair makes a ∧ b satisfiable, which the
+                # contract check in itp reports as NotUnsat
                 conjuncts = [_strongest(pa.formula(), shared)]
                 break
             conj = _conjunct_from_cert(cert, a_lits, shared, mode)

@@ -237,9 +237,9 @@ def cooper_cases(x: Var, g: Formula):
     g.  When a literal conjunct of g is an equality or lower bound on x,
     every minus-infinity disjunct is false and none is yielded.
 
-    The one integer enumeration: cooper_qe takes every disjunct,
-    lia_proj the first its model satisfies, and the solver's Cooper
-    decision the first satisfiable one together with its witness.
+    The one integer enumeration: cooper_qe takes every disjunct and
+    lia_proj the first its model satisfies; the tests' Cooper decision
+    (tests/helpers.py) takes the first satisfiable one with its witness.
     """
     for _, build, witness in _cooper_cases(x, g):
         yield build(), witness

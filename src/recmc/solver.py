@@ -17,46 +17,42 @@ the rationals.  An equality whose coefficients' gcd does not divide its
 constant is refuted alone before it reaches the simplex, and a
 relaxation conflict keeps its Farkas certificate.  Then the root test
 takes the relaxation's values when they are integral and satisfy every
-literal; otherwise an exact presolve over the integers decides the
-conjunction.  It writes t < 0 as t + 1 <= 0, d | t as t = d*k and
-not d | t as t = d*k + r with 1 <= r <= d - 1, eliminates every equality
-as the Omega test does (Pugh, CACM 1992: the GCD test, substitution of a
-unit-coefficient variable, the mod-hat step otherwise), turns opposite
-inequalities into equalities, and divides each inequality by its
-coefficients' gcd, rounding its constant up.  The narrowest pair of
-opposite inequalities l <= t <= u left is then split exactly: each value
-t = v goes on a copy of the rows as an equality, and the copy is
-presolved again.  Such pairs come, for one, from the remainder of a
-negated divisibility literal, where branch-and-bound would walk the
-unbounded quotients instead.
-Branch-and-bound runs on the inequalities that remain once no pair fits
-in the node budget, in a fresh simplex, and back-substitution gives the
-model.  Each row carries the literals it came from, so a conflict
-anywhere is a core of literals, returned as it is; a split is refuted by
-the union of its branches' cores.
-Branch-and-bound alone is not a decision procedure for integer
-arithmetic, so when the node budget runs out the backstop is a complete
-decision of the conjunction: a depth-first walk over the Cooper
-disjuncts that project.cooper_cases yields for one variable at a time,
-the same enumeration that exact elimination takes whole.  The first
-satisfiable disjunct gives the model, through the witness that comes
-with it; if none is, the core is the whole conjunction.  Only if the
-walk exceeds its node budget does the solver report unknown.
+literal; otherwise the Omega test (Pugh, CACM 1992) decides the
+conjunction over the integers, completely.  It writes t < 0 as
+t + 1 <= 0, d | t as t = d*k and not d | t as t = d*k + r with
+1 <= r <= d - 1, and eliminates every equality (the GCD test,
+substitution of a unit-coefficient variable, the mod-hat step
+otherwise).  It divides each inequality by its coefficients' gcd,
+rounding its constant up, and turns opposite inequalities into
+equalities.  Then it eliminates the variables of the inequalities one at
+a time:
+- a variable bounded on one side only goes with its rows;
+- one with coefficient 1 in all its lower, or all its upper, rows by
+  Fourier-Motzkin, which is exact over the integers then;
+- otherwise the dark shadow is tried, whose integer points all lie over
+  an integer value of the variable, and if it has none, each splinter of
+  the grey shadow: an equality b*x = L + i that goes back to equality
+  elimination on a copy of the rows.
+Each row carries the mask of the literals it follows from, so a conflict
+anywhere is a core of literals; an inexact step is refuted by the union
+of its branches' cores.  The model comes by back-substitution through
+the eliminated variables.
 
-The budgets are the module constants below.  They are read at call
-time, so a test can lower them with monkeypatch.
+The only budgets are the search's, the module constants below; they are
+read at call time, so a test can lower them with monkeypatch.
 
 Everything is exact, with no floats.  Numbers follow the rule of the
 whole arithmetic layer (see formula): tableau coefficients, values and
-bounds, like term coefficients, model values and Cooper witnesses, are
-Python ints when integral and Fractions only when not, so the common
-small-integer tableau or model costs no gcd or allocation per
-operation.  Only certificate multipliers are handed out as Fractions.
+bounds, like term coefficients and model values, are Python ints when
+integral and Fractions only when not, so the common small-integer
+tableau or model costs no gcd or allocation per operation.  Only
+certificate multipliers are handed out as Fractions.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -87,11 +83,8 @@ from .formula import (
     eval_literal,
     f_and,
     free_vars,
-    lia_normalize,
-    mk_lit,
     negate_nnf,
 )
-from .project import cooper_cases
 
 
 # Decisions of one check_sat search; past it the result is unknown.
@@ -99,13 +92,6 @@ MAX_DECISIONS = 500_000
 # Full assignments theory-checked in one check_sat search; past it the
 # result is unknown.
 MAX_THEORY_CHECKS = 100_000
-# Branch-and-bound nodes of one integer theory check; a split branch of
-# the presolve is a node too.  Exhausting it is not unknown by itself:
-# the check falls back to the Cooper decision.
-BB_NODE_BUDGET = 40
-# Cooper nodes of one complete integer decision; exhausting it gives
-# unknown.
-COOPER_NODE_BUDGET = 30_000
 
 
 class Model(dict):
@@ -239,9 +225,7 @@ class _Constraint:
         self.cid = cid
         self.term = term  # LinTerm, meaning term op 0
         self.op = op
-        # the asserted literal; in branch-and-bound after the presolve, the
-        # mask of the literals the row follows from (0 for a branch)
-        self.source = source
+        self.source = source  # the asserted literal
 
     def scale(self) -> Number:
         """|lead coefficient| of the term: the term is scale times
@@ -397,19 +381,6 @@ class Simplex:
         if vid not in self.rows and _beyond(kind, self.values[vid], val):
             self._update(vid, val)
         return None
-
-    def snapshot(self):
-        return (dict(self.lo), dict(self.hi), dict(self.values), len(self.constraints))
-
-    def restore(self, snap):
-        # values from the snapshot cover every variable only because none
-        # is created in between: branch-and-bound bounds registered
-        # integer variables alone.
-        lo, hi, values, ncons = snap
-        self.lo = dict(lo)
-        self.hi = dict(hi)
-        self.values = dict(values)
-        del self.constraints[ncons:]
 
     # -- pivoting ----------------------------------------------------------
 
@@ -575,9 +546,9 @@ class _TheoryCheck:
 
     def decide(self, asserted) -> Tuple[str, object]:
         """Decide the conjunction of canonical (atom, value) pairs.
-        Returns ("sat", values), ("unsat", conflict) or ("unknown",
-        reason).  A conflict is a ClausalCore or a _Conflict; both name
-        the refuted literals in .literals."""
+        Returns ("sat", values) or ("unsat", conflict).  A conflict is a
+        ClausalCore or a _Conflict; both name the refuted literals in
+        .literals."""
         conflict = self._relax(asserted)
         if conflict is not None:
             return "unsat", conflict
@@ -591,10 +562,7 @@ class _TheoryCheck:
                     values.setdefault(v, 0)
             if all(eval_literal(lit, values) == value for lit, value in asserted):
                 return "sat", values
-        status, payload = _IntPresolve(asserted).solve()
-        if status == "budget":
-            return self._cooper_fallback(asserted)
-        return status, payload
+        return _IntPresolve(asserted).solve()
 
     def _relax(self, asserted):
         """Assert the comparison literals in order and check their
@@ -622,19 +590,9 @@ class _TheoryCheck:
         rows = self.simplex.check()
         return None if rows is None else _Conflict(self.simplex, rows)
 
-    def _cooper_fallback(self, asserted):
-        try:
-            model = int_conjunction_sat(_literals(asserted))
-        except _CooperBudget:
-            return "unknown", "integer decision budget exhausted"
-        if model is not None:
-            return "sat", model
-        return "unsat", ClausalCore(tuple(asserted))
-
 
 # --------------------------------------------------------------------------
-# Exact presolve of an integer conjunction: equality elimination as in the
-# Omega test (Pugh, CACM 1992), then branch-and-bound on what is left.
+# The Omega test (Pugh, CACM 1992) on an integer conjunction.
 # --------------------------------------------------------------------------
 
 
@@ -654,40 +612,57 @@ class _Row:
         self.const = const
         self.mask = mask
 
-    def subst(self, x: Var, definition: "_Row") -> None:
-        """Replace x by the term of definition, which says x = term."""
-        a = self.coeffs.pop(x, 0)
-        if not a:
-            return
+    def add(self, k: int, other: "_Row") -> None:
+        """Add k times other to this row, and other's mask."""
         coeffs = self.coeffs
-        for v, c in definition.coeffs.items():
-            n = coeffs.get(v, 0) + a * c
+        for v, c in other.coeffs.items():
+            n = coeffs.get(v, 0) + k * c
             if n:
                 coeffs[v] = n
             else:
                 coeffs.pop(v, None)
-        self.const += a * definition.const
-        self.mask |= definition.mask
+        self.const += k * other.const
+        self.mask |= other.mask
+
+    def subst(self, x: Var, definition: "_Row") -> None:
+        """Replace x by the term of definition, which says x = term."""
+        a = self.coeffs.pop(x, 0)
+        if a:
+            self.add(a, definition)
+
+
+def _splinters(x: Var, lows: List[_Row], highs: List[_Row]) -> List[_Row]:
+    """The grey shadow of x, as equalities: an integer point of the rows
+    outside their dark shadow has b*x = L + i for a lower row L <= b*x and
+    0 <= i <= (a_max*b - a_max - b) / a_max, where a_max is the largest
+    upper coefficient of x (Pugh)."""
+    a_max = max(row.coeffs[x] for row in highs)
+    return [
+        _Row(dict(low.coeffs), low.const + i, low.mask)
+        for low in lows
+        for i in range((-a_max * low.coeffs[x] - a_max + low.coeffs[x]) // a_max + 1)
+    ]
 
 
 class _IntPresolve:
     """An integer conjunction as equalities and inequalities over integer
-    variables, reduced until no equality is left, then split on narrow
-    ranges.
+    variables, decided by the Omega test: every equality is eliminated,
+    then the variables of the inequalities one at a time.
 
     t < 0 becomes t + 1 <= 0, d | t becomes t = d*k and not d | t
     becomes t = d*k + r with 1 <= r <= d - 1, for fresh k and r (a term
     with fractions is first scaled to integers, together with d).  Fresh
-    variables are named from a counter of this presolve, and rows and
-    substitutions are kept in lists, so the result does not depend on
-    set or hash order.
+    variables are named from a counter of this presolve, rows and
+    eliminated variables are kept in lists, and a variable to eliminate
+    is chosen with ties broken by Var.key(), so the result does not
+    depend on set or hash order.
 
-    Once no equality is left, the narrowest pair l <= t <= u with u > l
-    whose u - l + 1 values fit in the node budget is split: t = v for v
-    = l, ..., u, each on a copy of the rows, presolved in turn, at one
-    node each.  The first satisfiable copy gives the model; if none is,
-    the union of their masks refutes the pair.  Branch-and-bound takes
-    the rest of the same budget.
+    Each eliminated variable x goes to defs with rows that bound it: an
+    equality's definition as x >= term, or the inequalities that a
+    projection removed.  The model comes by back-substitution in reverse
+    order, x at its greatest lower bound or, with none, at its least
+    upper bound; each projection guarantees that this meets all of x's
+    rows.
     """
 
     def __init__(self, asserted):
@@ -695,8 +670,7 @@ class _IntPresolve:
         self.n_fresh = 0
         self.eqs: List[_Row] = []
         self.ineqs: List[_Row] = []
-        self.defs: List[Tuple[Var, _Row]] = []  # in elimination order
-        self.narrowest: Optional[Tuple[int, _Row, _Row]] = None  # set by _tighten
+        self.defs: List[Tuple[Var, List[_Row]]] = []  # in elimination order
         for i, (lit, value) in enumerate(asserted):
             scale = lcm(lit.term.const.denominator, *(c.denominator for _, c in lit.term.coeffs))
             coeffs = {v: int(c * scale) for v, c in lit.term.coeffs}
@@ -725,12 +699,10 @@ class _IntPresolve:
         return ClausalCore(tuple(pair for i, pair in enumerate(self.asserted) if mask >> i & 1))
 
     def solve(self):
-        """("sat", values), ("unsat", core) or ("budget", None)."""
-        status, payload = self._decide([BB_NODE_BUDGET])
+        """("sat", values) or ("unsat", core)."""
+        status, payload = self._decide()
         if status == "unsat":
             return status, self._core(payload)
-        if status == "budget":
-            return status, None
         model = {}
         for lit, _ in self.asserted:
             for v in lit.term.vars:
@@ -739,42 +711,98 @@ class _IntPresolve:
             raise SelfCheckFailed(f"presolve model {model!r} fails {self.asserted!r}")
         return "sat", model
 
-    def _decide(self, budget):
-        """Reduce, split the narrowest range l <= t <= u while its values
-        fit in budget[0], else branch-and-bound on what is left:
-        ("sat", values of every variable), ("unsat", mask) or ("budget",
-        None).  Each split branch is one node of budget."""
-        mask = self._reduce()
-        if mask is not None:
-            return "unsat", mask
-        if self.narrowest is not None and self.narrowest[0] < budget[0]:
-            _, row, other = self.narrowest  # row: t - u <= 0, other: l - t <= 0
-            mask = 0
-            for value in range(other.const, 1 - row.const):
-                budget[0] -= 1
-                branch = copy.copy(self)
-                branch.eqs = [_Row(dict(row.coeffs), -value, row.mask | other.mask)]
-                branch.ineqs = [_Row(dict(r.coeffs), r.const, r.mask) for r in self.ineqs]
-                branch.defs = list(self.defs)
-                status, payload = branch._decide(budget)
-                if status != "unsat":
-                    return status, payload
-                mask |= payload
-            return "unsat", mask
-        values = {}
-        if self.ineqs:
-            simplex = Simplex()
-            for row in self.ineqs:
-                conflict = simplex.add_constraint(LinTerm.make(row.coeffs, row.const), LE, row.mask)
-                if conflict is not None:
-                    return "unsat", _conflict_mask(simplex, conflict)
-            status, payload = _branch_and_bound(simplex, budget)
-            if status != "sat":
+    def _decide(self):
+        """Reduce, then eliminate the variables of the inequalities one at
+        a time, by an exact projection or else by _shadows: ("sat", values
+        of every variable) or ("unsat", mask)."""
+        while True:
+            mask = self._reduce()
+            if mask is not None:
+                return "unsat", mask
+            if not self.ineqs:
+                return "sat", self._values()
+            x, lows, highs, inexact = self._pick()
+            if inexact:
+                return self._shadows(x, lows, highs)
+            self._project(x, lows, highs, False)
+
+    def _values(self) -> Dict[Var, int]:
+        values: Dict[Var, int] = {}
+        for x, rows in reversed(self.defs):
+            lows, highs = [], []
+            for row in rows:
+                a = row.coeffs[x]  # a*x + rest <= 0
+                rest = row.const + sum(c * values.get(v, 0) for v, c in row.coeffs.items() if v is not x)
+                if a < 0:
+                    lows.append(-(rest // a))
+                else:
+                    highs.append(-rest // a)
+            values[x] = max(lows) if lows else min(highs)
+        return values
+
+    def _pick(self):
+        """The variable of the inequalities to eliminate next, its lower
+        rows (negative coefficient), its upper rows, and whether its
+        projection is inexact: the integer and real shadows agree when x
+        has no lower or no upper rows, or coefficient 1 in all of one side.
+        An exact variable comes first, with the fewest pairs of a lower
+        and an upper row (none for one bounded on one side), then the one
+        with the fewest splinters."""
+        lows: Dict[Var, List[_Row]] = {}
+        highs: Dict[Var, List[_Row]] = {}
+        for row in self.ineqs:
+            for v, c in row.coeffs.items():
+                (lows if c < 0 else highs).setdefault(v, []).append(row)
+
+        def rank(v):
+            lo, hi = lows.get(v, []), highs.get(v, [])
+            if all(r.coeffs[v] == -1 for r in lo) or all(r.coeffs[v] == 1 for r in hi):
+                return False, len(lo) * len(hi), v.key()
+            return True, len(_splinters(v, lo, hi)), v.key()
+
+        x = min({**lows, **highs}, key=rank)
+        return x, lows.get(x, []), highs.get(x, []), rank(x)[0]
+
+    def _project(self, x: Var, lows: List[_Row], highs: List[_Row], dark: bool) -> None:
+        """Fourier-Motzkin: replace the rows of x by a*L + b*U for each
+        lower row L, -b*x + ... <= 0, and upper row U, a*x + ... <= 0, its
+        constant raised by (a - 1)(b - 1) in the dark shadow, where an
+        integer x lies between any two such bounds."""
+        self.ineqs = [row for row in self.ineqs if x not in row.coeffs]
+        for low in lows:
+            b = -low.coeffs[x]
+            for high in highs:
+                a = high.coeffs[x]
+                row = _Row({v: a * c for v, c in low.coeffs.items()}, a * low.const, low.mask)
+                row.add(b, high)
+                if dark:
+                    row.const += (a - 1) * (b - 1)
+                self.ineqs.append(row)
+        self.defs.append((x, lows + highs))
+
+    def _shadows(self, x: Var, lows: List[_Row], highs: List[_Row]):
+        """Decide an inexact elimination of x: its dark shadow, then each
+        splinter of its grey shadow on a copy of the rows.  A point that
+        meets a lower and an upper row of x and no splinter of the lower
+        one meets their dark row, so the union of the branches' masks
+        refutes."""
+        dark = self._branch([])
+        dark._project(x, lows, highs, True)
+        mask = 0
+        for branch in itertools.chain([dark], (self._branch([eq]) for eq in _splinters(x, lows, highs))):
+            status, payload = branch._decide()
+            if status == "sat":
                 return status, payload
-            values = {v: int(val) for v, val in payload.items()}
-        for x, definition in reversed(self.defs):
-            values[x] = definition.const + sum(c * values.get(v, 0) for v, c in definition.coeffs.items())
-        return "sat", values
+            mask |= payload
+        return "unsat", mask
+
+    def _branch(self, eqs: List[_Row]) -> _IntPresolve:
+        """A copy of this problem with eqs as its equalities."""
+        branch = copy.copy(self)
+        branch.eqs = eqs
+        branch.ineqs = [_Row(dict(r.coeffs), r.const, r.mask) for r in self.ineqs]
+        branch.defs = list(self.defs)
+        return branch
 
     def _reduce(self) -> Optional[int]:
         """Eliminate every equality and tighten the inequalities; the mask
@@ -793,7 +821,7 @@ class _IntPresolve:
             row.subst(x, definition)
         for row in self.ineqs:
             row.subst(x, definition)
-        self.defs.append((x, definition))
+        self.defs.append((x, [_Row({x: -1, **definition.coeffs}, definition.const, definition.mask)]))
 
     def _eliminate(self, row: _Row) -> Optional[int]:
         """Divide the equality row by its gcd, then substitute away a
@@ -836,9 +864,7 @@ class _IntPresolve:
         """Divide each inequality by the gcd of its coefficients, rounding
         its constant up; keep the tightest of those with one left side and
         turn two with opposite left sides and constants into an equality.
-        Of the other opposite pairs, l <= t <= u with u > l, the narrowest
-        goes to self.narrowest as (u - l, row of t, row of -t).  The mask
-        of a refuted inequality or pair, or None."""
+        The mask of a refuted inequality or pair, or None."""
         best: Dict[tuple, Optional[_Row]] = {}
         for row in self.ineqs:
             if not row.coeffs:
@@ -854,7 +880,6 @@ class _IntPresolve:
             if cur is None or row.const > cur.const:
                 best[key] = row
         self.ineqs = []
-        self.narrowest = None
         for key, row in best.items():
             if row is None:
                 continue
@@ -867,138 +892,8 @@ class _IntPresolve:
                 self.eqs.append(_Row(dict(row.coeffs), row.const, mask))
                 best[neg] = None
                 continue
-            if other is not None and (self.narrowest is None or -(row.const + other.const) < self.narrowest[0]):
-                self.narrowest = (-(row.const + other.const), row, other)
             self.ineqs.append(row)
         return None
-
-
-def _conflict_mask(simplex: Simplex, rows) -> int:
-    mask = 0
-    for cid, _, _ in rows:
-        mask |= simplex.constraints[cid].source
-    return mask
-
-
-def _branch_and_bound(simplex: Simplex, budget):
-    """Branch-and-bound over a simplex whose constraints carry masks as
-    their sources, depth-first on the lowest-id fractional variable, its
-    floor side first: ("sat", values), ("unsat", mask) or ("budget",
-    None) once budget[0] nodes are spent."""
-    if budget[0] <= 0:
-        return "budget", None
-    budget[0] -= 1
-    conflict = simplex.check()
-    if conflict is not None:
-        return "unsat", _conflict_mask(simplex, conflict)
-    vals = simplex.concrete_values()
-    v = next((v for v in simplex.var_ids if vals[v].denominator != 1), None)
-    if v is None:
-        return "sat", vals
-    floor = vals[v].numerator // vals[v].denominator
-    vterm = LinTerm.of_var(v)
-    mask = 0
-    for t in (vterm.sub(LinTerm.of_const(floor)), LinTerm.of_const(floor + 1).sub(vterm)):
-        snap = simplex.snapshot()
-        conflict = simplex.add_constraint(t, LE, 0)  # v <= floor, then v >= floor + 1
-        if conflict is None:
-            status, payload = _branch_and_bound(simplex, budget)
-            if status != "unsat":
-                return status, payload
-            mask |= payload
-        else:
-            mask |= _conflict_mask(simplex, conflict)
-        simplex.restore(snap)
-    return "unsat", mask
-
-
-# --------------------------------------------------------------------------
-# Complete integer decision for conjunctions of literals.
-#
-# Depth-first Cooper over project.cooper_cases: substituting a test term
-# into a conjunction gives another conjunction, so elimination never
-# materializes the full disjunction; branches that fold to false are
-# pruned before recursing and the first satisfiable case returns
-# immediately with its witness.
-# --------------------------------------------------------------------------
-
-
-class _CooperBudget(Exception):
-    pass
-
-
-def _literals(pairs):
-    return [literal_of(atom, value) for atom, value in pairs]
-
-
-def _conj_literals(f: Formula):
-    if isinstance(f, And):
-        return [a.lit for a in f.args]
-    if isinstance(f, Lit):
-        return [f.lit]
-    return []
-
-
-def _pick_int_var(lits):
-    eq_best = None
-    counts = {}
-    for lit in lits:
-        if isinstance(lit, BoolLit):
-            continue
-        for v, c in lit.term.coeffs:
-            counts[v] = counts.get(v, 0) + 1
-            if isinstance(lit, Cmp) and lit.op == EQ:
-                cand = (abs(c), v.key(), v)
-                if eq_best is None or cand < eq_best:
-                    eq_best = cand
-    if eq_best is not None:
-        return eq_best[2]
-    return min(counts, key=lambda v: (counts[v], v.key()))
-
-
-def _icsat(f: Formula, counter) -> Optional[dict]:
-    # every call is a node, also a case that folded to a constant: its
-    # substitution was work too, and the budget bounds all of it
-    if counter[0] <= 0:
-        raise _CooperBudget()
-    counter[0] -= 1
-    if isinstance(f, Bottom):
-        return None
-    if isinstance(f, Top):
-        return {}
-    x = _pick_int_var(_conj_literals(f))
-    g, mult, y = lia_normalize(x, f)
-    if isinstance(g, Bottom):
-        return None
-    for case, witness in cooper_cases(y, g):
-        m = _icsat(case, counter)
-        if m is not None:
-            yval = witness(m)
-            if yval.denominator != 1 or yval % mult != 0:
-                raise SelfCheckFailed(f"Cooper witness {yval} for {x!r} is not a multiple of {mult}")
-            m = dict(m)
-            m[x] = _div(yval, mult)
-            return m
-    return None
-
-
-def int_conjunction_sat(lits) -> Optional[dict]:
-    """Witness for a conjunction of integer literals, or None.
-
-    Complete (Cooper's method underneath); raises _CooperBudget past
-    COOPER_NODE_BUDGET nodes, where every case tested is a node.
-    """
-    f = f_and([mk_lit(l) for l in lits])
-    model = _icsat(f, [COOPER_NODE_BUDGET])
-    if model is None:
-        return None
-    out = {}
-    for lit in lits:
-        for v in (lit.term.vars if not isinstance(lit, BoolLit) else ()):
-            out[v] = model.get(v, 0)
-    if not all(eval_formula(mk_lit(l), out) for l in lits):
-        raise SelfCheckFailed(f"Cooper model {out!r} fails {lits!r}")
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -1365,9 +1260,6 @@ def check_sat(f: Formula, mode: Sort) -> SatResult:
         if status == "sat":
             on_full.result = (payload, bool_vals)
             return None
-        if status == "unknown":
-            on_full.unknown = payload
-            return "budget"
         # blocking clause: negate the conjunction that was refuted
         clause = []
         for lit, val in payload.literals:
@@ -1376,13 +1268,11 @@ def check_sat(f: Formula, mode: Sort) -> SatResult:
         return clause
 
     on_full.result = None
-    on_full.unknown = None
     status, payload = _CDCL(nvars, skel.clauses).search(on_full)
     if status == "unsat":
         return SatResult("unsat")
     if status == "unknown":
-        reason = on_full.unknown or "decision budget exhausted"
-        return SatResult("unknown", reason=str(reason))
+        return SatResult("unknown", reason="decision budget exhausted")
     arith_vals, bool_vals = on_full.result
     values: Dict[Var, object] = {}
     for v in free_vars(f):
@@ -1402,8 +1292,8 @@ def check_sat(f: Formula, mode: Sort) -> SatResult:
 def refute_conjunction(literals: Sequence[Tuple[Literal, bool]], mode: Sort):
     """Theory-check a conjunction of valued theory literals directly.
 
-    Returns ("sat", values) | ("unsat", cert) | ("unknown", reason),
-    where cert is a FarkasCert or a ClausalCore.  A Boolean literal
+    Returns ("sat", values) or ("unsat", cert), where cert is a
+    FarkasCert or a ClausalCore.  A Boolean literal
     raises TypeError: interpolation calls this only in rational and
     integer mode, where every variable is arithmetic.
     """

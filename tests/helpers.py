@@ -1,5 +1,6 @@
 """Shared test utilities: random formulas, models, brute-force oracles,
-and an engine that checks its own invariants."""
+the Cooper decision of integer conjunctions, and an engine that checks
+its own invariants."""
 
 import itertools
 from fractions import Fraction
@@ -9,27 +10,33 @@ from unittest import mock
 import recmc.driver
 from recmc.driver import check, check_inductive
 from recmc.engine import BndSafety
-from recmc.errors import PreconditionFailed
+from recmc.errors import PreconditionFailed, SelfCheckFailed
 from recmc.formula import (
     EQ,
     LE,
     LT,
+    And,
+    Bottom,
     BoolLit,
+    Cmp,
     DivLit,
     LinTerm,
     Lit,
     Role,
     Sort,
+    Top,
     Var,
+    _div,
     eval_formula,
     f_and,
     f_or,
+    lia_normalize,
     mk_cmp,
     mk_lit,
     negate_nnf,
 )
 from recmc.program import AssertionMap, instantiate, over_env, under_env
-from recmc.project import project
+from recmc.project import cooper_cases, project
 from recmc.solver import Model, entails
 
 DATA = Path(__file__).parent / "data"
@@ -109,6 +116,93 @@ def window_sat_int(f, vars_, lo, hi):
         if eval_formula(f, dict(zip(vars_, vals))):
             return True
     return False
+
+
+# --------------------------------------------------------------------------
+# The differential oracle for integer conjunctions: a depth-first walk over
+# the Cooper disjuncts that project.cooper_cases yields for one variable at
+# a time.  Substituting a test term into a conjunction gives another
+# conjunction, so elimination never materializes the full disjunction;
+# branches that fold to false are pruned before recursing and the first
+# satisfiable case returns immediately with its witness.
+# --------------------------------------------------------------------------
+
+# Cooper nodes of one decision; past it the oracle raises _CooperBudget.
+COOPER_NODE_BUDGET = 30_000
+
+
+class _CooperBudget(Exception):
+    pass
+
+
+def _conj_literals(f):
+    if isinstance(f, And):
+        return [a.lit for a in f.args]
+    if isinstance(f, Lit):
+        return [f.lit]
+    return []
+
+
+def _pick_int_var(lits):
+    eq_best = None
+    counts = {}
+    for lit in lits:
+        if isinstance(lit, BoolLit):
+            continue
+        for v, c in lit.term.coeffs:
+            counts[v] = counts.get(v, 0) + 1
+            if isinstance(lit, Cmp) and lit.op == EQ:
+                cand = (abs(c), v.key(), v)
+                if eq_best is None or cand < eq_best:
+                    eq_best = cand
+    if eq_best is not None:
+        return eq_best[2]
+    return min(counts, key=lambda v: (counts[v], v.key()))
+
+
+def _icsat(f, counter):
+    # every call is a node, also a case that folded to a constant: its
+    # substitution was work too, and the budget bounds all of it
+    if counter[0] <= 0:
+        raise _CooperBudget()
+    counter[0] -= 1
+    if isinstance(f, Bottom):
+        return None
+    if isinstance(f, Top):
+        return {}
+    x = _pick_int_var(_conj_literals(f))
+    g, mult, y = lia_normalize(x, f)
+    if isinstance(g, Bottom):
+        return None
+    for case, witness in cooper_cases(y, g):
+        m = _icsat(case, counter)
+        if m is not None:
+            yval = witness(m)
+            if yval.denominator != 1 or yval % mult != 0:
+                raise SelfCheckFailed(f"Cooper witness {yval} for {x!r} is not a multiple of {mult}")
+            m = dict(m)
+            m[x] = _div(yval, mult)
+            return m
+    return None
+
+
+def int_conjunction_sat(lits):
+    """Witness for a conjunction of integer literals, or None.
+
+    Complete (Cooper's method underneath); raises _CooperBudget past
+    COOPER_NODE_BUDGET nodes, where every case tested is a node.
+    """
+    f = f_and([mk_lit(l) for l in lits])
+    model = _icsat(f, [COOPER_NODE_BUDGET])
+    if model is None:
+        return None
+    out = {}
+    for lit in lits:
+        for v in (lit.term.vars if not isinstance(lit, BoolLit) else ()):
+            out[v] = model.get(v, 0)
+    if not all(eval_formula(mk_lit(l), out) for l in lits):
+        raise SelfCheckFailed(f"Cooper model {out!r} fails {lits!r}")
+    return out
 
 
 def exists_window_int(f, x, model, lo, hi):

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import equivalent, mk_vars, random_conjunction, random_model, random_nnf
+from helpers import (
+    equivalent,
+    int_conjunction_sat,
+    mk_vars,
+    random_conjunction,
+    random_model,
+    random_nnf,
+)
 import recmc
 from recmc import formula
 from recmc.errors import NotNormalized, PathExplosion, UnassignedVar, ValidationError
@@ -45,7 +52,7 @@ from recmc.formula import (
 )
 from recmc.parser import parse
 from recmc.project import cooper_cases
-from recmc.solver import entails, int_conjunction_sat
+from recmc.solver import entails
 
 p, q = mk_vars(["p", "q"], Sort.BOOL)
 x, y, u, l = mk_vars(["x", "y", "u", "l"], Sort.RAT)

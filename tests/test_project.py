@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     equivalent,
     exists_window_int,
+    int_conjunction_sat,
     mk_vars,
     random_conjunction,
     random_model,
@@ -46,7 +47,6 @@ from recmc.solver import (
     Model,
     check_sat,
     entails,
-    int_conjunction_sat,
 )
 
 x, y, z, e, l, u = mk_vars(["x", "y", "z", "e", "l", "u"], Sort.RAT)

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+import helpers
 from helpers import (
+    _CooperBudget,
+    int_conjunction_sat,
     mk_vars,
     random_conjunction,
     random_nnf,
@@ -106,29 +109,36 @@ class TestBasics:
         assert check_sat(f, Sort.INT).is_unsat
 
 
-class TestIntegerPreChecks:
-    """Conflicts that branch-and-bound cannot refute on an unbounded relaxation.
+def _no_shadows(monkeypatch):
+    """Make the Omega test's inexact step, the dark and grey shadows, raise."""
 
-    Under no_search both node budgets are zero, so the presolve splits no
-    range and branch-and-bound and Cooper refute nothing: unsat can only
-    come from the GCD pre-test on equalities or from the presolve's
-    equality elimination, into which divisibility literals go as
-    equalities.
+    def shadows(presolve, x, lows, highs):
+        raise AssertionError(f"dark or grey shadow of {x!r} on {presolve.asserted!r}")
+
+    monkeypatch.setattr(solver._IntPresolve, "_shadows", shadows)
+
+
+@pytest.fixture()
+def no_shadows(monkeypatch):
+    _no_shadows(monkeypatch)
+
+
+class TestIntegerPreChecks:
+    """Conflicts on an unbounded relaxation, which no search over it refutes.
+
+    Under no_shadows the Omega test's dark and grey shadows raise: unsat
+    comes from the GCD pre-test on equalities or from equality
+    elimination, into which divisibility literals go as equalities.
     """
 
-    @pytest.fixture()
-    def no_search(self, monkeypatch):
-        monkeypatch.setattr(solver, "BB_NODE_BUDGET", 0)
-        monkeypatch.setattr(solver, "COOPER_NODE_BUDGET", 0)
-
-    def test_gcd_refutes_equality(self, no_search):
+    def test_gcd_refutes_equality(self, no_shadows):
         eq = mk_cmp(EQ, txi.scale(2).add(tyi.scale(2)).add(LinTerm.of_const(3)))
         assert check_sat(eq, Sort.INT).is_unsat
         assert refute_conjunction(conjuncts(eq), Sort.INT) == (
             "unsat", ClausalCore(((eq.lit, True),))
         )
 
-    def test_residues_refute_negated_divisibility(self, no_search):
+    def test_residues_refute_negated_divisibility(self, no_shadows):
         f = f_and(
             [
                 mk_lit(DivLit(2, tzi, False)),
@@ -150,9 +160,8 @@ class TestIntegerPreChecks:
                 mk_lit(DivLit(3, s.add(LinTerm.of_const(1)))),
             ]
         )
-        with monkeypatch.context() as no_search:
-            no_search.setattr(solver, "BB_NODE_BUDGET", 0)
-            no_search.setattr(solver, "COOPER_NODE_BUDGET", 0)
+        with monkeypatch.context() as scope:
+            _no_shadows(scope)
             assert check_sat(f, Sort.INT).is_unsat
         # 2 | x + y, 3 | x + y + 1 and not 4 | x + y hold at x + y = 2
         f = f_and(
@@ -171,7 +180,7 @@ class TestIntegerPreChecks:
         z_odd = DivLit(2, tzi.add(LinTerm.of_const(1)))
         bound = mk_cmp(LE, txi.sub(LinTerm.of_const(5)))
         f = f_and([mk_lit(div4), mk_lit(DivLit(2, z_odd.term, False)), bound])
-        monkeypatch.setattr(solver, "BB_NODE_BUDGET", 0)
+        _no_shadows(monkeypatch)
         assert check_sat(f, Sort.INT).is_unsat
         status, core = refute_conjunction(conjuncts(f), Sort.INT)
         assert status == "unsat"
@@ -180,21 +189,15 @@ class TestIntegerPreChecks:
 
 class TestEqualityElimination:
     """Shapes on which depth-first branch-and-bound dives into an unbounded
-    direction: the integer phase decides each without the Cooper fallback."""
+    direction: the Omega test decides each, all but a narrow range on a
+    form with no unit coefficient without a dark or grey shadow."""
 
-    @pytest.fixture(autouse=True)
-    def no_cooper(self, monkeypatch):
-        def fallback(check, asserted):
-            raise AssertionError(f"Cooper fallback on {asserted!r}")
-
-        monkeypatch.setattr(solver._TheoryCheck, "_cooper_fallback", fallback)
-
-    def test_even_coefficients_round_the_bound(self):
+    def test_even_coefficients_round_the_bound(self, no_shadows):
         # -2x + 2y + 3 <= 0 is y - x <= -3/2, over the integers y - x <= -2
         f = mk_cmp(LE, txi.scale(-2).add(tyi.scale(2)).add(LinTerm.of_const(3)))
         assert check_sat(f, Sort.INT).is_sat
 
-    def test_strict_bound_with_odd_variable(self):
+    def test_strict_bound_with_odd_variable(self, no_shadows):
         # the relaxation's vertex x = 5/2 sends branch-and-bound down x <= 2
         f = f_and(
             [
@@ -205,7 +208,7 @@ class TestEqualityElimination:
         res = check_sat(f, Sort.INT)
         assert res.is_sat and res.model[zi] % 2 == 1
 
-    def test_line_refuted_modulo_two(self):
+    def test_line_refuted_modulo_two(self, no_shadows):
         # 2x - z + 3 = 0 makes z odd, so z + 1 is even: no branching on the
         # unbounded line refutes this, elimination does
         line = mk_cmp(EQ, txi.scale(2).sub(tzi).add(LinTerm.of_const(3)))
@@ -216,9 +219,10 @@ class TestEqualityElimination:
         assert status == "unsat"
         assert sorted(core.literals, key=repr) == sorted([(line.lit, True), (odd, False)], key=repr)
 
-    def test_remainder_range_is_split(self):
+    def test_remainder_range_is_split(self, shadow_steps):
         # elimination leaves 2 <= 2*k4 + 3*k3 - 3*k1 <= 3 over unbounded
-        # quotients, along which branch-and-bound walks for its whole budget
+        # quotients, along which branch-and-bound walks without end; no
+        # coefficient is 1, and the dark shadow of k4 holds
         f = f_and(
             [
                 mk_lit(DivLit(3, txi, False)),
@@ -228,8 +232,9 @@ class TestEqualityElimination:
         )
         res = check_sat(f, Sort.INT)
         assert res.is_sat and eval_formula(f, res.model)
+        assert [step for step, _ in shadow_steps] == ["dark"]
 
-    def test_every_remainder_refuted(self):
+    def test_every_remainder_refuted(self, no_shadows):
         # x is 2 mod 3, so y is 0 mod 3: each remainder value is refuted
         f = f_and(
             [
@@ -242,14 +247,88 @@ class TestEqualityElimination:
         assert check_sat(f, Sort.INT).is_unsat
         status, core = refute_conjunction(conjuncts(f), Sort.INT)
         assert status == "unsat"
-        assert solver.int_conjunction_sat([literal_of(atom, val) for atom, val in core.literals]) is None
+        assert int_conjunction_sat([literal_of(atom, val) for atom, val in core.literals]) is None
 
-    def test_model_check(self, monkeypatch):
+    def test_model_check(self, no_shadows, monkeypatch):
         # the presolve's model is checked against every literal; the check
         # raises, so it holds under python -O too
         monkeypatch.setattr(solver, "eval_literal", lambda lit, model: False)
         with pytest.raises(SelfCheckFailed):
             refute_conjunction([(Cmp(LE, txi.sub(LinTerm.of_const(3))), True)], Sort.INT)
+
+
+def _t(cx, cy, cz, c):
+    return LinTerm.make({xi: cx, yi: cy, zi: cz}, c)
+
+
+class TestShadows:
+    """The Omega test's inexact step, a dark shadow and then the splinters
+    of a grey shadow, is taken only where no variable projects exactly."""
+
+    @pytest.mark.parametrize(
+        "conj",
+        [
+            # (3 | x + z + 1), not (3 | x), y + z > 3, not (3 | z + 1),
+            # -2y + z - 3 <= 0; then with not (3 | z + 2) added
+            [DivLit(3, _t(1, 0, 1, 1)), DivLit(3, _t(1, 0, 0, 0), False), Cmp(LT, _t(0, -1, -1, 3)),
+             DivLit(3, _t(0, 0, 1, 1), False), Cmp(LE, _t(0, -2, 1, -3))],
+            [DivLit(3, _t(1, 0, 1, 1)), DivLit(3, _t(1, 0, 0, 0), False), Cmp(LT, _t(0, -1, -1, 3)),
+             DivLit(3, _t(0, 0, 1, 1), False), Cmp(LE, _t(0, -2, 1, -3)), DivLit(3, _t(0, 0, 1, 2), False)],
+            # x + 1 < 0, x + 2y + 2 < 0, (3 | x + z + 2), not (3 | z + 2)
+            [Cmp(LT, _t(1, 0, 0, 1)), Cmp(LT, _t(1, 2, 0, 2)), DivLit(3, _t(1, 0, 1, 2)),
+             DivLit(3, _t(0, 0, 1, 2), False)],
+        ],
+        ids=["y-above-z", "y-above-z-residue", "y-below-x"],
+    )
+    def test_one_sided_variable_needs_no_shadow(self, conj, shadow_steps, monkeypatch):
+        # depth-first branch-and-bound walks two quotients down together
+        # on each of these; y is bounded on one side only once the
+        # equalities are gone, and goes with its rows
+        solves = []
+        real = solver._IntPresolve.solve
+        monkeypatch.setattr(solver._IntPresolve, "solve", lambda presolve: solves.append(1) or real(presolve))
+        status, values = solver._TheoryCheck(Sort.INT).decide([solver._atom_of(lit) for lit in conj])
+        assert status == "sat" and all(eval_literal(lit, values) for lit in conj)
+        assert solves == [1] and shadow_steps == []
+
+    def test_pugh_example_is_refuted_by_splinters(self, shadow_steps, monkeypatch):
+        # 27 <= 11x + 13y <= 45 and -10 <= 7x - 9y <= 4 (Pugh, CACM 1992)
+        # have real solutions and no integer one, and no variable projects
+        # exactly: the dark shadow is empty, and so is every splinter
+        forms = [_t(-11, -13, 0, 27), _t(11, 13, 0, -45), _t(-7, 9, 0, -10), _t(7, -9, 0, -4)]
+        assert check_sat(f_and([mk_cmp(LE, t.subst({xi: tx, yi: ty})) for t in forms]), Sort.RAT).is_sat
+        status, core = refute_conjunction([(Cmp(LE, t), True) for t in forms], Sort.INT)
+        assert status == "unsat"
+        steps = [step for step, _ in shadow_steps]
+        assert steps[0] == "dark" and steps.count("splinter") > 1
+        # the oracle needs more nodes than its default for these coefficients
+        monkeypatch.setattr(helpers, "COOPER_NODE_BUDGET", 100_000)
+        assert int_conjunction_sat([literal_of(atom, val) for atom, val in core.literals]) is None
+
+    def test_inexact_cores_vs_window(self, shadow_steps):
+        # two or three ranges on forms over x and y with no unit
+        # coefficient, and up to two more bounds: each row that a dark
+        # shadow builds carries the masks of the two rows it combines, so
+        # no point of the window meets a core (Cooper's method takes too
+        # long on so many large coefficients to serve as the oracle here)
+        rng = random.Random(53)
+        decided = {"sat": 0, "unsat": 0}
+        for _ in range(400):
+            lits = _non_unit_ranges(rng, (xi, yi), rng.randint(2, 3))
+            for _ in range(rng.randint(0, 2)):
+                g = mk_cmp(LE, _random_term(rng, rng.randint(1, 2), (xi, yi)))
+                if isinstance(g, Lit):
+                    lits.append(g.lit)
+            f = f_and([Lit(lit) for lit in lits])
+            status, payload = solver._TheoryCheck(Sort.INT).decide(list(dict.fromkeys(map(solver._atom_of, lits))))
+            decided[status] += 1
+            if status == "sat":
+                assert eval_formula(f, payload), (lits, payload)
+            else:
+                core = f_and([Lit(literal_of(atom, val)) for atom, val in payload.literals])
+                assert not window_sat_int(core, [xi, yi], -10, 10), (lits, payload.literals)
+        assert decided["sat"] > 40 and decided["unsat"] > 200
+        assert len({conj for step, conj in shadow_steps if step == "splinter"}) > 20
 
 
 class TestEntailment:
@@ -271,10 +350,11 @@ class TestEntailment:
             entails(big, FALSE, Sort.INT)
 
 
-def _random_term(rng, k, vars_=(xi, yi, zi)):
-    """A term over k of the three vars_ with small nonzero coefficients."""
+def _random_term(rng, k, vars_=(xi, yi, zi), coeffs=(-3, -2, -1, 1, 2, 3)):
+    """A term over k of the three vars_ with nonzero coefficients drawn
+    from coeffs."""
     picked = rng.sample(vars_, k)
-    return LinTerm.make({v: rng.choice([-3, -2, -1, 1, 2, 3]) for v in picked}, rng.randint(-4, 4))
+    return LinTerm.make({v: rng.choice(coeffs) for v in picked}, rng.randint(-4, 4))
 
 
 def _random_lits(rng, mode=Sort.INT):
@@ -297,6 +377,19 @@ def _random_lits(rng, mode=Sort.INT):
     return lits
 
 
+def _non_unit_ranges(rng, vars_=(xi, yi, zi), forms=2):
+    """forms forms over two or more of vars_ with coefficients 2 to 7 in
+    absolute value, each between bounds at most 4 apart, in the shape of
+    27 <= 11x + 13y <= 45 and -10 <= 7x - 9y <= 4."""
+    lits = []
+    for _ in range(forms):
+        t = _random_term(rng, rng.randint(2, len(vars_)), vars_, (-7, -6, -5, -4, -3, -2, 2, 3, 4, 5, 6, 7))
+        for g in (mk_cmp(LE, t), mk_cmp(LE, LinTerm.of_const(-rng.randint(0, 4)).sub(t))):
+            if isinstance(g, Lit):
+                lits.append(g.lit)
+    return lits
+
+
 def _decide_vs_cooper(lits):
     """Decide the integer conjunction lits with the integer phase and with
     Cooper's method alone, and check that they agree: a model satisfies
@@ -304,8 +397,8 @@ def _decide_vs_cooper(lits):
     runs out of budget."""
     asserted = list(dict.fromkeys(solver._atom_of(lit) for lit in lits))
     try:
-        oracle = solver.int_conjunction_sat(lits)
-    except solver._CooperBudget:
+        oracle = int_conjunction_sat(lits)
+    except _CooperBudget:
         return None
     status, payload = solver._TheoryCheck(Sort.INT).decide(asserted)
     assert status == ("unsat" if oracle is None else "sat"), lits
@@ -315,22 +408,25 @@ def _decide_vs_cooper(lits):
     else:
         assert set(payload.literals) <= set(asserted)
         core = [literal_of(atom, val) for atom, val in payload.literals]
-        assert solver.int_conjunction_sat(core) is None, (lits, core)
+        assert int_conjunction_sat(core) is None, (lits, core)
     return status
 
 
 @pytest.fixture()
-def cooper_fallbacks(monkeypatch):
-    """The conjunctions that go to the Cooper fallback, in order."""
-    fallbacks = []
-    real = solver._TheoryCheck._cooper_fallback
+def shadow_steps(monkeypatch):
+    """The Omega test's inexact steps, in order: ("dark", conjunction) for
+    each dark shadow and ("splinter", conjunction) for each splinter of a
+    grey shadow, where conjunction is the presolve's tuple of asserted
+    literals."""
+    steps = []
+    real = solver._IntPresolve._branch
 
-    def counted(check, asserted):
-        fallbacks.append(asserted)
-        return real(check, asserted)
+    def recorded(presolve, eqs):
+        steps.append(("splinter" if eqs else "dark", tuple(presolve.asserted)))
+        return real(presolve, eqs)
 
-    monkeypatch.setattr(solver._TheoryCheck, "_cooper_fallback", counted)
-    return fallbacks
+    monkeypatch.setattr(solver._IntPresolve, "_branch", recorded)
+    return steps
 
 
 class TestDifferential:
@@ -372,23 +468,23 @@ class TestDifferential:
             assert sats > 0
 
     @pytest.mark.parametrize(
-        "bb_nodes",
-        [pytest.param(solver.BB_NODE_BUDGET, id="branch-and-bound"), pytest.param(0, id="cooper-fallback")],
+        "draw, min_grey",
+        [pytest.param(_random_lits, 0, id="mixed-literals"), pytest.param(_non_unit_ranges, 100, id="non-unit-ranges")],
     )
-    def test_theory_check_vs_cooper(self, bb_nodes, cooper_fallbacks, monkeypatch):
-        # conjunctions with equalities and divisibility literals of both
-        # signs, decided by the integer phase and by Cooper's method alone;
-        # with no nodes, what the presolve leaves open goes to the Cooper
-        # fallback, whose core is the whole conjunction
-        monkeypatch.setattr(solver, "BB_NODE_BUDGET", bb_nodes)
+    def test_theory_check_vs_cooper(self, draw, min_grey, shadow_steps):
+        # conjunctions decided by the integer phase and by Cooper's method
+        # alone: with equalities and divisibility literals of both signs,
+        # or two-sided bounds on forms with no unit coefficient, whose
+        # variables have no exact projection, so that at least min_grey
+        # conjunctions reach the splinters of a grey shadow
         rng = random.Random(53)
         decided = {"sat": 0, "unsat": 0}
         for _ in range(400):
-            status = _decide_vs_cooper(_random_lits(rng))
+            status = _decide_vs_cooper(draw(rng))
             if status is not None:
                 decided[status] += 1
         assert decided["sat"] > 100 and decided["unsat"] > 50
-        assert (len(cooper_fallbacks) > 100) == (bb_nodes == 0)
+        assert len({conj for step, conj in shadow_steps if step == "splinter"}) >= min_grey
 
     @pytest.mark.parametrize(
         "mode, kinds", [(Sort.RAT, {FarkasCert}), (Sort.INT, {FarkasCert, ClausalCore})]
@@ -434,10 +530,11 @@ class TestDifferential:
             seen.add(type(payload))
         assert seen == kinds
 
-    def test_narrow_ranges_vs_cooper(self, cooper_fallbacks):
+    def test_narrow_ranges_vs_cooper(self, shadow_steps):
         # l <= t <= u of width 1 to 4 on a form over two or three
-        # variables, with 2 | and 3 | literals of both signs: the integer
-        # phase splits the range and never needs the Cooper fallback
+        # variables, with 2 | and 3 | literals of both signs: where no
+        # variable of the range has an exact projection, the grey shadow
+        # splits it
         rng = random.Random(61)
         decided = {"sat": 0, "unsat": 0}
         for _ in range(300):
@@ -452,7 +549,7 @@ class TestDifferential:
             if status is not None:
                 decided[status] += 1
         assert decided["sat"] > 100 and decided["unsat"] > 20
-        assert cooper_fallbacks == []
+        assert len({conj for step, conj in shadow_steps if step == "splinter"}) > 10
 
     def test_integer_rational_agreement(self):
         # formulas whose rational solutions happen to be integral
@@ -613,47 +710,68 @@ class TestSimplexNumbers:
 
 
 class TestCooperSelfChecks:
-    """The Cooper decision's own checks raise, also under python -O."""
+    """The Cooper oracle's own checks raise, also under python -O."""
 
     def test_model_check(self, monkeypatch):
-        monkeypatch.setattr(solver, "eval_formula", lambda f, model: False)
+        monkeypatch.setattr(helpers, "eval_formula", lambda f, model: False)
         with pytest.raises(SelfCheckFailed):
-            solver.int_conjunction_sat([Cmp(LE, txi.sub(LinTerm.of_const(3)))])
+            int_conjunction_sat([Cmp(LE, txi.sub(LinTerm.of_const(3)))])
 
     def test_witness_check(self, monkeypatch):
-        cases = solver.cooper_cases
+        cases = helpers.cooper_cases
 
         def off_by_half(y, g):
             for case, witness in cases(y, g):
                 yield case, lambda m, w=witness: w(m) + Fraction(1, 2)
 
-        monkeypatch.setattr(solver, "cooper_cases", off_by_half)
+        monkeypatch.setattr(helpers, "cooper_cases", off_by_half)
         with pytest.raises(SelfCheckFailed):
-            solver.int_conjunction_sat([Cmp(LE, txi.sub(LinTerm.of_const(3)))])
+            int_conjunction_sat([Cmp(LE, txi.sub(LinTerm.of_const(3)))])
+
+
+def _budget_conjunction():
+    """A conjunction whose Cooper cases mostly fold to false, more than
+    COOPER_NODE_BUDGET of them."""
+    return [
+        DivLit(3, _t(0, 1, 1, 2), False),
+        Cmp(LE, _t(-3, 2, 2, -2)),
+        Cmp(LE, _t(-3, -2, 3, -4)),
+        Cmp(LT, _t(-1, 0, -3, -4)),
+        DivLit(4, _t(2, 1, 2, 0)),
+    ]
 
 
 class TestCooperBudget:
     def test_budget_bounds_every_case(self, monkeypatch):
-        # the cases of this conjunction mostly fold to false; each costs a
-        # substitution, so each counts against the budget
-        def t(cx, cy, cz, c):
-            return LinTerm.make({xi: cx, yi: cy, zi: cz}, c)
-
-        lits = [
-            DivLit(3, t(0, 1, 1, 2), False),
-            Cmp(LE, t(-3, 2, 2, -2)),
-            Cmp(LE, t(-3, -2, 3, -4)),
-            Cmp(LT, t(-1, 0, -3, -4)),
-            DivLit(4, t(2, 1, 2, 0)),
-        ]
-        real = solver._icsat
+        # each case costs a substitution, so each counts against the budget
+        real = helpers._icsat
         calls = [0]
 
         def counting(f, counter):
             calls[0] += 1
             return real(f, counter)
 
-        monkeypatch.setattr(solver, "_icsat", counting)
-        with pytest.raises(solver._CooperBudget):
-            solver.int_conjunction_sat(lits)
-        assert calls[0] <= solver.COOPER_NODE_BUDGET + 1
+        monkeypatch.setattr(helpers, "_icsat", counting)
+        with pytest.raises(_CooperBudget):
+            int_conjunction_sat(_budget_conjunction())
+        assert calls[0] <= helpers.COOPER_NODE_BUDGET + 1
+
+    @pytest.mark.parametrize(
+        "decide",
+        [
+            pytest.param(lambda asserted: solver._TheoryCheck(Sort.INT).decide(asserted), id="theory-check"),
+            pytest.param(lambda asserted: solver._IntPresolve(asserted).solve(), id="omega-test"),
+        ],
+    )
+    def test_theory_check_decides_it(self, decide):
+        # the conjunction that exhausts the oracle's budget is decided by
+        # the theory check and by the Omega test alone, which has no budget
+        lits = _budget_conjunction()
+        status, payload = decide([solver._atom_of(lit) for lit in lits])
+        if status == "sat":
+            model = {v: payload.get(v, 0) for v in (xi, yi, zi)}
+            assert all(eval_literal(lit, model) for lit in lits), model
+        else:
+            assert status == "unsat"
+            core = f_and([Lit(literal_of(atom, val)) for atom, val in payload.literals])
+            assert not window_sat_int(core, [xi, yi, zi], -8, 8)
