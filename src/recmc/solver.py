@@ -11,6 +11,21 @@ refutes the conjunction of a path pair directly with
 refute_conjunction; only there is a rational conflict's certificate
 built and replayed.
 
+Before the search, comparison atoms on one linear form get valid
+clauses between them: the theory propagation of Dutertre and de Moura.
+Each atom is read as its canonical form, coprime integer coefficients
+with the first one positive, times a scale, so that it bounds the form
+from above, from below or to a point; in integer mode t < 0 reads as
+t + 1 <= 0 and the bound is rounded inward.  Chains of implications
+through the upper and through the lower bounds, a clause between each
+upper bound and the weakest lower bound that clashes with it, and
+clauses between each equality and its nearest bounds and the other
+equalities let the search propagate implied bounds, and it never
+asserts two atoms of one form whose bounds clash.  The simplex keys its
+slack rows by the same form, so t, -t and 2t bound one slack.  An atom
+whose variables no other comparison atom has costs one dictionary entry,
+and Boolean mode has no such pass.
+
 Integer mode first solves the rational relaxation, which holds the
 comparison literals only: a divisibility literal constrains nothing over
 the rationals.  An equality whose coefficients' gcd does not divide its
@@ -53,6 +68,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -82,7 +98,6 @@ from .formula import (
     eval_formula,
     eval_literal,
     f_and,
-    free_vars,
     negate_nnf,
 )
 
@@ -219,18 +234,19 @@ class _Bound:
 
 
 class _Constraint:
-    __slots__ = ("cid", "term", "op", "source")
+    __slots__ = ("cid", "source", "_scale")
 
-    def __init__(self, cid, term, op, source):
+    def __init__(self, cid, source, scale):
         self.cid = cid
-        self.term = term  # LinTerm, meaning term op 0
-        self.op = op
         self.source = source  # the asserted literal
+        self._scale = scale
 
     def scale(self) -> Number:
-        """|lead coefficient| of the term: the term is scale times
-        (v - val) or (val - v) for the variable v that its bound is on."""
-        return abs(self.term.coeffs[0][1]) if self.term.coeffs else 1
+        """|s| for the scale s of the literal's canonical form: its term
+        is s * (v - q) for the variable v of the form and the bound q
+        that it puts on v, so a conflict row's weight over |s| is the
+        literal's Farkas multiplier."""
+        return self._scale
 
 
 def _beyond(kind, a, b) -> bool:
@@ -244,11 +260,37 @@ def _toward(kind, a) -> str:
     return "hi" if (a > 0) == (kind == "lo") else "lo"
 
 
+def _canonical(coeffs) -> Tuple[tuple, Number]:
+    """The canonical form of a term's (variable, coefficient) pairs, and
+    its scale s: coprime integer coefficients, the first one positive,
+    with each coefficient s times the form's.  Terms that differ by a
+    nonzero factor, such as t, -t and 2t, have one form."""
+    if len(coeffs) == 1:
+        return ((coeffs[0][0], 1),), coeffs[0][1]
+    nums = [c for _, c in coeffs]
+    den = 1
+    for c in nums:
+        if type(c) is not int:
+            den = lcm(den, c.denominator)
+    if den > 1:
+        nums = [int(c * den) for c in nums]
+    g = gcd(*nums)
+    if nums[0] < 0:
+        g = -g
+    elif g == 1 and den == 1:
+        return coeffs, 1
+    return tuple([(v, n // g) for (v, _), n in zip(coeffs, nums)]), _div(g, den)
+
+
 class Simplex:
     """General simplex with upper/lower bounds on variables.
 
-    Multi-variable constraint terms get a slack variable defined by a
-    tableau row; asserting a constraint then just tightens a bound.
+    There is one slack variable per canonical form (_canonical) of more
+    than one variable, defined by a tableau row, and a one-variable form
+    is its variable.  A constraint bounds the variable of its form, from
+    above or below by the sign of its scale, so t, -t and 2t bound one
+    variable and a clash between them needs no pivot; asserting a
+    constraint just tightens a bound.
     Asserting a bound, repairing a violated one and explaining a conflict
     are one routine each for both sides ("lo" and "hi"), as in Dutertre
     and de Moura.
@@ -308,16 +350,16 @@ class Simplex:
             put(self.var_id(v), c)
         return row
 
-    def _slack_for(self, coeffs) -> Tuple[int, Number]:
-        """Slack variable for the linear form of (variable, coefficient)
-        pairs, normalized by |lead|; returns (id, |lead|)."""
-        lead = abs(coeffs[0][1])
-        key = tuple((v, _div(c, lead)) for v, c in coeffs)
-        sid = self.slack_by_key.get(key)
+    def _slack_for(self, form) -> int:
+        """The variable whose value is the canonical form: its one
+        variable, or the slack that one tableau row defines."""
+        if len(form) == 1:
+            return self.var_id(form[0][0])
+        sid = self.slack_by_key.get(form)
         if sid is None:
-            row = self._row_of_linear(key)
+            row = self._row_of_linear(form)
             sid = self._new_id(None)
-            self.slack_by_key[key] = sid
+            self.slack_by_key[form] = sid
             self.rows[sid] = row
             for j in row:
                 self.cols[j].add(sid)
@@ -325,46 +367,33 @@ class Simplex:
             for j, a in row.items():
                 val = dr_add(val, dr_scale(self.values[j], a))
             self.values[sid] = val
-        return sid, lead
+        return sid
 
     # -- asserting ---------------------------------------------------------
 
-    def add_constraint(self, term: LinTerm, op: str, source) -> Optional[list]:
-        """Assert term op 0.  Returns a conflict (list of rows) or None."""
+    def add_constraint(self, const: Number, op: str, source, canon) -> Optional[list]:
+        """Assert t op 0 for the term t = scale * form + const, where canon
+        is (form, scale) as _canonical gives them, or None when t is the
+        constant.  Returns a conflict (list of rows) or None."""
         cid = len(self.constraints)
-        self.constraints.append(_Constraint(cid, term, op, source))
-        coeffs = term.coeffs
-        if not coeffs:
-            ok = (
-                term.const < 0
-                if op == LT
-                else (term.const <= 0 if op == LE else term.const == 0)
-            )
+        if canon is None:
+            self.constraints.append(_Constraint(cid, source, 1))
+            ok = const < 0 if op == LT else (const <= 0 if op == LE else const == 0)
             return None if ok else [(cid, 1, False)]
-        if len(coeffs) == 1:
-            v, c = coeffs[0]
-            vid = self.var_id(v)
-            q = _div(-term.const, c)
-            bound = (q, 0)
-            if op == LT:
-                bound = (q, -1 if c > 0 else 1)
-            if op == EQ:
-                conflict = self._assert(vid, "hi", bound, cid, c < 0)
-                if conflict:
-                    return conflict
-                return self._assert(vid, "lo", bound, cid, c > 0)
-            kind = "hi" if c > 0 else "lo"
-            return self._assert(vid, kind, bound, cid, False)
-        sid, lead = self._slack_for(coeffs)
-        # term = lead * slack + const  (slack's definition has lead +-1 sign folded in)
-        bound_q = _div(-term.const, lead)
+        form, scale = canon
+        self.constraints.append(_Constraint(cid, source, abs(scale)))
+        vid = self._slack_for(form)
+        # t = scale * (form - q): an upper bound on the form when the
+        # scale is positive, a lower one when it is negative
+        q = _div(-const, scale)
         if op == EQ:
-            conflict = self._assert(sid, "hi", (bound_q, 0), cid, False)
+            conflict = self._assert(vid, "hi", (q, 0), cid, scale < 0)
             if conflict:
                 return conflict
-            return self._assert(sid, "lo", (bound_q, 0), cid, True)
-        bound = (bound_q, -1 if op == LT else 0)
-        return self._assert(sid, "hi", bound, cid, False)
+            return self._assert(vid, "lo", (q, 0), cid, scale > 0)
+        if scale > 0:
+            return self._assert(vid, "hi", (q, -1 if op == LT else 0), cid, False)
+        return self._assert(vid, "lo", (q, 1 if op == LT else 0), cid, False)
 
     def _side(self, kind) -> Dict[int, _Bound]:
         return self.lo if kind == "lo" else self.hi
@@ -502,14 +531,6 @@ class Simplex:
 # --------------------------------------------------------------------------
 
 
-def _gcd_feasible(term: LinTerm) -> bool:
-    """False when term = 0 has no integer solution: the gcd of the
-    coefficients does not divide the constant."""
-    if not term.coeffs or not term.is_integral():
-        return True
-    return term.const.numerator % gcd(*(c.numerator for _, c in term.coeffs)) == 0
-
-
 class _Conflict:
     """A conflict of the rational relaxation: the simplex's conflict rows,
     each with the constraint it bounds.  The search reads only its
@@ -538,11 +559,14 @@ class _Conflict:
 
 
 class _TheoryCheck:
-    """One conjunction of valued literals, checked over LRA or LIA."""
+    """One conjunction of valued literals, checked over LRA or LIA.  The
+    theory checks of one check_sat call share forms, the canonical form
+    and scale of each comparison atom, so each is computed once."""
 
-    def __init__(self, mode: Sort):
+    def __init__(self, mode: Sort, forms=None):
         self.mode = mode
         self.simplex = Simplex()
+        self.forms = {} if forms is None else forms  # atom -> (form, scale)
 
     def decide(self, asserted) -> Tuple[str, object]:
         """Decide the conjunction of canonical (atom, value) pairs.
@@ -577,14 +601,19 @@ class _TheoryCheck:
             if not value:
                 # comparison atoms only occur positively in NNF
                 raise AssertionError("negated comparison literal in conjunction")
-            term, op = lit.term, lit.op
-            if self.mode is Sort.INT and op == LT:
-                # t < 0 over the integers is t <= -1
-                term, op = term.add(LinTerm.of_const(1)), LE
-            if self.mode is Sort.INT and op == EQ and not _gcd_feasible(term):
-                # a one-literal core, before any conflict the relaxation finds
-                return ClausalCore(((lit, True),))
-            rows = self.simplex.add_constraint(term, op, lit)
+            op, const = lit.op, lit.term.const
+            canon = self.forms.get(lit)
+            if canon is None and lit.term.coeffs:
+                canon = self.forms[lit] = _canonical(lit.term.coeffs)
+            if self.mode is Sort.INT:
+                if op == LT:
+                    # t < 0 over the integers is t <= -1
+                    const, op = const + 1, LE
+                elif op == EQ and canon is not None and const % canon[1]:
+                    # no integer lies on the hyperplane of the form: a
+                    # one-literal core, before any conflict the relaxation finds
+                    return ClausalCore(((lit, True),))
+            rows = self.simplex.add_constraint(const, op, lit, canon)
             if rows is not None:
                 return _Conflict(self.simplex, rows)
         rows = self.simplex.check()
@@ -982,6 +1011,115 @@ class _Skeleton:
         return n_atoms + len(mapping)
 
 
+def _bound_axioms(atoms: List[Literal], mode: Sort, forms) -> List[List[int]]:
+    """Valid clauses between the comparison atoms of atoms that share a
+    canonical form, over atom ids + 1 as in the skeleton's clauses.
+
+    Each such atom bounds its form: from above (f <= b or f < b), from
+    below (f >= b or f > b) or to a point (f = b), with b a
+    delta-rational; in integer mode the form takes integer values, so
+    t < 0 reads as t + 1 <= 0 and b is rounded inward.  An equality
+    that no integer meets is negated alone; per form there come
+    - a chain of implications from each upper bound to the next looser
+      one, and one through the lower bounds;
+    - the negation of each upper bound and the weakest lower bound that
+      clashes with it, which every tighter lower bound implies;
+    - for each equality, on either side, the implication of the
+      tightest bound it meets and the negation of it and the weakest
+      bound it clashes with, and the negation of it and each equality
+      with another constant.
+    So two atoms of one form whose bounds clash are never both true, and
+    unit propagation sets the bounds that true atoms imply.
+
+    An atom whose tuple of variables no other comparison atom has gets
+    no form here; the forms computed are stored in forms.  The clauses
+    come by form in the order of their first atoms, then by bound and
+    atom id.
+    """
+    by_vars: Dict[object, List[int]] = {}  # a variable or a tuple of them
+    for aid, atom in enumerate(atoms):
+        if type(atom) is Cmp and atom.term.coeffs:
+            coeffs = atom.term.coeffs
+            key = coeffs[0][0] if len(coeffs) == 1 else tuple([v for v, _ in coeffs])
+            group = by_vars.get(key)
+            if group is None:
+                by_vars[key] = [aid]
+            else:
+                group.append(aid)
+    clauses: List[List[int]] = []
+    by_form: Dict[tuple, Tuple[list, list, list]] = {}
+    integer = mode is Sort.INT
+    for aids in by_vars.values():
+        if len(aids) < 2:
+            continue
+        for aid in aids:
+            atom = atoms[aid]
+            form, scale = forms[atom] = _canonical(atom.term.coeffs)
+            op, const, lit = atom.op, atom.term.const, aid + 1
+            bounds = by_form.get(form)
+            if bounds is None:
+                bounds = by_form[form] = ([], [], [])
+            # the atom says scale * (form - q) op 0 for q = -const / scale
+            if integer:
+                # the form takes integer values: t < 0 is t + 1 <= 0, an
+                # upper bound is floor(q) and a lower one ceil(q), which
+                # is kept negated as floor(-q)
+                if op == LT:
+                    const += 1
+                if op != EQ:
+                    if scale > 0:
+                        bounds[0].append((-const // scale, 0, lit))
+                    else:
+                        bounds[1].append((const // scale, 0, lit))
+                elif const % scale:
+                    clauses.append([-lit])
+                else:
+                    bounds[2].append((-const // scale, 0, lit))
+                continue
+            q = _div(-const, scale)
+            if op == EQ:
+                bounds[2].append((q, 0, lit))
+            elif scale > 0:
+                bounds[0].append((q, -1 if op == LT else 0, lit))
+            else:
+                bounds[1].append((-q, -1 if op == LT else 0, lit))
+    for his, los, eqs in by_form.values():
+        if len(his) + len(los) + len(eqs) > 1:
+            clauses += _form_axioms(his, los, eqs)
+    return clauses
+
+
+def _form_axioms(his, los, eqs) -> List[List[int]]:
+    """The clauses of _bound_axioms for one form's upper, lower and
+    equality bounds, as (q, d, atom) for the bound q + d*delta; a lower
+    bound is negated, so that ascending order is tightest first on both
+    sides.  A bisection by (q, d) counts the bounds below q + d*delta."""
+    clauses = []
+    for chain in (his, los):
+        if len(chain) > 1:
+            chain.sort()
+            clauses += [[-a[2], b[2]] for a, b in zip(chain, chain[1:])]
+    if los:
+        for q, d, a in his:
+            k = bisect_left(los, (-q, -d))  # the lower bounds above q + d*delta
+            if k:
+                clauses.append([-a, -los[k - 1][2]])
+    eqs.sort()
+    for i, (q, _, a) in enumerate(eqs):
+        k = bisect_left(his, (q, 0))  # the upper bounds below q
+        if k:
+            clauses.append([-a, -his[k - 1][2]])
+        if k < len(his):
+            clauses.append([-a, his[k][2]])
+        k = bisect_left(los, (-q, 0))  # the lower bounds above q
+        if k:
+            clauses.append([-a, -los[k - 1][2]])
+        if k < len(los):
+            clauses.append([-a, los[k][2]])
+        clauses += [[-a, -b] for other, _, b in eqs[i + 1:] if other != q]
+    return clauses
+
+
 class _CDCL:
     """Conflict-driven clause learning over the skeleton.
 
@@ -1240,7 +1378,14 @@ def check_sat(f: Formula, mode: Sort) -> SatResult:
     skel = _Skeleton()
     skel.build(f)
     nvars = skel.finalize()
+    forms: Dict[Cmp, tuple] = {}
+    if mode is not Sort.BOOL:
+        skel.clauses += _bound_axioms(skel.atoms, mode, forms)
     theory_checks = [0]
+    # the values of the accepted full assignment; a list and not an
+    # attribute of on_full, which would make the closure a reference
+    # cycle that holds the skeleton until a full garbage collection
+    result = [None]
 
     def on_full(assign: Dict[int, bool]):
         theory_checks[0] += 1
@@ -1256,9 +1401,9 @@ def check_sat(f: Formula, mode: Sort) -> SatResult:
                 # a false comparison atom carries no obligation: comparisons
                 # occur only positively in NNF
                 asserted.append((atom, val))
-        status, payload = _TheoryCheck(mode).decide(asserted)
+        status, payload = _TheoryCheck(mode, forms).decide(asserted)
         if status == "sat":
-            on_full.result = (payload, bool_vals)
+            result[0] = (payload, bool_vals)
             return None
         # blocking clause: negate the conjunction that was refuted
         clause = []
@@ -1267,22 +1412,21 @@ def check_sat(f: Formula, mode: Sort) -> SatResult:
             clause.append(-aid if val else aid)
         return clause
 
-    on_full.result = None
     status, payload = _CDCL(nvars, skel.clauses).search(on_full)
     if status == "unsat":
         return SatResult("unsat")
     if status == "unknown":
         return SatResult("unknown", reason="decision budget exhausted")
-    arith_vals, bool_vals = on_full.result
-    values: Dict[Var, object] = {}
-    for v in free_vars(f):
-        if v.sort is Sort.BOOL:
-            values[v] = bool_vals.get(v, False)
-        else:
-            values[v] = arith_vals.get(v, 0)
-            if mode is Sort.INT and values[v].denominator != 1:
-                raise SelfCheckFailed(f"non-integral value {values[v]} for {v!r}")
-    model = Model(values)
+    arith_vals, bool_vals = result[0]
+    # the atoms have exactly the variables of f, and each Boolean one is
+    # assigned in the full assignment
+    model = Model(bool_vals)
+    for atom in skel.atoms:
+        if not isinstance(atom, BoolLit):
+            for v, _ in atom.term.coeffs:
+                val = model[v] = arith_vals.get(v, 0)
+                if mode is Sort.INT and val.denominator != 1:
+                    raise SelfCheckFailed(f"non-integral value {val} for {v!r}")
     # a solver bug becomes a loud failure, not a wrong answer
     if not eval_formula(f, model):
         raise SelfCheckFailed(f"model check failed for {f!r} -> {model!r}")

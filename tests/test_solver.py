@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from recmc.formula import (
     DivLit,
     LinTerm,
     Lit,
+    Or,
     Sort,
     eval_formula,
     eval_literal,
@@ -492,7 +494,9 @@ class TestDifferential:
     def test_blocked_literals_are_refuted_literals(self, mode, kinds, monkeypatch):
         # check_sat reads only a conflict's literals for its blocking
         # clause; they are, in order, the literals of the certificate or
-        # core that refute_conjunction gives for the same conjunction
+        # core that refute_conjunction gives for the same conjunction.
+        # A conjunction with two clashing atoms on one linear form is
+        # refuted by the bound axioms and reaches no blocking clause
         skeletons, blocked = [], []
         finalize, add_blocking = solver._Skeleton.finalize, solver._CDCL.add_blocking
 
@@ -508,6 +512,7 @@ class TestDifferential:
         monkeypatch.setattr(solver._CDCL, "add_blocking", recorded_blocking)
         rng = random.Random(53)
         seen = set()
+        by_axioms = 0
         for _ in range(400):
             f = f_and([mk_lit(lit) for lit in _random_lits(rng, mode)])
             lits = conjuncts(f)
@@ -523,12 +528,17 @@ class TestDifferential:
                 # sat, or an atom asserted both ways: no theory conflict
                 assert blocked == []
                 continue
+            if not blocked:
+                cmps = [atom for atom, _ in atoms if isinstance(atom, Cmp)]
+                assert len({atom.term.vars for atom in cmps}) < len(cmps), f
+                by_axioms += 1
+                continue
             # one full assignment, refuted at level 0 by one blocking clause
             ((clause,), (skel,)) = blocked, skeletons
             got = [(skel.atoms[abs(l) - 1], l < 0) for l in clause]
             assert got == list(payload.literals), f
             seen.add(type(payload))
-        assert seen == kinds
+        assert seen == kinds and by_axioms > 10
 
     def test_narrow_ranges_vs_cooper(self, shadow_steps):
         # l <= t <= u of width 1 to 4 on a form over two or three
@@ -647,6 +657,185 @@ class TestCertificates:
             refute_conjunction([(BoolLit(p), True), (BoolLit(p), False)], mode)
 
 
+def _same_form_atoms(rng, mode, n_forms):
+    """Three to six comparison atoms on n_forms linear forms, each over
+    one to three of x, y and z; each atom is a scaled or negated copy of
+    its form with a random constant, such as 2x - 2y <= 3 and -x + y < 1."""
+    vars_ = (xi, yi, zi) if mode is Sort.INT else (x, y, z)
+    forms = [_random_term(rng, rng.randint(1, 3), vars_, (-2, -1, 1, 2)) for _ in range(n_forms)]
+    consts = list(range(-4, 5))
+    if mode is Sort.RAT:
+        consts += [Fraction(1, 2), Fraction(-3, 2)]
+    atoms = []
+    for _ in range(rng.randint(3, 6)):
+        term = rng.choice(forms).scale(rng.choice((1, -1, 2, -2)))
+        atoms.append(Cmp(rng.choice((LT, LE, EQ)), LinTerm(term.coeffs, rng.choice(consts))))
+    return list(dict.fromkeys(atoms))
+
+
+def _negations(atom, value):
+    """The conjunctions of literals, one of which holds when atom does not
+    take value: the atom itself, or its negation with an equality split
+    in two."""
+    if value:
+        return [[atom]]
+    minus = atom.term.scale(-1)
+    if atom.op == EQ:
+        return [[Cmp(LT, atom.term)], [Cmp(LT, minus)]]
+    return [[Cmp(LE if atom.op == LT else LT, minus)]]
+
+
+def _r(cx, cy, c):
+    return LinTerm.make({x: cx, y: cy}, c)
+
+
+def _lits_of(f):
+    if isinstance(f, Lit):
+        return [f]
+    if isinstance(f, (And, Or)):
+        return [g for a in f.args for g in _lits_of(a)]
+    return []
+
+
+class TestBoundAxioms:
+    """Valid clauses between comparison atoms on one canonical form, and
+    one simplex slack per canonical form."""
+
+    @pytest.mark.parametrize("mode", [Sort.RAT, Sort.INT])
+    def test_every_clause_is_valid(self, mode):
+        # the negation of every clause is refuted: by the theory check in
+        # rational mode, by Cooper's method in integer mode
+        rng = random.Random(71)
+        checked = 0
+        for _ in range(150):
+            atoms = _same_form_atoms(rng, mode, rng.randint(1, 3))
+            for clause in solver._bound_axioms(atoms, mode, {}):
+                parts = [_negations(atoms[abs(l) - 1], l < 0) for l in clause]
+                for pick in itertools.product(*parts):
+                    lits = [lit for part in pick for lit in part]
+                    if mode is Sort.RAT:
+                        assert refute_conjunction([(lit, True) for lit in lits], mode)[0] == "unsat", (atoms, clause)
+                    else:
+                        assert int_conjunction_sat(lits) is None, (atoms, clause)
+                checked += 1
+        assert checked > 300
+
+    @pytest.mark.parametrize("mode", [Sort.RAT, Sort.INT])
+    def test_clashing_atoms_never_reach_the_theory(self, mode, monkeypatch):
+        # an unsat conjunction of atoms on one form is refuted by unit
+        # propagation over the axioms, without a theory check
+        decided = []
+        real = solver._TheoryCheck.decide
+        monkeypatch.setattr(solver._TheoryCheck, "decide", lambda check, asserted: decided.append(1) or real(check, asserted))
+        rng = random.Random(73)
+        statuses = {"sat": 0, "unsat": 0}
+        for _ in range(300):
+            atoms = _same_form_atoms(rng, mode, 1)
+            if mode is Sort.RAT:
+                oracle = refute_conjunction([(atom, True) for atom in atoms], mode)[0]
+            else:
+                oracle = "unsat" if int_conjunction_sat(atoms) is None else "sat"
+            decided.clear()
+            res = check_sat(f_and([Lit(atom) for atom in atoms]), mode)
+            assert res.status == oracle, atoms
+            if oracle == "unsat":
+                assert decided == [], atoms
+            statuses[oracle] += 1
+        assert statuses["sat"] > 20 and statuses["unsat"] > 100
+
+    def test_boolean_mode_has_no_axioms(self, monkeypatch):
+        def axioms(atoms, mode, forms):
+            raise AssertionError("bound axioms in Boolean mode")
+
+        monkeypatch.setattr(solver, "_bound_axioms", axioms)
+        f = f_and([f_or([Lit(BoolLit(p)), Lit(BoolLit(q))]), Lit(BoolLit(p, False))])
+        assert check_sat(f, Sort.BOOL).is_sat
+
+    def test_each_form_computed_once_per_check(self, monkeypatch):
+        # the theory checks of one check_sat call share the forms that
+        # the axioms computed, and compute each other form once
+        calls, decided = [], []
+        canonical, decide = solver._canonical, solver._TheoryCheck.decide
+        monkeypatch.setattr(solver, "_canonical", lambda coeffs: calls.append(coeffs) or canonical(coeffs))
+        monkeypatch.setattr(solver._TheoryCheck, "decide", lambda check, asserted: decided.append(1) or decide(check, asserted))
+        rng = random.Random(79)
+        searches = 0
+        for _ in range(200):
+            f = random_nnf(rng, [x, y, z], Sort.RAT, rng.randint(6, 12))
+            calls.clear()
+            decided.clear()
+            check_sat(f, Sort.RAT)
+            atoms = {g.lit for g in _lits_of(f) if isinstance(g.lit, Cmp)}
+            assert len(calls) <= len(atoms), f
+            searches += len(decided) > 1
+        assert searches > 20
+
+    def test_clause_order(self):
+        # by form in the order of its first atom, then by bound and atom
+        # id; y <= 4 shares its variables with no atom and gets no form
+        atoms = [
+            Cmp(LT, _r(1, -1, -2)),  # 1: x - y < 2
+            Cmp(LE, _r(1, 1, 0)),  # 2: x + y <= 0
+            Cmp(LE, _r(-1, 1, 3)),  # 3: x - y >= 3
+            Cmp(EQ, _r(2, -2, -2)),  # 4: x - y = 1
+            Cmp(LT, _r(-1, -1, -1)),  # 5: x + y > -1
+            Cmp(LE, _r(1, -1, -5)),  # 6: x - y <= 5
+            Cmp(LE, _r(0, 1, -4)),  # 7: y <= 4
+            Cmp(EQ, _r(1, 1, -1)),  # 8: x + y = 1
+        ]
+        forms = {}
+        clauses = solver._bound_axioms(atoms, Sort.RAT, forms)
+        assert clauses == [[-1, 6], [-1, -3], [-4, 1], [-4, -3], [-8, -2], [-8, 5]]
+        assert list(forms) == [atoms[i] for i in (0, 1, 2, 3, 4, 5, 7)]
+        assert forms[atoms[2]] == (((x, 1), (y, -1)), -1)
+        assert forms[atoms[3]] == (((x, 1), (y, -1)), 2)
+
+    def test_integer_bounds_are_rounded(self):
+        # over the integers 2x - 2y <= 3 is x - y <= 1 and -4x + 4y + 5 <= 0
+        # is x - y >= 2; 2x - 2y = 1 has no integer point
+        atoms = [
+            Cmp(LE, LinTerm.make({xi: 2, yi: -2}, -3)),
+            Cmp(LE, LinTerm.make({xi: -4, yi: 4}, 5)),
+            Cmp(EQ, LinTerm.make({xi: 2, yi: -2}, -1)),
+        ]
+        assert solver._bound_axioms(atoms, Sort.INT, {}) == [[-3], [-1, -2]]
+        assert solver._bound_axioms(atoms, Sort.RAT, {}) == [[-3, 1], [-3, -2]]
+
+    def test_one_slack_per_form(self, monkeypatch):
+        # t <= 3, -t <= 1 and 2t = 2 bound one slack for t = x - 2y;
+        # t <= 0 and -t + 1 <= 0 clash on it with no pivot
+        t = tx.sub(ty.scale(2))
+        check = solver._TheoryCheck(Sort.RAT)
+        status, values = check.decide([
+            (Cmp(LE, t.sub(LinTerm.of_const(3))), True),
+            (Cmp(LE, t.scale(-1).sub(LinTerm.of_const(1))), True),
+            (Cmp(EQ, t.scale(2).sub(LinTerm.of_const(2))), True),
+        ])
+        assert status == "sat" and values[x] - 2 * values[y] == 1
+        ((form, sid),) = check.simplex.slack_by_key.items()
+        assert form == ((x, 1), (y, -2))
+        assert check.simplex.lo[sid].val == check.simplex.hi[sid].val == (1, 0)
+
+        def pivot(simplex, bid, nid):
+            raise AssertionError("pivot on a bound clash")
+
+        monkeypatch.setattr(solver.Simplex, "_pivot", pivot)
+        lits = [(Cmp(LE, t), True), (Cmp(LE, t.scale(-1).add(LinTerm.of_const(1))), True)]
+        status, cert = refute_conjunction(lits, Sort.RAT)
+        assert status == "unsat" and isinstance(cert, FarkasCert) and cert.replay()
+        assert sorted(mu for _, mu, _ in cert.entries) == [1, 1]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("other", [_r(1, 1, -1), _r(-1, -1, 3)], ids=["below", "above"])
+    def test_equality_certificate_either_sign(self, sign, other):
+        # x + y = 2, written with either sign, against x + y <= 1 or
+        # x + y >= 3: the clash is on one slack, with the equality's upper
+        # or lower side, and its certificate replays
+        eq = Cmp(EQ, _r(1, 1, -2).scale(sign))
+        status, cert = refute_conjunction([(eq, True), (Cmp(LE, other), True)], Sort.RAT)
+        assert status == "unsat" and isinstance(cert, FarkasCert) and cert.replay()
+
+
 def _simplex_numbers(simplex):
     """Every row coefficient, value and bound value held by a simplex."""
     for row in simplex.rows.values():
@@ -694,7 +883,8 @@ class TestSimplexNumbers:
     @pytest.mark.parametrize("k", [1, -1, 2, -2, 3, -3])
     def test_pivot_quotient(self, k):
         # x = 0 blocks x, so x + k*y >= 1 is repaired by pivoting on y,
-        # whose row coefficient is -k: y = -s/k - x/k
+        # whose row coefficient is k in the canonical slack s = x + k*y:
+        # y = s/k - x/k
         check = solver._TheoryCheck(Sort.RAT)
         cover = Cmp(LE, LinTerm.of_const(1).sub(tx).sub(ty.scale(k)))
         status, values = check.decide([(Cmp(EQ, tx), True), (cover, True)])
@@ -703,7 +893,7 @@ class TestSimplexNumbers:
         simplex = check.simplex
         xid, yid = simplex.var_ids[x], simplex.var_ids[y]
         (sid,) = simplex.slack_by_key.values()
-        assert simplex.rows == {yid: {sid: Fraction(-1, k), xid: Fraction(-1, k)}}
+        assert simplex.rows == {yid: {sid: Fraction(1, k), xid: Fraction(-1, k)}}
         want = int if abs(k) == 1 else Fraction
         assert all(type(c) is want for c in simplex.rows[yid].values())
         assert type(simplex.values[yid][0]) is want
