@@ -58,6 +58,17 @@ level up drops one entry.  Each environment memoises the instantiation
 of bodies and paths in it until one of its entries is dropped.  The
 same reading marks the (procedure, level) pairs whose summary facts, or
 whose callees' over entries, changed, for check_inductive to revisit.
+
+Every instantiation of the check, in an environment or by the query
+rule's mixed instantiation, reads call instances from one more memo,
+BndSafety.calls: the callee's entry with its formals renamed to the
+call's arguments, keyed by (call, entry formula), so each is renamed
+once per check.  An entry that a fact changes is a new key, and a body
+instantiated again after a drop finds its unchanged calls there.  The
+memo lives as long as the check, like the answer memo, and is looked up
+by formula value, so no result depends on hash order.  validate_proof
+instantiates without it: the proof is re-checked independently of the
+state of the check that found it.
 """
 
 from __future__ import annotations
@@ -157,6 +168,7 @@ class BndSafety:
         self.rho, self.sigma = AssertionMap(), AssertionMap()
         self.memo: Dict[Formula, SatResult] = {}
         self.negations: Dict[Formula, Formula] = {}
+        self.calls: Dict[tuple, Formula] = {}  # (call, callee entry) -> instance
         self.stats = dict.fromkeys(
             ("steps", "sum", "reach", "query", "mbp_calls", "solver_calls"), 0
         )
@@ -250,7 +262,7 @@ class BndSafety:
         until one of env's entries changes."""
         f = env.instances.get(target)
         if f is None:
-            f = env.instances[target] = instantiate(target, env, self.program)
+            f = env.instances[target] = instantiate(target, env, self.program, self.calls)
         return f
 
     def _project(self, elim, matrix: Formula, model: Model, proc) -> Formula:
@@ -356,7 +368,7 @@ class BndSafety:
         proc = self.program.proc(q.proc)
         for path in proc.paths:
             full_over = instantiate_path_mixed(
-                path, len(path.calls), env_o, env_u, q.goal, self.program
+                path, len(path.calls), env_o, env_u, q.goal, self.program, self.calls
             )
             res = self._sat(full_over)
             if not res.is_sat:
@@ -368,7 +380,7 @@ class BndSafety:
             split = None
             for j in range(len(path.calls) - 1, -1, -1):
                 mixed = instantiate_path_mixed(
-                    path, j, env_o, env_u, q.goal, self.program
+                    path, j, env_o, env_u, q.goal, self.program, self.calls
                 )
                 res_j = self._sat(mixed)
                 if res_j.is_sat:
@@ -383,7 +395,9 @@ class BndSafety:
             call = path.calls[split]
             callee = self.program.proc(call.callee)
             others = Path(path.literals, path.calls[:split] + path.calls[split + 1 :])
-            matrix = instantiate_path_mixed(others, split, env_o, env_u, q.goal, self.program)
+            matrix = instantiate_path_mixed(
+                others, split, env_o, env_u, q.goal, self.program, self.calls
+            )
             args = list(call.args)
             keep = set(args)
             elim = [v for v in proc.all_vars if v not in keep]

@@ -230,30 +230,43 @@ def over_env(sigma: AssertionMap, bound: int, program: Program, names=None) -> D
     return {name: f_and([f.formula for f in sigma.at_least(name, bound)]) for name in names}
 
 
-def instantiate(f, env: Dict[str, Formula], program: Program) -> Formula:
+def instantiate(f, env: Dict[str, Formula], program: Program, calls=None) -> Formula:
     """Replace every call atom by the environment formula of its callee,
-    with the callee's formals renamed to the call's arguments."""
+    with the callee's formals renamed to the call's arguments.  calls,
+    when given, is a dict that memoises each such instance by (call,
+    callee formula), across instantiations."""
     if isinstance(f, Path):
         lits = (mk_lit(l) for l in f.literals)
-        return f_and(itertools.chain(lits, (instantiate(c, env, program) for c in f.calls)))
+        return f_and(itertools.chain(lits, (instantiate(c, env, program, calls) for c in f.calls)))
     if isinstance(f, Call):
-        callee = program.proc(f.callee)
-        if len(f.args) != len(callee.formals):
-            raise ArityMismatch(f.callee)
-        mapping = dict(zip(callee.formals, f.args))
-        return rename_vars(env[f.callee], mapping)
+        entry = env[f.callee]
+        if calls is None:
+            return _call_instance(f, entry, program)
+        inst = calls.get((f, entry))
+        if inst is None:
+            inst = calls[f, entry] = _call_instance(f, entry, program)
+        return inst
     if isinstance(f, (And, Or)):
         for i, a in enumerate(f.args):
-            first = instantiate(a, env, program)
+            first = instantiate(a, env, program, calls)
             if first is not a:
                 break
         else:
             return f  # call-free: f_and or f_or would rebuild an equal node
         # the rest lazily, so that f_and stops at a false instance
-        rest = (instantiate(a, env, program) for a in f.args[i + 1 :])
+        rest = (instantiate(a, env, program, calls) for a in f.args[i + 1 :])
         combine = f_and if isinstance(f, And) else f_or
         return combine(itertools.chain(f.args[:i], (first,), rest))
     return f
+
+
+def _call_instance(call: Call, entry: Formula, program: Program) -> Formula:
+    """entry, a formula over the callee's formals, renamed to the call's
+    arguments."""
+    callee = program.proc(call.callee)
+    if len(call.args) != len(callee.formals):
+        raise ArityMismatch(call.callee)
+    return rename_vars(entry, dict(zip(callee.formals, call.args)))
 
 
 def instantiate_path_mixed(
@@ -263,13 +276,15 @@ def instantiate_path_mixed(
     env_under: Dict[str, Formula],
     extra: Formula,
     program: Program,
+    calls: dict,
 ) -> Formula:
     """Path literals plus calls: the first `flip` calls instantiated with
-    env_over, the rest with env_under, conjoined with extra."""
+    env_over, the rest with env_under, conjoined with extra; calls is
+    instantiate's memo."""
     parts = [Lit(l) for l in path.literals]
     for i, call in enumerate(path.calls):
         env = env_over if i < flip else env_under
-        parts.append(instantiate(call, env, program))
+        parts.append(instantiate(call, env, program, calls))
     parts.append(extra)
     return f_and(parts)
 

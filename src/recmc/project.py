@@ -210,12 +210,14 @@ def lw_qe(x: Var, matrix: Formula) -> Formula:
 def lra_proj(x: Var, matrix: Formula, model) -> Formula:
     """The first disjunct of lw_qe(x, matrix), in _lw_cases order, that
     the model satisfies.  The model must satisfy the matrix: project()
-    checks that once, and this function does not check it again."""
+    checks that once, and this function does not check it again.
+
+    The matrix is not walked for x first: when x does not occur, the one
+    case is minus infinity, whose disjunct is the matrix with its weak
+    bounds split, as lw_qe gives it."""
     if x.sort is not Sort.RAT:
         raise WrongMode(f"{x!r} is not rational")
     f = split_weak_bounds(x, matrix)
-    if x not in free_vars(f):
-        return f
     return _first_holding(x, f, _lw_cases(x, f), model)
 
 
@@ -291,11 +293,13 @@ def lia_proj(x: Var, matrix: Formula, model) -> Formula:
     """The first disjunct of cooper_qe(x, matrix), in cooper_cases order,
     that the model satisfies.  The model must satisfy the matrix:
     project() checks that once, and this function does not check it
-    again."""
+    again.
+
+    The matrix is not walked for x first: when x does not occur, the one
+    case is minus infinity with residue 0, whose disjunct is the matrix
+    rebuilt, equal to it when it was built by mk_lit, f_and and f_or."""
     if x.sort is not Sort.INT:
         raise WrongMode(f"{x!r} is not integer")
-    if x not in free_vars(matrix):
-        return matrix
     return _first_holding(x, matrix, ((t, build) for t, build, _ in _cooper_cases(x, matrix)), model)
 
 

@@ -11,6 +11,17 @@ refutes the conjunction of a path pair directly with
 refute_conjunction; only there is a rational conflict's certificate
 built and replayed.
 
+A query is clausified without auxiliaries at the top: each conjunct of a
+top-level And, or the formula itself when it is no And, is one clause,
+a literal a unit clause that goes straight onto the search's level-0
+trail and an Or the clause of its arguments' literals.  Only an And or
+Or below that level gets an auxiliary (Plaisted-Greenbaum, positive
+side).  Atoms are numbered before auxiliaries, in the order they are
+met, so the search, which decides the smallest unassigned variable
+first, tries atoms before auxiliaries.  In Boolean mode every atom is a
+Boolean literal: the first full assignment is a model, and no theory
+check or simplex is built.
+
 Before the search, comparison atoms on one linear form get valid
 clauses between them: the theory propagation of Dutertre and de Moura.
 Each atom is read as its canonical form, coprime integer coefficients
@@ -965,7 +976,12 @@ class _Skeleton:
         return aid
 
     def build(self, f: Formula) -> None:
-        """Clausify an NNF formula (Plaisted-Greenbaum, positive side)."""
+        """Clausify an NNF formula: each conjunct of a top-level And, or f
+        itself when it is no And, is one clause, a literal a unit clause
+        and an Or the clause of its arguments; each And or Or below that
+        gets an auxiliary (Plaisted-Greenbaum, positive side).  No clause
+        repeats a literal: f_and and f_or drop repeated arguments, distinct
+        literals have distinct atoms or signs, and auxiliaries are fresh."""
         def lit_of(g) -> int:
             if isinstance(g, Lit):
                 lit = g.lit
@@ -989,8 +1005,8 @@ class _Skeleton:
                 return aux
             raise TypeError(f"unexpected node in NNF formula: {g!r}")
 
-        root = lit_of(f)
-        self.clauses.append([root])
+        for g in f.args if isinstance(f, And) else (f,):
+            self.clauses.append([lit_of(a) for a in g.args] if isinstance(g, Or) else [lit_of(g)])
 
     def _aux(self) -> int:
         # aux variables live above the atom range; ids fixed after build
@@ -1000,6 +1016,8 @@ class _Skeleton:
     def finalize(self):
         """Renumber aux vars to follow atoms; return total var count."""
         n_atoms = len(self.atoms)
+        if not self.n_aux:
+            return n_atoms
         mapping = {}
         for clause in self.clauses:
             for i, lit in enumerate(clause):
@@ -1144,8 +1162,11 @@ class _CDCL:
         self.cursor = 1  # every variable below it is assigned
         self.decisions = 0
         self.ok = True
-        for c in clauses:
-            self._attach(list(dict.fromkeys(c)))
+        for c in clauses:  # duplicate-free, as _Skeleton and _bound_axioms build them
+            if len(c) == 1:
+                self._unit(c[0])
+            else:
+                self._store(c)
 
     # -- plumbing ------------------------------------------------------
 
@@ -1162,26 +1183,16 @@ class _CDCL:
         self.reason[var] = reason
         self.trail.append(lit)
 
-    def _attach(self, clause: List[int]) -> bool:
-        """Add a clause; returns False if it makes the instance unsat."""
-        if not clause:
+    def _unit(self, lit: int) -> bool:
+        """Assert a unit clause at level 0; returns False if that makes
+        the instance unsat."""
+        self._backjump(0)
+        val = self._value(lit)
+        if val is None:
+            self._assign(lit, None)
+        elif val is False:
             self.ok = False
             return False
-        if len(clause) == 1:
-            lit = clause[0]
-            val = self._value(lit)
-            if val is False and self.level[abs(lit)] == 0:
-                self.ok = False
-                return False
-            # enqueue at level 0
-            self._backjump(0)
-            if self._value(lit) is None:
-                self._assign(lit, None)
-            elif self._value(lit) is False:
-                self.ok = False
-                return False
-            return True
-        self._store(clause)
         return True
 
     def _store(self, clause: List[int]) -> int:
@@ -1293,7 +1304,7 @@ class _CDCL:
     def _learn(self, learned: List[int], back: int) -> bool:
         self._backjump(back)
         if len(learned) == 1:
-            return self._attach(learned)
+            return self._unit(learned[0])
         ci = self._store(learned)
         if self._value(learned[0]) is None:
             self._assign(learned[0], ci)
@@ -1310,7 +1321,7 @@ class _CDCL:
         if not clause:
             return False
         if len(clause) == 1:
-            return self._attach(clause)
+            return self._unit(clause[0])
         clause.sort(key=lambda l: -self.level.get(abs(l), 0))
         back = self.level.get(abs(clause[1]), 0)
         ci = self._store(clause)
@@ -1368,6 +1379,12 @@ class _CDCL:
 # --------------------------------------------------------------------------
 
 
+def _accept(assign: Dict[int, bool]) -> None:
+    """on_full of a query with no theory atoms: every full assignment is a
+    model."""
+    return None
+
+
 def check_sat(f: Formula, mode: Sort) -> SatResult:
     """Decide a call-free NNF formula; produce a model when it is sat."""
     if isinstance(f, Top):
@@ -1378,55 +1395,56 @@ def check_sat(f: Formula, mode: Sort) -> SatResult:
     skel = _Skeleton()
     skel.build(f)
     nvars = skel.finalize()
-    forms: Dict[Cmp, tuple] = {}
-    if mode is not Sort.BOOL:
-        skel.clauses += _bound_axioms(skel.atoms, mode, forms)
-    theory_checks = [0]
+    # the theory atoms with their search variables; none in Boolean mode,
+    # where the first full assignment is a model
+    theory = [(aid + 1, atom) for aid, atom in enumerate(skel.atoms) if type(atom) is not BoolLit]
+    on_full = _accept
     # the values of the accepted full assignment; a list and not an
     # attribute of on_full, which would make the closure a reference
     # cycle that holds the skeleton until a full garbage collection
-    result = [None]
+    result = [{}]
+    if theory:
+        forms: Dict[Cmp, tuple] = {}
+        if mode is not Sort.BOOL:
+            skel.clauses += _bound_axioms(skel.atoms, mode, forms)
+        theory_checks = [0]
 
-    def on_full(assign: Dict[int, bool]):
-        theory_checks[0] += 1
-        if theory_checks[0] > MAX_THEORY_CHECKS:
-            return "budget"
-        asserted = []
-        bool_vals = {}
-        for aid, atom in enumerate(skel.atoms):
-            val = assign[aid + 1]
-            if isinstance(atom, BoolLit):
-                bool_vals[atom.var] = val
-            elif val or not isinstance(atom, Cmp):
-                # a false comparison atom carries no obligation: comparisons
-                # occur only positively in NNF
-                asserted.append((atom, val))
-        status, payload = _TheoryCheck(mode, forms).decide(asserted)
-        if status == "sat":
-            result[0] = (payload, bool_vals)
-            return None
-        # blocking clause: negate the conjunction that was refuted
-        clause = []
-        for lit, val in payload.literals:
-            aid = skel.atom_ids[lit] + 1
-            clause.append(-aid if val else aid)
-        return clause
+        def on_full(assign: Dict[int, bool]):
+            theory_checks[0] += 1
+            if theory_checks[0] > MAX_THEORY_CHECKS:
+                return "budget"
+            # a false comparison atom carries no obligation: comparisons
+            # occur only positively in NNF
+            asserted = [
+                (atom, val) for var, atom in theory if (val := assign[var]) or type(atom) is not Cmp
+            ]
+            status, payload = _TheoryCheck(mode, forms).decide(asserted)
+            if status == "sat":
+                result[0] = payload
+                return None
+            # blocking clause: negate the conjunction that was refuted
+            clause = []
+            for lit, val in payload.literals:
+                aid = skel.atom_ids[lit] + 1
+                clause.append(-aid if val else aid)
+            return clause
 
-    status, payload = _CDCL(nvars, skel.clauses).search(on_full)
+    status, assign = _CDCL(nvars, skel.clauses).search(on_full)
     if status == "unsat":
         return SatResult("unsat")
     if status == "unknown":
         return SatResult("unknown", reason="decision budget exhausted")
-    arith_vals, bool_vals = result[0]
-    # the atoms have exactly the variables of f, and each Boolean one is
-    # assigned in the full assignment
-    model = Model(bool_vals)
-    for atom in skel.atoms:
-        if not isinstance(atom, BoolLit):
-            for v, _ in atom.term.coeffs:
-                val = model[v] = arith_vals.get(v, 0)
-                if mode is Sort.INT and val.denominator != 1:
-                    raise SelfCheckFailed(f"non-integral value {val} for {v!r}")
+    # the atoms have exactly the variables of f
+    model = Model()
+    for aid, atom in enumerate(skel.atoms):
+        if type(atom) is BoolLit:
+            model[atom.var] = assign[aid + 1]
+    arith_vals = result[0]
+    for _, atom in theory:
+        for v, _ in atom.term.coeffs:
+            val = model[v] = arith_vals.get(v, 0)
+            if mode is Sort.INT and val.denominator != 1:
+                raise SelfCheckFailed(f"non-integral value {val} for {v!r}")
     # a solver bug becomes a loud failure, not a wrong answer
     if not eval_formula(f, model):
         raise SelfCheckFailed(f"model check failed for {f!r} -> {model!r}")

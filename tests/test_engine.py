@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import recmc.driver
+import recmc.program
 from helpers import DATA, CheckedBndSafety, equivalent, fact_valuations
 from recmc.driver import check
 from recmc.engine import BndSafety, EngineConfig, bounded_safety
@@ -9,8 +11,10 @@ from recmc.formula import (
     EQ,
     LT,
     And,
+    Call,
     LinTerm,
     Lit,
+    Or,
     Sort,
     eval_formula,
     formula_size,
@@ -244,3 +248,54 @@ class TestCubeFacts:
             assert eval_formula(got, total_model(model, proc.all_vars))
             exact = project(list(elim), matrix, None, strategy="qe")
             assert entails(got, exact, unit.program.mode)
+
+
+def _call_atoms(f):
+    if isinstance(f, Call):
+        return 1
+    return sum(map(_call_atoms, f.args)) if isinstance(f, (And, Or)) else 0
+
+
+class TestCallInstances:
+    """One check renames each call instance once; validation renames
+    every call again, without the memo."""
+
+    @pytest.fixture
+    def renamings(self, monkeypatch):
+        """Every renaming that instantiate makes, as (formula, mapping), in
+        two lists: made inside validate_proof and made elsewhere."""
+        made = {"check": [], "validate": []}
+        side = ["check"]
+        rename, validate = recmc.program.rename_vars, recmc.driver.validate_proof
+
+        def recording(f, mapping):
+            made[side[0]].append((f, tuple(mapping.items())))
+            return rename(f, mapping)
+
+        def validating(*args):
+            side[0] = "validate"
+            try:
+                return validate(*args)
+            finally:
+                side[0] = "check"
+
+        monkeypatch.setattr(recmc.program, "rename_vars", recording)
+        monkeypatch.setattr(recmc.driver, "validate_proof", validating)
+        return made
+
+    def test_one_renaming_per_call_and_callee_entry(self, renamings):
+        unit = gen_bebop(8, True)
+        verdict = check(unit.program, unit.phi_safe, max_bound=20)
+        assert verdict.status == "SAFE"
+        made = renamings["check"]
+        assert len(made) > 50
+        assert len(set(made)) == len(made)
+
+    def test_validate_proof_renames_calls_itself(self, renamings):
+        unit = gen_bebop(8, True)
+        verdict = check(unit.program, unit.phi_safe, max_bound=20)
+        calls = sum(_call_atoms(proc.body) for proc in unit.program.procedures.values())
+        # every call of every body, each one the check already renamed
+        made = renamings["validate"]
+        assert len(made) == calls
+        assert set(made) <= set(renamings["check"])

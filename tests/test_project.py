@@ -198,6 +198,11 @@ class TestLraProj:
         with pytest.raises(SelfCheckFailed, match="of x"):
             lra_proj(x, mk_cmp(LT, tx), Model({x: Fraction(-1)}))
 
+    def test_absent_variable_leaves_the_matrix(self):
+        # the one case is minus infinity, and its disjunct is the matrix
+        f = f_or([mk_cmp(LE, ty.sub(tz)), Lit(BoolLit(p1))])
+        assert lra_proj(x, f, Model({y: 0, z: 1, p1: False})) == f
+
 
 class TestCooper:
     def test_even_point_in_interval(self):
@@ -300,6 +305,12 @@ class TestLiaProj:
         monkeypatch.setattr(recmc.project, "_cooper_cases", lambda x_, g: iter(cases))
         with pytest.raises(SelfCheckFailed, match="of x"):
             lia_proj(xi, mk_cmp(LT, txi), Model({xi: Fraction(-1)}))
+
+    def test_absent_variable_leaves_the_matrix(self):
+        # the one case is minus infinity with residue 0, and its disjunct
+        # is the matrix
+        f = f_and([mk_cmp(LT, tyi.sub(tzi)), mk_lit(DivLit(2, tyi))])
+        assert lia_proj(xi, f, Model({yi: 0, zi: 1})) == f
 
 
 class TestProject:

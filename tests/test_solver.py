@@ -111,6 +111,79 @@ class TestBasics:
         assert check_sat(f, Sort.INT).is_unsat
 
 
+@pytest.fixture
+def loaded(monkeypatch):
+    """The _CDCL searches that check_sat makes, each with a copy of the
+    clauses it was handed (the search reorders them in place)."""
+    made = []
+
+    class Recording(solver._CDCL):
+        def __init__(self, nvars, clauses):
+            self.given = [list(c) for c in clauses]
+            super().__init__(nvars, clauses)
+            made.append(self)
+
+    monkeypatch.setattr(solver, "_CDCL", Recording)
+    return made
+
+
+def _b(v, positive=True):
+    return Lit(BoolLit(v, positive))
+
+
+class TestClausification:
+    """Each top-level conjunct is one clause; only And and Or nodes below
+    it get an auxiliary, numbered after the atoms."""
+
+    def test_top_level_conjuncts_need_no_auxiliary(self, loaded):
+        f = f_and([_b(p), _b(q, False), f_or([_b(q), _b(r), _b(p, False)])])
+        assert check_sat(f, Sort.BOOL).is_sat
+        (cdcl,) = loaded
+        assert cdcl.nvars == 3
+        assert cdcl.given == [[1], [-2], [2, 3, -1]]
+
+    def test_top_level_disjunction_is_one_clause(self, loaded):
+        # x < 0 or y < 0: atoms on different variables get no bound axiom
+        f = f_or([mk_cmp(LT, tx), mk_cmp(LT, ty)])
+        assert check_sat(f, Sort.RAT).is_sat
+        assert loaded[0].nvars == 2 and loaded[0].given == [[1, 2]]
+
+    def test_nested_and_under_or_gets_an_auxiliary(self, loaded):
+        f = f_and([_b(p), f_or([_b(q), f_and([_b(r), _b(p, False)])])])
+        assert check_sat(f, Sort.BOOL).is_sat
+        assert loaded[0].nvars == 4
+        assert loaded[0].given == [[1], [-4, 3], [-4, -1], [2, 4]]
+
+    def test_contradictory_units_need_no_decision(self, loaded):
+        assert check_sat(f_and([_b(p), _b(p, False)]), Sort.BOOL).is_unsat
+        assert loaded[0].decisions == 0 and not loaded[0].ok
+
+    def test_boolean_mode_builds_no_theory_check(self, monkeypatch):
+        def no_theory(*args):
+            raise AssertionError("theory check in Boolean mode")
+
+        monkeypatch.setattr(solver._TheoryCheck, "__init__", no_theory)
+        monkeypatch.setattr(solver.Simplex, "__init__", no_theory)
+        rng = random.Random(13)
+        vs = mk_vars([f"b{i}" for i in range(5)], Sort.BOOL)
+        for _ in range(150):
+            f = random_nnf(rng, vs, Sort.BOOL, rng.randint(1, 8))
+            res = check_sat(f, Sort.BOOL)
+            assert res.is_sat == truth_table_sat(f, vs)
+            assert not res.is_sat or eval_formula(f, res.model)
+
+    @pytest.mark.parametrize("mode", [Sort.BOOL, Sort.RAT, Sort.INT])
+    def test_clauses_are_duplicate_free(self, mode, loaded):
+        # skeleton and bound-axiom clauses go to the search as built
+        rng = random.Random(19)
+        vs = [x, y, z] if mode is Sort.RAT else [xi, yi, zi] if mode is Sort.INT else [p, q, r]
+        for _ in range(150):
+            check_sat(random_nnf(rng, vs, mode, rng.randint(1, 10)), mode)
+        clauses = [c for cdcl in loaded for c in cdcl.given]
+        assert len(clauses) > 500
+        assert all(len(set(c)) == len(c) for c in clauses)
+
+
 def _no_shadows(monkeypatch):
     """Make the Omega test's inexact step, the dark and grey shadows, raise."""
 
