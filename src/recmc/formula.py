@@ -35,7 +35,7 @@ import enum
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Iterable, Mapping, Union
 
 from .errors import NotNormalized, PathExplosion, UnassignedVar
@@ -481,25 +481,74 @@ def negate_nnf(f: Formula) -> Formula:
     raise TypeError(f"cannot negate {f!r}")
 
 
+def map_literals(f: Formula, fn) -> Formula:
+    """f with each literal node g replaced by fn(g), rebuilt through f_and
+    and f_or; calls and constants are kept.
+
+    An And or Or whose arguments all come back unchanged is returned
+    itself, so f is returned when fn returns every literal node it is
+    given.  As in f_and and f_or, a false argument decides an And and a
+    true one an Or, and the arguments after it are not mapped.  Nesting
+    is held in a list of frames, not on the call stack."""
+    if not isinstance(f, (And, Or)):
+        return fn(f) if isinstance(f, Lit) else f
+    stack = []  # (node, next argument, arguments mapped) of the nodes above
+    node, i, done = f, 0, []
+    while True:
+        args = node.args
+        decides = Bottom if isinstance(node, And) else Top
+        out = None
+        while i < len(args):
+            a = args[i]
+            i += 1
+            if isinstance(a, Lit):
+                a = fn(a)
+            elif isinstance(a, (And, Or)):
+                stack.append((node, i, done))
+                node, i, done = a, 0, []
+                break
+            if isinstance(a, decides):
+                out = a
+                break
+            done.append(a)
+        else:
+            out = node if all(map(is_, done, args)) else (f_and if decides is Bottom else f_or)(done)
+        # out is None when an argument was entered, else the value of node,
+        # an argument of the node above; when it decides that node too, it
+        # is that node's value
+        while out is not None:
+            if not stack:
+                return out
+            node, i, done = stack.pop()
+            if not isinstance(out, Bottom if isinstance(node, And) else Top):
+                done.append(out)
+                out = None
+
+
+def leaves(f: Formula):
+    """The literal and call nodes of f, left to right, in bounded stack."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Lit):
+            yield g
+        elif isinstance(g, (And, Or)):
+            stack.extend(reversed(g.args))
+        elif isinstance(g, Call):
+            yield g
+
+
 def free_vars(f: Formula) -> frozenset:
-    if isinstance(f, Lit):
+    if isinstance(f, Lit):  # the common single literal, without a walk
         return frozenset(literal_vars(f.lit))
-    if isinstance(f, (And, Or)):
-        out = frozenset()
-        for a in f.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(f, Call):
-        return frozenset(f.args)
-    return frozenset()
+    out = set()
+    for g in leaves(f):
+        out.update(literal_vars(g.lit) if isinstance(g, Lit) else g.args)
+    return frozenset(out)
 
 
 def has_calls(f: Formula) -> bool:
-    if isinstance(f, Call):
-        return True
-    if isinstance(f, (And, Or)):
-        return any(has_calls(a) for a in f.args)
-    return False
+    return any(isinstance(g, Call) for g in leaves(f))
 
 
 def eval_formula(f: Formula, model: Mapping[Var, Value]) -> bool:
@@ -551,65 +600,47 @@ def _implicant_lits(f: Formula, model, out: list) -> bool:
 # --------------------------------------------------------------------------
 
 
-def _map_literal_vars(lit: Literal, mapping: Mapping[Var, Var]) -> Literal:
-    if isinstance(lit, BoolLit):
-        return BoolLit(mapping.get(lit.var, lit.var), lit.positive)
-    term = lit.term.subst(
-        {v: LinTerm.of_var(mapping[v]) for v in lit.term.vars if v in mapping}
-    )
-    if isinstance(lit, Cmp):
-        return Cmp(lit.op, term)
-    return DivLit(lit.divisor, term, lit.positive)
-
-
 def rename_vars(f: Formula, mapping: Mapping[Var, Var]) -> Formula:
-    """Variable-for-variable renaming, also applied to call arguments."""
-    if isinstance(f, Lit):
-        return mk_lit(_map_literal_vars(f.lit, mapping))
-    if isinstance(f, And):
-        return f_and(rename_vars(a, mapping) for a in f.args)
-    if isinstance(f, Or):
-        return f_or(rename_vars(a, mapping) for a in f.args)
-    if isinstance(f, Call):
-        return Call(f.callee, tuple(mapping.get(v, v) for v in f.args))
-    return f
+    """Variable-for-variable renaming of a call-free formula."""
+
+    def rule(g):
+        lit = g.lit
+        if isinstance(lit, BoolLit):
+            w = mapping.get(lit.var)
+            return g if w is None else Lit(BoolLit(w, lit.positive))
+        return subst_arith(g, {v: LinTerm.of_var(mapping[v]) for v in lit.term.vars if v in mapping})
+
+    return map_literals(f, rule)
 
 
 def subst_arith(f: Formula, mapping: Mapping[Var, LinTerm]) -> Formula:
     """Replace arithmetic variables by terms in a call-free formula."""
-    if isinstance(f, Lit):
-        lit = f.lit
+
+    def rule(g):
+        lit = g.lit
         if isinstance(lit, BoolLit):
             assert lit.var not in mapping, "cannot substitute a term for a boolean"
-            return f
+            return g
         term = lit.term.subst(mapping)
         if term is lit.term:
-            return f  # built by mk_lit, so already canonical
+            return g  # built by mk_lit, so already canonical
         if isinstance(lit, Cmp):
             return mk_cmp(lit.op, term)
         return mk_lit(DivLit(lit.divisor, term, lit.positive))
-    if isinstance(f, And):
-        return f_and(subst_arith(a, mapping) for a in f.args)
-    if isinstance(f, Or):
-        return f_or(subst_arith(a, mapping) for a in f.args)
-    if isinstance(f, Call):
-        assert not any(v in mapping for v in f.args)
-        return f
-    return f
+
+    return map_literals(f, rule)
 
 
 def subst_bool(f: Formula, mapping: Mapping[Var, bool]) -> Formula:
     """Replace boolean variables by constants, folding the result."""
-    if isinstance(f, Lit):
-        lit = f.lit
+
+    def rule(g):
+        lit = g.lit
         if isinstance(lit, BoolLit) and lit.var in mapping:
             return TRUE if mapping[lit.var] == lit.positive else FALSE
-        return f
-    if isinstance(f, And):
-        return f_and(subst_bool(a, mapping) for a in f.args)
-    if isinstance(f, Or):
-        return f_or(subst_bool(a, mapping) for a in f.args)
-    return f
+        return g
+
+    return map_literals(f, rule)
 
 
 # --------------------------------------------------------------------------
@@ -761,19 +792,13 @@ def lia_normalize(x: Var, f: Formula):
     coefficient of x is not integral.
     """
     coeffs = set()
-
-    def collect(g):
+    for g in leaves(f):
         if isinstance(g, Lit) and not isinstance(g.lit, BoolLit):
             c = g.lit.term.coeff(x)
             if c != 0:
                 if c.denominator != 1:
                     raise NotNormalized(f"coefficient {c} of {x!r} in integer mode")
                 coeffs.add(abs(c.numerator))
-        elif isinstance(g, (And, Or)):
-            for a in g.args:
-                collect(a)
-
-    collect(f)
     if not coeffs or coeffs == {1}:
         return f, 1, x
     mult = lcm(*coeffs)
@@ -781,29 +806,23 @@ def lia_normalize(x: Var, f: Formula):
     yterm = LinTerm.of_var(y)
 
     def rewrite(g):
-        if isinstance(g, Lit):
-            lit = g.lit
-            if isinstance(lit, BoolLit):
-                return g
-            c = lit.term.coeff(x)
-            if c == 0:
-                return g
-            m = mult // abs(c)  # an int: mult is a multiple of every |c|
-            scaled = lit.term.scale(m)  # coefficient of x is now +-mult
-            cx = scaled.coeff(x)
-            newterm = scaled.sub(LinTerm(((x, cx),), 0)).add(
-                yterm.scale(_div(cx, mult))
-            )
-            if isinstance(lit, Cmp):
-                return mk_cmp(lit.op, newterm)
-            return mk_lit(DivLit(lit.divisor * m, newterm, lit.positive))
-        if isinstance(g, And):
-            return f_and(rewrite(a) for a in g.args)
-        if isinstance(g, Or):
-            return f_or(rewrite(a) for a in g.args)
-        return g
+        lit = g.lit
+        if isinstance(lit, BoolLit):
+            return g
+        c = lit.term.coeff(x)
+        if c == 0:
+            return g
+        m = mult // abs(c)  # an int: mult is a multiple of every |c|
+        scaled = lit.term.scale(m)  # coefficient of x is now +-mult
+        cx = scaled.coeff(x)
+        newterm = scaled.sub(LinTerm(((x, cx),), 0)).add(
+            yterm.scale(_div(cx, mult))
+        )
+        if isinstance(lit, Cmp):
+            return mk_cmp(lit.op, newterm)
+        return mk_lit(DivLit(lit.divisor * m, newterm, lit.positive))
 
-    out = f_and([rewrite(f), mk_lit(DivLit(mult, yterm, True))])
+    out = f_and([map_literals(f, rewrite), mk_lit(DivLit(mult, yterm, True))])
     return out, mult, y
 
 

@@ -18,8 +18,9 @@ and psi ∧ b unsatisfiable.  The mode alone picks the method:
   denominators, so that the interpolant keeps integral coefficients.
   A clausal conflict contributes the literals of a that it names.  A
   path falls back to its strongest interpolant when the combination or
-  the named literals mention a-local variables, or when its pair with a
-  path of b is satisfiable, which only a satisfiable a ∧ b allows.
+  the named literals mention a-local variables.  A path of a whose pair
+  with a path of b is satisfiable makes a ∧ b satisfiable, and raises
+  NotUnsat at once.
 
 The contract (a => psi, psi ∧ b unsat, vars ⊆ shared) is re-checked
 with the solver on every call.  When it holds, a ∧ b is unsat, so that
@@ -106,10 +107,7 @@ def _farkas_itp(a, b, shared, mode) -> Formula:
             valued = [(l, True) for l in pa.literals] + [(l, True) for l in pb.literals]
             status, cert = refute_conjunction(valued, mode)
             if status != "unsat":
-                # a satisfiable pair makes a ∧ b satisfiable, which the
-                # contract check in itp reports as NotUnsat
-                conjuncts = [_strongest(pa.formula(), shared)]
-                break
+                raise NotUnsat("interpolation query is satisfiable")
             conj = _conjunct_from_cert(cert, a_lits, shared, mode)
             if conj is None:
                 conjuncts = [_strongest(pa.formula(), shared)]

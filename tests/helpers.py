@@ -36,7 +36,7 @@ from recmc.formula import (
     negate_nnf,
 )
 from recmc.program import AssertionMap, instantiate, over_env, under_env
-from recmc.project import cooper_cases, project
+from recmc.project import _cooper_cases, project
 from recmc.solver import Model, entails
 
 DATA = Path(__file__).parent / "data"
@@ -120,7 +120,7 @@ def window_sat_int(f, vars_, lo, hi):
 
 # --------------------------------------------------------------------------
 # The differential oracle for integer conjunctions: a depth-first walk over
-# the Cooper disjuncts that project.cooper_cases yields for one variable at
+# the Cooper disjuncts that project._cooper_cases yields for one variable at
 # a time.  Substituting a test term into a conjunction gives another
 # conjunction, so elimination never materializes the full disjunction;
 # branches that fold to false are pruned before recursing and the first
@@ -174,8 +174,8 @@ def _icsat(f, counter):
     g, mult, y = lia_normalize(x, f)
     if isinstance(g, Bottom):
         return None
-    for case, witness in cooper_cases(y, g):
-        m = _icsat(case, counter)
+    for _, build, witness in _cooper_cases(y, g):
+        m = _icsat(build(), counter)
         if m is not None:
             yval = witness(m)
             if yval.denominator != 1 or yval % mult != 0:

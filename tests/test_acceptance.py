@@ -40,7 +40,7 @@ from recmc.generators import (
 from recmc.interpolate import _strongest, itp
 from recmc.parser import parse
 from recmc.program import bool_bounded_semantics, bool_unbounded_semantics
-from recmc.project import _collect, lw_qe, project, split_weak_bounds
+from recmc.project import _collect, project, split_weak_bounds
 from recmc.solver import check_sat, entails
 
 PASS = "criterion {n}: PASS - {msg}"
@@ -181,7 +181,6 @@ def test_criterion_04_lra_worked_example():
             f_and([mk_cmp(LT, tx.sub(tu)), Lit(BoolLit(p2))]),
         ]
     )
-    from recmc.project import lra_proj
     from recmc.solver import Model
 
     expansions = {
@@ -205,9 +204,9 @@ def test_criterion_04_lra_worked_example():
         ),
     }
     for name, (model, want) in expansions.items():
-        got = lra_proj(x, matrix, model)
+        got = project([x], matrix, model)
         assert equivalent(got, want, Sort.RAT), name
-    whole = lw_qe(x, matrix)
+    whole = project([x], matrix, None, strategy="qe")
     target = f_or([Lit(BoolLit(p1)), mk_cmp(LT, tl.sub(tu)), Lit(BoolLit(p2))])
     assert equivalent(whole, target, Sort.RAT)
     print(PASS.format(n=4, msg="all three projection branches match the documented expansion lines"))

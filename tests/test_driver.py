@@ -20,7 +20,7 @@ from recmc.driver import (
     validate_proof,
 )
 from recmc.engine import BndSafety
-from recmc.errors import SelfCheckFailed
+from recmc.errors import ProvenanceGap, SelfCheckFailed
 from recmc.formula import (
     EQ,
     LE,
@@ -483,6 +483,35 @@ class TestBounds:
         assert verdict.status == "UNSAFE"
         assert verdict.cex.root.children == ()
         assert validate_cex(unit.program, verdict.cex, unit.phi_safe)
+
+
+_ONE_NODE = """
+    (program (mode rat)
+      (procedure P (in i) (out o) (body (= o (+ i 1))))
+      (main P)
+      (assert-safe (<= o i)))
+"""
+
+
+class TestReplayGuards:
+    """build_cex reads facts the engine recorded; bookkeeping it cannot
+    replay is a ProvenanceGap, not a counterexample."""
+
+    def test_no_violating_model(self):
+        # no reachability fact: main's under-approximation is false
+        unit = parse(_ONE_NODE)
+        engine = BndSafety(unit.program, unit.phi_safe)
+        with pytest.raises(ProvenanceGap, match="no violating model"):
+            build_cex(engine, 0)
+
+    def test_fact_without_path_index(self):
+        # the first fact that the violating model satisfies names no path
+        unit = parse(_ONE_NODE)
+        engine = BndSafety(unit.program, unit.phi_safe)
+        fact, _ = engine.rho.add("P", 0, TRUE)
+        assert fact.path_index is None
+        with pytest.raises(ProvenanceGap, match=f"fact {fact.fact_id} has no path index"):
+            build_cex(engine, 0)
 
 
 class TestProofMutation:

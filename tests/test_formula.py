@@ -43,15 +43,23 @@ from recmc.formula import (
     eval_literal,
     f_and,
     f_or,
+    free_vars,
+    has_calls,
     implicant,
+    leaves,
     lia_normalize,
+    literal_vars,
+    map_literals,
     mk_cmp,
     mk_lit,
     negate_nnf,
     normalize_for,
+    rename_vars,
+    subst_arith,
+    subst_bool,
 )
 from recmc.parser import parse
-from recmc.project import cooper_cases
+from recmc.project import _collect, _cooper_cases, split_weak_bounds
 from recmc.solver import entails
 
 p, q = mk_vars(["p", "q"], Sort.BOOL)
@@ -607,6 +615,113 @@ class TestSubst:
         assert set(got.vars) <= set(rest.vars)
 
 
+def _reference_literals(f):
+    """The literal nodes of f, by recursion: the walkers' reference."""
+    if isinstance(f, Lit):
+        return [f]
+    if isinstance(f, (And, Or)):
+        return [g for a in f.args for g in _reference_literals(a)]
+    return []
+
+
+_WALK_CASES = [
+    (Sort.RAT, mk_vars(["x", "y", "z"], Sort.RAT) + [p, q]),
+    (Sort.INT, mk_vars(["x", "y", "z"], Sort.INT) + [p, q]),
+]
+
+
+class TestWalkers:
+    """map_literals and leaves, and the substitutions built on them."""
+
+    @pytest.mark.parametrize("mode, vars_", _WALK_CASES, ids=["rat", "int"])
+    def test_identity_map_returns_the_formula(self, mode, vars_):
+        rng = random.Random(71)
+        for _ in range(100):
+            f = random_nnf(rng, vars_, mode, rng.randint(1, 8))
+            assert map_literals(f, lambda g: g) is f
+            assert list(leaves(f)) == _reference_literals(f)
+
+    @pytest.mark.parametrize("mode, vars_", _WALK_CASES, ids=["rat", "int"])
+    def test_substitutions_agree_with_eval(self, mode, vars_):
+        rng = random.Random(73)
+        xv, yv, zv = vars_[:3]
+        w, r = Var("w", mode), Var("r", Sort.BOOL)
+        for _ in range(150):
+            f = random_nnf(rng, vars_, mode, rng.randint(1, 8))
+            m = random_model(rng, vars_ + [w, r])
+            t = LinTerm.make({yv: rng.choice([-2, -1, 1, 2]), zv: 1}, rng.randint(-3, 3))
+            want = eval_formula(f, {**m, xv: t.evaluate(m)})
+            assert eval_formula(subst_arith(f, {xv: t}), m) == want
+            b = rng.random() < 0.5
+            assert eval_formula(subst_bool(f, {p: b}), m) == eval_formula(f, {**m, p: b})
+            renamed = rename_vars(f, {xv: w, p: r})
+            assert eval_formula(renamed, m) == eval_formula(f, {**m, xv: m[w], p: m[r]})
+            assert xv not in free_vars(renamed) and p not in free_vars(renamed)
+
+    @pytest.mark.parametrize("mode, vars_", _WALK_CASES, ids=["rat", "int"])
+    def test_free_vars_is_the_union_of_literal_vars(self, mode, vars_):
+        rng = random.Random(79)
+        call = Call("P", (vars_[0], p))
+        for _ in range(100):
+            f = random_nnf(rng, vars_, mode, rng.randint(1, 8))
+            want = frozenset(v for g in _reference_literals(f) for v in literal_vars(g.lit))
+            assert free_vars(f) == want
+            assert not has_calls(f)
+            if f in (TRUE, FALSE):
+                continue
+            with_call = f_and([f, call])
+            assert free_vars(with_call) == want | {vars_[0], p}
+            assert has_calls(with_call) and has_calls(f_or([f, call]))
+
+    def test_false_argument_decides_an_and(self):
+        # the arguments after it are not mapped
+        r = Var("r", Sort.BOOL)
+        seen = []
+
+        def rule(g):
+            seen.append(g)
+            return FALSE if g in (lit(p), lit(r)) else g
+
+        f = f_or([lit(q), f_and([lit(p), mk_cmp(LT, tx), mk_cmp(LT, ty)])])
+        assert map_literals(f, rule) == lit(q)
+        assert seen == [lit(q), lit(p)]
+        # an Or that comes out false decides the And above it in turn
+        seen.clear()
+        f = f_and([f_or([lit(p), lit(r)]), mk_cmp(LT, tx), mk_cmp(LT, ty)])
+        assert map_literals(f, rule) == FALSE
+        assert seen == [lit(p), lit(r)]
+
+    def test_deep_formula_in_bounded_stack(self):
+        # every walker runs on a formula far deeper than the recursion
+        # limit: alternating And and Or, 10,000 levels
+        depth = 10_000
+        assert depth > sys.getrecursionlimit()
+        xi, yi, wi = mk_vars(["x", "y", "w"], Sort.INT)
+        txi, tyi = LinTerm.of_var(xi), LinTerm.of_var(yi)
+        f = lit(p)
+        for i in range(depth):
+            if i % 2:
+                atom = mk_cmp(LT, tyi.sub(LinTerm.of_const(i)))  # y < i
+            else:
+                atom = mk_cmp(LE, txi.scale(2).sub(tyi).add(LinTerm.of_const(i)))
+            f = (f_and if i % 2 else f_or)([atom, f])
+        assert free_vars(f) == {xi, yi, p}
+        assert not has_calls(f)
+        assert map_literals(f, lambda g: g) is f
+        eqs, lows, highs, period = _collect(yi, f, Sort.INT)
+        assert (len(eqs), len(lows), len(highs), period) == (0, depth // 2, depth // 2, 1)
+        g, mult, y2 = lia_normalize(xi, f)
+        assert mult == 2 and free_vars(g) == {y2, yi, p}
+        g = subst_arith(f, {xi: tyi})
+        assert free_vars(g) == {yi, p} and len(list(leaves(g))) == depth + 1
+        g = subst_bool(f, {p: False})  # the innermost Or drops it
+        assert free_vars(g) == {xi, yi} and len(list(leaves(g))) == depth
+        g = rename_vars(f, {xi: wi})
+        assert free_vars(g) == {wi, yi, p} and len(list(leaves(g))) == depth + 1
+        g = split_weak_bounds(xi, f)
+        assert len(list(leaves(g))) == depth + 1 + depth // 2
+
+
 def _int_where_integral(n) -> bool:
     """An int where integral, a Fraction where not, never a float."""
     return type(n) is int or (type(n) is Fraction and n.denominator != 1)
@@ -688,8 +803,8 @@ class TestNumberRule:
                 continue
             v = rng.choice(xs)
             g, _, w = lia_normalize(v, f)
-            for case, witness in cooper_cases(w, g):
-                _assert_formula_numbers(case)
+            for _, build, witness in _cooper_cases(w, g):
+                _assert_formula_numbers(build())
                 # the Cooper walk reads its own models with int values
                 for m in ({u: Fraction(rng.randint(-4, 4)) for u in xs}, {u: 1 for u in xs}, {}):
                     assert _int_where_integral(witness(m))

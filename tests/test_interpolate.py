@@ -29,7 +29,7 @@ from recmc.formula import (
     negate_nnf,
 )
 from recmc.interpolate import _strongest, itp
-from recmc.project import lw_qe
+from recmc.project import project
 from recmc.solver import check_sat, entails
 
 x, y, s0, s1, a0, a1, b0 = mk_vars(["x", "y", "s0", "s1", "a0", "a1", "b0"], Sort.RAT)
@@ -53,7 +53,7 @@ class TestExamples:
         )
         b = mk_cmp(LE, tx)
         # oracle first: the projection of a onto x is 1 < x
-        proj = lw_qe(y, a)
+        proj = project([y], a, None, strategy="qe")
         assert equivalent(proj, mk_cmp(LT, LinTerm.of_const(1).sub(tx)), Sort.RAT)
         psi = itp(a, b, frozenset([x]), Sort.RAT)
         assert contract_ok(a, b, frozenset([x]), Sort.RAT, psi)

@@ -14,7 +14,7 @@ from helpers import (
     window_sat_int,
 )
 import recmc.project
-from recmc.errors import ModelMismatch, NotNormalized, SelfCheckFailed, WrongMode
+from recmc.errors import ModelMismatch, NotNormalized, SelfCheckFailed
 from recmc.formula import (
     EQ,
     FALSE,
@@ -35,14 +35,7 @@ from recmc.formula import (
     mk_cmp,
     mk_lit,
 )
-from recmc.project import (
-    cooper_qe,
-    lia_proj,
-    lra_proj,
-    lw_qe,
-    project,
-    split_weak_bounds,
-)
+from recmc.project import _cooper_cases, project
 from recmc.solver import (
     Model,
     check_sat,
@@ -83,36 +76,32 @@ def worked_matrix():
 
 class TestLwQe:
     def test_single_equality_is_trivial(self):
-        assert lw_qe(x, mk_cmp(EQ, tx.sub(ty))) == TRUE
+        assert project([x], mk_cmp(EQ, tx.sub(ty)), None, strategy="qe") == TRUE
 
     def test_density(self):
         f = f_and([mk_cmp(LT, ty.sub(tx)), mk_cmp(LT, tx.sub(tz))])
-        assert lw_qe(x, f) == mk_cmp(LT, ty.sub(tz))
+        assert project([x], f, None, strategy="qe") == mk_cmp(LT, ty.sub(tz))
 
     def test_worked_example(self):
-        got = lw_qe(x, worked_matrix())
+        got = project([x], worked_matrix(), None, strategy="qe")
         want = f_or([Lit(BoolLit(p1)), mk_cmp(LT, tl.sub(tu)), Lit(BoolLit(p2))])
         assert equivalent(got, want, Sort.RAT)
 
     def test_weak_bounds_split(self):
         # l <= x and x <= u  has a rational witness iff l <= u
         f = f_and([mk_cmp(LE, tl.sub(tx)), mk_cmp(LE, tx.sub(tu))])
-        assert equivalent(lw_qe(x, f), mk_cmp(LE, tl.sub(tu)), Sort.RAT)
-
-    def test_wrong_mode(self):
-        with pytest.raises(WrongMode):
-            lw_qe(xi, mk_cmp(LT, txi))
+        assert equivalent(project([x], f, None, strategy="qe"), mk_cmp(LE, tl.sub(tu)), Sort.RAT)
 
     def test_matches_window_oracle(self):
         rng = random.Random(5)
         for _ in range(60):
             f = random_nnf(rng, [x, y, z], Sort.RAT, rng.randint(1, 5))
-            g = lw_qe(x, f)
+            g = project([x], f, None, strategy="qe")
             assert x not in free_vars(g)
             # for rationals, compare against the solver on both directions:
             # exists x . f  <=>  g
             wit = Var("wit", Sort.RAT)
-            assert equivalent(g, lw_qe(x, f), Sort.RAT)
+            assert equivalent(g, project([x], f, None, strategy="qe"), Sort.RAT)
             # soundness: g and f agree on satisfiability
             assert check_sat(g, Sort.RAT).is_sat == check_sat(f, Sort.RAT).is_sat
 
@@ -129,7 +118,7 @@ class TestLraProj:
                 p2: False,
             }
         )
-        got = lra_proj(x, worked_matrix(), m)
+        got = project([x], worked_matrix(), m)
         want = f_or(
             [
                 Lit(BoolLit(p1)),
@@ -151,7 +140,7 @@ class TestLraProj:
                 p2: False,
             }
         )
-        got = lra_proj(x, worked_matrix(), m)
+        got = project([x], worked_matrix(), m)
         want = f_or([mk_cmp(LT, tl.sub(tu)), f_and([mk_cmp(LT, tl.sub(tu)), Lit(BoolLit(p2))])])
         assert equivalent(got, want, Sort.RAT)
         assert eval_formula(got, m)
@@ -167,7 +156,7 @@ class TestLraProj:
                 p2: True,
             }
         )
-        got = lra_proj(x, worked_matrix(), m)
+        got = project([x], worked_matrix(), m)
         assert equivalent(got, Lit(BoolLit(p2)), Sort.RAT)
         assert eval_formula(got, m)
 
@@ -180,7 +169,7 @@ class TestLraProj:
         # y + eps comes before z + eps and holds, although z is the
         # greater lower bound below x
         m = Model({x: Fraction(4), y: Fraction(0), z: Fraction(3)})
-        got = lra_proj(x, two_intervals(tx, ty, tz), m)
+        got = project([x], two_intervals(tx, ty, tz), m)
         want = f_or(
             [
                 mk_cmp(LT, ty.sub(c(5))),
@@ -196,12 +185,12 @@ class TestLraProj:
         cases = [(LinTerm.of_const(0), lambda: TRUE), (None, lambda: FALSE)]
         monkeypatch.setattr(recmc.project, "_lw_cases", lambda x_, f: iter(cases))
         with pytest.raises(SelfCheckFailed, match="of x"):
-            lra_proj(x, mk_cmp(LT, tx), Model({x: Fraction(-1)}))
+            project([x], mk_cmp(LT, tx), Model({x: Fraction(-1)}))
 
     def test_absent_variable_leaves_the_matrix(self):
-        # the one case is minus infinity, and its disjunct is the matrix
+        # a variable that does not occur is not eliminated
         f = f_or([mk_cmp(LE, ty.sub(tz)), Lit(BoolLit(p1))])
-        assert lra_proj(x, f, Model({y: 0, z: 1, p1: False})) == f
+        assert project([x], f, Model({y: 0, z: 1, p1: False})) is f
 
 
 class TestCooper:
@@ -213,21 +202,22 @@ class TestCooper:
                 mk_lit(DivLit(2, txi)),
             ]
         )
-        got = cooper_qe(xi, f)
+        got = project([xi], f, None, strategy="qe")
         # oracle: enumerate x in [-6, 6]
         assert exists_window_int(f, xi, {}, -6, 6)
         assert got == TRUE
 
     def test_empty_open_interval(self):
         f = f_and([mk_cmp(LT, tyi.sub(txi)), mk_cmp(LT, txi.sub(tyi).sub(LinTerm.of_const(1)))])
-        assert cooper_qe(xi, f) == FALSE
+        assert project([xi], f, None, strategy="qe") == FALSE
 
     def test_equality_always_witnessed(self):
-        assert cooper_qe(xi, mk_cmp(EQ, txi.sub(tyi).sub(LinTerm.of_const(2)))) == TRUE
+        f = mk_cmp(EQ, txi.sub(tyi).sub(LinTerm.of_const(2)))
+        assert project([xi], f, None, strategy="qe") == TRUE
 
     def test_requires_unit_coefficient(self):
         with pytest.raises(NotNormalized):
-            cooper_qe(xi, mk_cmp(LT, txi.scale(2).sub(tyi)))
+            list(_cooper_cases(xi, mk_cmp(LT, txi.scale(2).sub(tyi))))
 
     def test_project_qe_rescales(self):
         g = project([xi], mk_cmp(LT, txi.scale(2).sub(tyi)), None, strategy="qe")
@@ -256,7 +246,7 @@ class TestLiaProj:
     def test_lower_bound_with_divisibility(self):
         f = f_and([mk_cmp(LT, tli.sub(txi)), mk_lit(DivLit(2, txi))])
         m = Model({xi: Fraction(4), li: Fraction(3)})
-        got = lia_proj(xi, f, m)
+        got = project([xi], f, m)
         want = mk_lit(DivLit(2, tli.add(LinTerm.of_const(1))))
         assert got == want
         assert eval_formula(got, m)
@@ -264,13 +254,13 @@ class TestLiaProj:
 
     def test_minus_infinity_residue(self):
         f = mk_lit(DivLit(2, txi))
-        got = lia_proj(xi, f, Model({xi: Fraction(6)}))
+        got = project([xi], f, Model({xi: Fraction(6)}))
         assert got == TRUE
 
     def test_equality_branch_precedence(self):
         f = f_and([mk_cmp(EQ, txi.sub(tyi)), mk_cmp(LT, tli.sub(txi))])
         m = Model({xi: Fraction(2), yi: Fraction(2), li: Fraction(0)})
-        got = lia_proj(xi, f, m)
+        got = project([xi], f, m)
         assert equivalent(got, mk_cmp(LT, tli.sub(tyi)), Sort.INT)
 
     def test_first_holding_lower_bound_wins(self):
@@ -278,7 +268,7 @@ class TestLiaProj:
         # greater lower bound below x
         f = two_intervals(txi, tyi, tzi)
         m = Model({xi: Fraction(4), yi: Fraction(0), zi: Fraction(3)})
-        got = lia_proj(xi, f, m)
+        got = project([xi], f, m)
         assert eval_formula(got, m)
         assert equivalent(
             got,
@@ -304,13 +294,12 @@ class TestLiaProj:
         cases = [(LinTerm.of_const(0), lambda: TRUE, None), (None, lambda: FALSE, None)]
         monkeypatch.setattr(recmc.project, "_cooper_cases", lambda x_, g: iter(cases))
         with pytest.raises(SelfCheckFailed, match="of x"):
-            lia_proj(xi, mk_cmp(LT, txi), Model({xi: Fraction(-1)}))
+            project([xi], mk_cmp(LT, txi), Model({xi: Fraction(-1)}))
 
     def test_absent_variable_leaves_the_matrix(self):
-        # the one case is minus infinity with residue 0, and its disjunct
-        # is the matrix
+        # a variable that does not occur is not eliminated
         f = f_and([mk_cmp(LT, tyi.sub(tzi)), mk_lit(DivLit(2, tyi))])
-        assert lia_proj(xi, f, Model({yi: 0, zi: 1})) == f
+        assert project([xi], f, Model({yi: 0, zi: 1})) is f
 
 
 class TestProject:
@@ -370,7 +359,7 @@ class TestProject:
             if not check_sat(f, Sort.RAT).is_sat:
                 continue
             image = self._image_points(f, [x], [y, z], Sort.RAT)
-            qe = lw_qe(x, split_weak_bounds(x, f))
+            qe = project([x], f, None, strategy="qe")
             assert equivalent(f_or(image), qe, Sort.RAT)
 
     def test_image_cover_lia(self):

@@ -981,13 +981,13 @@ class TestCooperSelfChecks:
             int_conjunction_sat([Cmp(LE, txi.sub(LinTerm.of_const(3)))])
 
     def test_witness_check(self, monkeypatch):
-        cases = helpers.cooper_cases
+        cases = helpers._cooper_cases
 
         def off_by_half(y, g):
-            for case, witness in cases(y, g):
-                yield case, lambda m, w=witness: w(m) + Fraction(1, 2)
+            for t, build, witness in cases(y, g):
+                yield t, build, lambda m, w=witness: w(m) + Fraction(1, 2)
 
-        monkeypatch.setattr(helpers, "cooper_cases", off_by_half)
+        monkeypatch.setattr(helpers, "_cooper_cases", off_by_half)
         with pytest.raises(SelfCheckFailed):
             int_conjunction_sat([Cmp(LE, txi.sub(LinTerm.of_const(3)))])
 
