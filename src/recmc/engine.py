@@ -51,13 +51,15 @@ procedure, built through under_env or over_env when it is first read.
 Before an environment is handed out, the facts added to rho and sigma
 since the last time are read from the maps' logs, and the entries they
 change are dropped.  A reachability fact at level l changes its
-procedure's under entries at every bound >= l.  A summary fact changes
-its procedure's over entries from the lowest level whose conjunction
-it changed up to l (AssertionMap.changed_from), so pushing a fact one
-level up drops one entry.  Each environment memoises the instantiation
-of bodies and paths in it until one of its entries is dropped.  The
-same reading marks the (procedure, level) pairs whose summary facts, or
-whose callees' over entries, changed, for check_inductive to revisit.
+procedure's under entries at every bound >= l.  A summary fact at level
+l changes its procedure's over entries up to l from the level that
+AssertionMap.changed_from names: none for true, l alone for a push (a
+formula equal to a fact at l - 1), every level from 0 otherwise.  So
+pushing a fact one level up drops one entry.  Each environment memoises
+the instantiation of bodies and paths in it until one of its entries is
+dropped.  The same reading marks the (procedure, level) pairs whose
+summary facts, or whose callees' over entries, changed, for
+check_inductive to revisit.
 
 Every instantiation of the check, in an environment or by the query
 rule's mixed instantiation, reads call instances from one more memo,
@@ -219,13 +221,9 @@ class BndSafety:
         self._sync()
         env = self._envs.get((kind, bound))
         if env is None:
-            env = _Env()
+            env = self._envs[kind, bound] = _Env()
             env.amap, env.build = (self.rho, under_env) if kind == "u" else (self.sigma, over_env)
             env.bound, env.program, env.instances = bound, self.program, {}
-            if bound < 0:  # every entry is false, for good, in both kinds
-                env.update(env.build(env.amap, bound, self.program))
-                self._envs[("u", bound)] = self._envs[("o", bound)] = env
-            self._envs[(kind, bound)] = env
         return env
 
     def _sync(self) -> None:

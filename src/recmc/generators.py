@@ -107,7 +107,7 @@ def random_bool_program(rng: random.Random, max_procs: int = 3) -> SourceUnit:
         n_out = rng.randint(1, 2) if n_in == 1 else 1
         arities[name] = (n_in, n_out)
     lines = ["(program", "  (mode bool)"]
-    for idx, name in enumerate(names):
+    for name in names:
         n_in, n_out = arities[name]
         ins = [f"a{i}" for i in range(n_in)]
         outs = [f"b{i}" for i in range(n_out)]
@@ -116,7 +116,7 @@ def random_bool_program(rng: random.Random, max_procs: int = 3) -> SourceUnit:
         paths = []
         for _ in range(rng.randint(1, 4)):
             conj = [_bool_expr(rng, everything, 1) for _ in range(rng.randint(1, 2))]
-            for _ in range(rng.randint(0, 2) if idx + 1 <= n_procs else 0):
+            for _ in range(rng.randint(0, 2)):
                 callee = rng.choice(names)
                 cin, cout = arities[callee]
                 args = [rng.choice(everything) for _ in range(cin + cout)]

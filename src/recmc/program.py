@@ -12,10 +12,11 @@ drive the engine: the reachability map (under-approximations, each
 model of a fact is a real execution within the bound) and the summary
 map (over-approximations).  A reachability fact also records the index
 of the body path it was projected from, which is all that counterexample
-replay needs.  A map keeps each procedure's levels sorted, so a range of
-levels is found by bisection, and a log of the facts in the order they
-were added tells a reader what changed since it last looked, down to the
-lowest level whose conjunction a summary fact changed.  From a map and a
+replay needs.  A map keeps each procedure's facts in one list in (level,
+insertion) order, so a range of levels is a bisect slice, and a log of
+the facts in the order they were added tells a reader what changed since
+it last looked: for a summary fact, from which level up to its own the
+conjunctions may have changed, by the push rule of changed_from.  From a
 bound we build the two instantiation environments, dicts from procedure
 name to formula, for every procedure or for the ones named:
 
@@ -35,15 +36,15 @@ import itertools
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .errors import ArityMismatch, TooLarge
+from .errors import TooLarge
 from .formula import (
     FALSE,
     TRUE,
     And,
     BoolLit,
-    Bottom,
     Call,
     Formula,
     Lit,
@@ -121,92 +122,76 @@ class Fact:
     path_index: Optional[int] = None  # reachability facts: the body path that produced it
 
 
+_level = attrgetter("bound")
+
+
 class AssertionMap:
     """Facts per (procedure, level); deduplicated, never retracted.
 
-    Each procedure's levels are kept in ascending order.  `log` lists the
-    facts in the order they were added; changed_from reads it.
+    Each procedure's facts are one list in (level, insertion) order, so a
+    range of levels is a bisect slice.  `log` lists the facts in the
+    order they were added; changed_from reads it.
     """
 
     def __init__(self):
-        self._by_proc: Dict[str, Dict[int, List[Fact]]] = {}
-        self._levels: Dict[str, List[int]] = {}  # ascending
+        self._facts: Dict[str, List[Fact]] = {}  # proc -> its facts, by level
         self._keys: Dict[tuple, Fact] = {}  # (proc, bound, canon_key) -> first fact
         self._next = itertools.count()
         self.log: List[Fact] = []
-        self._lowest: List[int] = []  # changed_from of log[i], for the facts read so far
-        self._where: Dict[tuple, List[int]] = {}  # (proc, conjunct) -> its levels
-        self._top_false: Dict[str, int] = {}  # proc -> highest level of a FALSE fact
+        self._lowest: List[int] = []  # changed_from of log[i]
 
     def add(self, proc: str, bound: int, formula: Formula, path_index=None):
         """Returns (fact, added); a canonically equal formula at the same
         (proc, bound) is not stored twice."""
-        key = (proc, bound, canon_key(formula))
-        fact = self._keys.get(key)
+        ckey = canon_key(formula)
+        fact = self._keys.get((proc, bound, ckey))
         if fact is not None:
             return fact, False
+        # decided here, not when the log is read: a twin added one level
+        # below later on does not undo what this fact changed
+        twin = self._keys.get((proc, bound - 1, ckey))
+        if isinstance(formula, Top):
+            lowest = bound + 1
+        elif twin is not None and twin.formula == formula:
+            lowest = bound
+        else:
+            lowest = 0
         fact = Fact(next(self._next), proc, bound, formula, path_index)
-        self._keys[key] = fact
-        per_bound = self._by_proc.setdefault(proc, {})
-        if bound not in per_bound:
-            per_bound[bound] = []
-            insort(self._levels.setdefault(proc, []), bound)
-        per_bound[bound].append(fact)
+        self._keys[proc, bound, ckey] = fact
+        insort(self._facts.setdefault(proc, []), fact, key=_level)
         self.log.append(fact)
+        self._lowest.append(lowest)
         return fact, True
 
     def changed_from(self, start: int) -> Iterator[Tuple[Fact, int]]:
         """Each fact of the log from start on, with the lowest level b
         whose conjunction of the facts at levels >= b (in level order,
-        as over_env builds it) changed when the fact was added; the
-        fact's own level + 1 when none did.
+        as over_env builds it) its addition may have changed.
 
-        The conjunction at b stays as it was when a FALSE fact lies at a
-        level >= b, or when each conjunct of the new fact already occurs
-        at a level from b to its own: f_and keeps the first occurrence."""
-        for fact in self.log[len(self._lowest) :]:
-            self._lowest.append(self._conjunction_floor(fact))
+        TRUE changes none: its own level + 1.  A push, a formula equal to
+        a fact one level below, changes only its own level: every lower
+        conjunction has the twin's conjuncts before it, and f_and keeps
+        the first occurrence.  Anything else gives 0.  A canonically
+        equal twin is not enough: an Or with its arguments in another
+        order is a new argument of f_and."""
         return zip(self.log[start:], self._lowest[start:])
 
-    def _conjunction_floor(self, fact: Fact) -> int:
-        proc, bound, formula = fact.proc, fact.bound, fact.formula
-        top_false = self._top_false.get(proc, -1)
-        if top_false >= bound or isinstance(formula, Top):
-            return bound + 1
-        if isinstance(formula, Bottom):
-            self._top_false[proc] = bound
-            return top_false + 1
-        floor = bound
-        for c in formula.args if isinstance(formula, And) else (formula,):
-            levels = self._where.get((proc, c))
-            if levels is None:
-                self._where[(proc, c)] = [bound]
-                floor = -1
-                continue
-            if floor >= 0:
-                floor = min(floor, max((l for l in levels if l <= bound), default=-1))
-            levels.append(bound)
-        return max(floor, top_false) + 1
-
     def at(self, proc: str, bound: int) -> List[Fact]:
-        return list(self._by_proc.get(proc, {}).get(bound, ()))
+        facts = self._facts.get(proc, [])
+        return facts[bisect_left(facts, bound, key=_level) : bisect_right(facts, bound, key=_level)]
 
     def up_to(self, proc: str, bound: int) -> List[Fact]:
         """Facts at bounds <= bound, in (bound, insertion) order."""
-        levels = self._levels.get(proc, ())
-        per_bound = self._by_proc.get(proc)
-        return [f for b in levels[: bisect_right(levels, bound)] for f in per_bound[b]]
+        facts = self._facts.get(proc, [])
+        return facts[: bisect_right(facts, bound, key=_level)]
 
     def at_least(self, proc: str, bound: int) -> List[Fact]:
-        levels = self._levels.get(proc, ())
-        per_bound = self._by_proc.get(proc)
-        return [f for b in levels[bisect_left(levels, bound) :] for f in per_bound[b]]
+        facts = self._facts.get(proc, [])
+        return facts[bisect_left(facts, bound, key=_level) :]
 
     def items(self):
-        for proc, per_bound in self._by_proc.items():
-            for bound in sorted(per_bound):
-                for fact in per_bound[bound]:
-                    yield fact
+        for facts in self._facts.values():
+            yield from facts
 
     def __len__(self):
         return len(self._keys)
@@ -263,10 +248,7 @@ def instantiate(f, env: Dict[str, Formula], program: Program, calls=None) -> For
 def _call_instance(call: Call, entry: Formula, program: Program) -> Formula:
     """entry, a formula over the callee's formals, renamed to the call's
     arguments."""
-    callee = program.proc(call.callee)
-    if len(call.args) != len(callee.formals):
-        raise ArityMismatch(call.callee)
-    return rename_vars(entry, dict(zip(callee.formals, call.args)))
+    return rename_vars(entry, dict(zip(program.proc(call.callee).formals, call.args)))
 
 
 def instantiate_path_mixed(

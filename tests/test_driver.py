@@ -6,7 +6,7 @@ import pytest
 
 import recmc.driver
 import recmc.engine
-from helpers import checked_check
+from helpers import DATA, checked_check
 from recmc.cli import run_cli
 from recmc.driver import (
     CexNode,
@@ -216,6 +216,17 @@ class TestUnsafeChains:
         assert not validate_cex(unit.program, verdict.cex, unit.phi_safe)
 
 
+def _call_chain(n):
+    """P0 -> ... -> Pn, each passing x on, Pn returning x + 1: UNSAFE
+    for y <= x at bound n."""
+    lines = ["(program (mode int)"]
+    for i in range(n):
+        lines.append(f"  (procedure P{i} (in x) (out y) (body (call P{i + 1} x y)))")
+    lines.append(f"  (procedure P{n} (in x) (out y) (body (= y (+ x 1))))")
+    lines.append("  (main P0) (assert-safe (<= y x)))")
+    return "\n".join(lines)
+
+
 class TestCheckInductive:
     def test_documented_state_is_inductive(self):
         """The summary facts the worked run converges to, placed at their
@@ -248,6 +259,29 @@ class TestCheckInductive:
         assert not check_inductive(engine, 0)
         assert [f.formula for f in sigma.at("D", 1)] == [good]
         assert not sigma.at("T", 1)
+
+    @pytest.mark.parametrize(
+        "source, max_bound, pairs",
+        [(_call_chain(40), 45, 1600), ((DATA / "countdown30.rpl").read_text(), 15, 256)],
+        ids=["chain-40", "countdown30"],
+    )
+    def test_revisits_per_check(self, source, max_bound, pairs, monkeypatch):
+        """The (procedure, level) pairs that check_inductive revisits over
+        one check.  A summary fact whose change is put at too low a level
+        marks more pairs, which shows up here as a count and not as a
+        slow run."""
+        seen = []
+        real = BndSafety.revisits
+
+        def counting(engine, level):
+            got = real(engine, level)
+            seen.extend((name, level) for name in got)
+            return got
+
+        monkeypatch.setattr(BndSafety, "revisits", counting)
+        unit = parse(source)
+        check(unit.program, unit.phi_safe, max_bound)
+        assert len(seen) == pairs
 
 
 class TestAnswerMemo:

@@ -17,6 +17,7 @@ from recmc.formula import (
     Role,
     Sort,
     Var,
+    canon_key,
     f_and,
     f_or,
     mk_cmp,
@@ -147,33 +148,44 @@ class TestAssertionMap:
         _, added3 = m.add("D", 1, f1)
         assert added3
 
-    def test_changed_from_names_the_lowest_changed_conjunction(self, unit):
+    def test_changed_from_is_the_push_rule(self, unit):
         program = unit.program
         d0, d = _linterm(program, "D", "d0"), _linterm(program, "D", "d")
         a, b = mk_cmp(LT, d0), mk_cmp(LT, d)
         m = AssertionMap()
         for bound, formula in [
-            (2, a),  # new at 0..2
-            (3, a),  # a push: a is already at 2, so only 3 changes
-            (1, f_and([a, b])),  # b is new
-            (0, a),  # a now comes first at 0, where it came after b
-            (1, a),  # a is a conjunct of a fact at 1 already: nothing changes
-            (4, FALSE),
-            (2, b),  # below a false level: nothing changes
+            (2, a),  # new: 0
+            (3, a),  # a push, a is a fact at 2: only 3 changes
+            (1, f_and([a, b])),  # new: 0
+            (0, a),  # new at 0: 0
+            (1, a),  # a push from 0: only 1 changes
+            (4, FALSE),  # not a push: 0
+            (2, b),  # b is only a conjunct at 1, not a fact: 0
         ]:
             m.add("D", bound, formula)
-        assert [lowest for _, lowest in m.changed_from(0)] == [0, 3, 0, 0, 2, 0, 3]
+        assert [lowest for _, lowest in m.changed_from(0)] == [0, 3, 0, 0, 1, 0, 0]
         assert [fact.bound for fact, _ in m.changed_from(5)] == [4, 2]
+        # a twin added below later on does not make (2, b) a push
+        m.add("D", 1, b)
+        assert [lowest for _, lowest in m.changed_from(6)] == [0, 0]
+        # TRUE changes nothing; a twin that is only canonically equal is no push
+        m.add("D", 5, TRUE)
+        m.add("D", 0, f_or([a, b]))
+        m.add("D", 1, f_or([b, a]))
+        assert [lowest for _, lowest in m.changed_from(8)] == [6, 0, 0]
 
     def test_changed_from_covers_every_changed_over_env(self, unit):
         """Adding a fact at level l changes over_env only at levels from
         changed_from's lowest to l, on random additions.  (It may name a
-        level whose conjunction did not change: a conjunct that moves to
-        an earlier level past only repeated conjuncts.)"""
+        level whose conjunction did not change: 0 for a conjunction of
+        conjuncts that every lower level already has.)  Disjunctions of
+        two literals in either order give twins one level below that are
+        canonically equal but not equal, which change the levels below."""
         program = unit.program
         d0, d = _linterm(program, "D", "d0"), _linterm(program, "D", "d")
         lits = [mk_cmp(LT, d0), mk_cmp(LT, d), mk_cmp(LE, d.sub(d0)), mk_cmp(EQ, d)]
         rng = random.Random(23)
+        pushes = permuted = 0
         for _ in range(40):
             m = AssertionMap()
             for _ in range(12):
@@ -181,9 +193,12 @@ class TestAssertionMap:
                 pick = rng.random()
                 if pick < 0.1:
                     formula = rng.choice([TRUE, FALSE])
+                elif pick < 0.4:
+                    formula = f_or(rng.sample(lits[:3], 2))
                 else:
                     formula = f_and(rng.sample(lits, rng.randint(1, 3)))
                 before = [over_env(m, b, program)["D"] for b in range(6)]
+                below = {canon_key(f.formula): f.formula for f in m.at("D", bound - 1)}
                 _, added = m.add("D", bound, formula)
                 if not added:
                     continue
@@ -191,6 +206,11 @@ class TestAssertionMap:
                 (_, lowest), = m.changed_from(len(m.log) - 1)
                 changed = {b for b in range(6) if before[b] != after[b]}
                 assert changed <= set(range(lowest, bound + 1)), (formula, bound)
+                twin = below.get(canon_key(formula))
+                pushes += twin == formula
+                if twin is not None and twin != formula:
+                    permuted += min(changed, default=bound) < bound
+        assert pushes and permuted
 
 
 def _bool_program(bodies, main="P"):

@@ -27,13 +27,13 @@ from recmc.formula import (
     LinTerm,
     Lit,
     Sort,
-    Var,
     eval_formula,
     f_and,
     f_or,
     free_vars,
     mk_cmp,
     mk_lit,
+    subst_arith,
 )
 from recmc.project import _cooper_cases, project
 from recmc.solver import (
@@ -93,17 +93,20 @@ class TestLwQe:
         assert equivalent(project([x], f, None, strategy="qe"), mk_cmp(LE, tl.sub(tu)), Sort.RAT)
 
     def test_matches_window_oracle(self):
+        """g = exists x. f, checked at every (y, z) of a window of
+        rationals: g holds there exactly when f with y and z replaced by
+        their values is satisfiable."""
         rng = random.Random(5)
+        window = [Fraction(k, 6) for k in (-18, -6, -3, 0, 2, 6, 15)]  # -3 to 5/2
         for _ in range(60):
             f = random_nnf(rng, [x, y, z], Sort.RAT, rng.randint(1, 5))
             g = project([x], f, None, strategy="qe")
             assert x not in free_vars(g)
-            # for rationals, compare against the solver on both directions:
-            # exists x . f  <=>  g
-            wit = Var("wit", Sort.RAT)
-            assert equivalent(g, project([x], f, None, strategy="qe"), Sort.RAT)
-            # soundness: g and f agree on satisfiability
             assert check_sat(g, Sort.RAT).is_sat == check_sat(f, Sort.RAT).is_sat
+            for yv in window:
+                for zv in window:
+                    at = subst_arith(f, {y: c(yv), z: c(zv)})
+                    assert eval_formula(g, {y: yv, z: zv}) == check_sat(at, Sort.RAT).is_sat
 
 
 class TestLraProj:
